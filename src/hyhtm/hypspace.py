@@ -6,6 +6,10 @@ runs on: a real-valued similarity matrix (neighborhood-normalized,
 thresholded) and a binary hierarchy matrix (k-NN adjacency). A Euclidean
 mode swaps the ball metric for cosine similarity, leaving everything
 downstream unchanged.
+
+Both matrices and `knn` slice one sorted neighbor table per
+`EmbeddingTable`; the similarity normalizer is an exact broadcast over
+blocks of neighborhoods, with the arithmetic of `poincare_distance`.
 """
 
 from __future__ import annotations
@@ -28,18 +32,24 @@ SPACES = (HYPERBOLIC, EUCLIDEAN)
 # Vectors at or outside the unit sphere are pulled back to this norm.
 _BALL_RADIUS = 1.0 - 1e-5
 _LOW_COVERAGE = 0.10
+# Float64 values per temporary array of the geometry kernel (0.5 MB).
+_BLOCK_VALUES = 1 << 16
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Row-wise squared Euclidean norms, accumulated dimension by dimension.
+def _sq_norms(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean norms along the last axis of x, or of x - y broadcast.
 
-    Sequential accumulation keeps results bit-identical to a scalar loop,
-    which the test oracles rely on.
+    This is the single definition of the norm. It accumulates dimension by
+    dimension, which keeps every distance path (scalar, row, block, pairwise)
+    bitwise equal to a scalar loop; the test oracles rely on that. Taking
+    the difference inside the loop avoids materializing it in full.
     """
     x = np.atleast_2d(x)
-    acc = np.zeros(x.shape[0])
-    for k in range(x.shape[1]):
-        acc = acc + x[:, k] * x[:, k]
+    shape = x.shape if y is None else np.broadcast_shapes(x.shape, y.shape)
+    acc = np.zeros(shape[:-1])
+    for k in range(x.shape[-1]):
+        t = x[..., k] if y is None else x[..., k] - y[..., k]
+        acc = acc + t * t
     return acc
 
 
@@ -59,15 +69,23 @@ def poincare_distance(u, v) -> float:
     return float(np.arccosh(arg))
 
 
+def _ball_distances(a, sq_a, b, sq_b) -> np.ndarray:
+    """Ball distances between the rows of a (..., p, d) and b (..., q, d): (..., p, q).
+
+    `sq_a` and `sq_b` are the rows' squared norms from `_sq_norms`.
+    """
+    diff_sq = _sq_norms(b[..., None, :, :], a[..., :, None, :])
+    denom = (1.0 - sq_a)[..., :, None] * (1.0 - sq_b)[..., None, :]
+    arg = 1.0 + 2.0 * diff_sq / denom
+    np.maximum(arg, 1.0, out=arg)
+    return np.arccosh(arg)
+
+
 def poincare_distances(point: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distances from one ball point to each row of `points`."""
     point = np.asarray(point, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    diff_sq = _sq_norms(points - point[None, :])
-    denom = (1.0 - float(_sq_norms(point)[0])) * (1.0 - _sq_norms(points))
-    arg = 1.0 + 2.0 * diff_sq / denom
-    np.maximum(arg, 1.0, out=arg)
-    return np.arccosh(arg)
+    return _ball_distances(point[None, :], _sq_norms(point), points, _sq_norms(points))[0]
 
 
 def euclidean_cosine(u, v) -> float:
@@ -81,26 +99,13 @@ def euclidean_cosine(u, v) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def _cosine_row(point: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Cosine similarity of `point` against each row; zero rows map to 0."""
-    norms = np.sqrt(_sq_norms(points))
-    pn = float(np.sqrt(_sq_norms(point)[0]))
-    if pn == 0.0:
-        return np.zeros(points.shape[0])
-    sims = points @ point
-    nonzero = norms > 0.0
-    out = np.zeros(points.shape[0])
-    out[nonzero] = sims[nonzero] / (norms[nonzero] * pn)
-    return out
-
-
 @dataclass
 class EmbeddingTable:
     """Dense vectors for the vocabulary terms found in an embedding file.
 
     `matrix` holds one row per covered term; `term_indices` maps those rows
-    back to vocabulary positions (ascending). Immutable after construction
-    and safe to share across threads.
+    back to vocabulary positions (ascending). The vectors are immutable
+    after construction; `_neighbors` memoizes the widest `_neighbor_table`.
     """
 
     dim: int
@@ -110,24 +115,42 @@ class EmbeddingTable:
     matrix: np.ndarray  # (n_covered, dim)
     covered: frozenset[int] = field(repr=False)
     _row_of: dict[int, int] = field(repr=False)
+    _neighbors: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def coverage(self) -> float:
         return len(self.term_indices) / self.vocab_size if self.vocab_size else 0.0
 
-    def vector(self, term_index: int) -> np.ndarray:
-        """Vector for one vocabulary index; raises on uncovered terms."""
+    def row(self, term_index: int) -> int:
+        """Matrix row of one vocabulary index; raises on uncovered terms."""
         row = self._row_of.get(term_index)
         if row is None:
             raise ContractError(f"term index {term_index} has no embedding")
-        return self.matrix[row]
+        return row
 
-    def distances_from(self, term_index: int) -> np.ndarray:
-        """Distance from one covered term to every covered term (row order)."""
-        point = self.vector(term_index)
+    def vector(self, term_index: int) -> np.ndarray:
+        """Vector for one vocabulary index; raises on uncovered terms."""
+        return self.matrix[self.row(term_index)]
+
+    def _distances(self, a, b=slice(None)) -> np.ndarray:
+        """Distances between the rows indexed by a (..., p) and by b (..., q): (..., p, q).
+
+        Cosine similarities take one matrix-vector product per row of a, the
+        same BLAS call as `x[b] @ x[a_row]`; a matrix-matrix product rounds
+        differently. A zero vector has cosine similarity 0 to everything.
+        """
+        xa, xb = self.matrix[a], self.matrix[b]
+        sq_a, sq_b = _sq_norms(xa), _sq_norms(xb)
         if self.space == HYPERBOLIC:
-            return poincare_distances(point, self.matrix)
-        return 1.0 - _cosine_row(point, self.matrix)
+            return _ball_distances(xa, sq_a, xb, sq_b)
+        sims = np.matmul(xb[..., None, :, :], xa[..., :, :, None])[..., 0]
+        scale = np.sqrt(sq_b)[..., None, :] * np.sqrt(sq_a)[..., :, None]
+        nonzero = (sq_b[..., None, :] > 0.0) & (sq_a[..., :, None] > 0.0)
+        cos = np.zeros(sims.shape)
+        np.divide(sims, scale, out=cos, where=nonzero)
+        return 1.0 - cos
 
 
 @dataclass
@@ -169,7 +192,8 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
     Format: optional "<count> <dim>" header, then one term per line followed
     by `dim` decimal values. In hyperbolic mode vectors with norm >= 1 are
     radially projected back inside the ball. Coverage below 10% of the
-    vocabulary logs a warning but is not an error.
+    vocabulary logs a warning but is not an error. A vocabulary term's
+    vector with a nan or infinite component is a parse error.
     """
     if space not in SPACES:
         raise ConfigurationError(f"unknown space {space!r}; expected one of {SPACES}")
@@ -203,6 +227,8 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
                 vec = np.array([float(p) for p in parts[1:]], dtype=float)
             except ValueError as exc:
                 raise EmbeddingParseError(f"bad vector component: {exc}", lineno) from None
+            if not np.isfinite(vec).all():
+                raise EmbeddingParseError("non-finite vector component", lineno)
             vectors[idx] = vec
 
     if dim is None:
@@ -238,6 +264,56 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
     return table
 
 
+def _neighbor_table(table: EmbeddingTable, k: int):
+    """Rows of each covered term's min(k, n) nearest covered terms, and their distances.
+
+    The center comes first at distance 0, even among exact duplicates of
+    itself. The others rank on (distance, vocabulary index): rows ascend
+    with vocabulary index, so a stable sort breaks ties toward the lower one.
+    The widest table built is memoized on `table`; a narrower request slices
+    it, which equals building it directly because the ranking is a total order.
+    """
+    n = len(table.term_indices)
+    k = min(k, n)
+    if table._neighbors is None or table._neighbors[0].shape[1] < k:
+        order = np.empty((n, k), dtype=np.intp)
+        near = np.empty((n, k))
+        step = max(1, _BLOCK_VALUES // max(n, 1))
+        for i in range(0, n, step):
+            centers = np.arange(i, min(i + step, n))
+            dist = table._distances(centers)
+            dist[centers - i, centers] = -np.inf
+            order[centers] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            near[centers] = np.take_along_axis(dist, order[centers], axis=1)
+        near[:, :1] = 0.0
+        table._neighbors = (order, near)
+    order, near = table._neighbors
+    return order[:, :k], near[:, :k]
+
+
+def _neighborhood_similarities(table: EmbeddingTable, members: np.ndarray, center_dists):
+    """1 - d / spread for neighborhoods given as rows of `members`, center first.
+
+    `center_dists` holds each member's distance from its center; spread is
+    the largest distance over all member pairs. Blocks of neighborhoods, or
+    of member rows when k is large, bound the temporaries by `_BLOCK_VALUES`.
+    """
+    n, k = members.shape
+    width = max(k, table.matrix.shape[1])  # pairs and gathered vectors per member row
+    spread = np.full(n, -np.inf)
+    per_block = max(1, _BLOCK_VALUES // max(k * width, 1))
+    rows = max(1, min(k, _BLOCK_VALUES // width))
+    for i in range(0, n, per_block):
+        block = members[i : i + per_block]
+        for j in range(0, k, rows):
+            pairs = table._distances(block[:, j : j + rows], block)
+            np.maximum(spread[i : i + per_block], pairs.max(axis=(1, 2)),
+                       out=spread[i : i + per_block])
+    ratio = np.zeros((n, k))
+    np.divide(center_dists, spread[:, None], out=ratio, where=spread[:, None] != 0.0)
+    return 1.0 - ratio
+
+
 def knn(table: EmbeddingTable, w: int, k: int) -> Neighborhood:
     """The k nearest covered terms to w, w itself at rank 0.
 
@@ -247,153 +323,74 @@ def knn(table: EmbeddingTable, w: int, k: int) -> Neighborhood:
     """
     if k < 1:
         raise ConfigurationError("neighborhood size must be >= 1")
-    if w not in table.covered:
-        raise ContractError(f"term index {w} has no embedding")
-    dists = table.distances_from(w)
-    others = table.term_indices != w
-    cand_idx = table.term_indices[others]
-    cand_dist = dists[others]
-    order = np.lexsort((cand_idx, cand_dist))[: max(k - 1, 0)]
-    members = [(w, 0.0)] + [(int(cand_idx[j]), float(cand_dist[j])) for j in order]
-    return Neighborhood(center=w, members=members)
+    row = table.row(w)
+    order, near = _neighbor_table(table, k)
+    terms = table.term_indices[order[row]]
+    return Neighborhood(center=w, members=[(int(t), float(d)) for t, d in zip(terms, near[row])])
 
 
-def neighborhood_similarity(
-    nbhd: Neighborhood, table: EmbeddingTable, center_max: bool = False
-) -> list[tuple[int, float]]:
+def neighborhood_similarity(nbhd: Neighborhood, table: EmbeddingTable) -> list[tuple[int, float]]:
     """Similarity of the center to each member, normalized by neighborhood spread.
 
     Each distance from the center is divided by the maximum distance over all
     unordered member pairs, then flipped: s = 1 - d / max. With the center a
     member of its own neighborhood this lands every value in [0, 1], the
     center itself at exactly 1. If all members coincide the similarity is 1
-    everywhere. `center_max` swaps the exact pairwise maximum for the cheaper
-    maximum over center-to-member distances only.
+    everywhere.
     """
     if len(nbhd.members) < 2:
         raise ContractError("neighborhood similarity needs at least 2 members")
-    idx = nbhd.member_indices()
-    rows = np.vstack([table.vector(i) for i in idx])
-    if table.space == HYPERBOLIC:
-        center_dists = poincare_distances(rows[0], rows)
-    else:
-        center_dists = 1.0 - _cosine_row(rows[0], rows)
-    max_dist = float(center_dists.max())
-    if not center_max:
-        for i in range(1, len(idx)):
-            if table.space == HYPERBOLIC:
-                row = poincare_distances(rows[i], rows[i + 1 :])
-            else:
-                row = 1.0 - _cosine_row(rows[i], rows[i + 1 :])
-            if row.size:
-                max_dist = max(max_dist, float(row.max()))
-    if max_dist == 0.0:
-        return [(i, 1.0) for i in idx]
-    sims = 1.0 - center_dists / max_dist
-    return [(i, float(s)) for i, s in zip(idx, sims)]
+    members = np.array([[table.row(t) for t, _ in nbhd.members]])
+    center_dists = np.array([[d for _, d in nbhd.members]])
+    sims = _neighborhood_similarities(table, members, center_dists)[0]
+    return [(t, float(s)) for (t, _), s in zip(nbhd.members, sims)]
 
 
-def _map_over_terms(func, term_indices, workers: int):
-    # Rows are independent; a thread pool changes wall-clock order only,
-    # never the per-row results, so output stays deterministic.
-    if workers <= 1:
-        return [func(int(w)) for w in term_indices]
-    from concurrent.futures import ThreadPoolExecutor
+def _term_matrix(table: EmbeddingTable, members: np.ndarray, values: np.ndarray):
+    """m x m CSR: row of each covered term holds `values` at its members' columns.
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, (int(w) for w in term_indices)))
+    Rows of uncovered terms carry a bare unit diagonal; zero values are dropped.
+    """
+    m = table.vocab_size
+    terms = table.term_indices
+    missing = np.setdiff1d(np.arange(m), terms)
+    rows = np.concatenate([np.repeat(terms, members.shape[1]), missing])
+    cols = np.concatenate([terms[members].ravel(), missing])
+    vals = np.concatenate([values.ravel(), np.ones(missing.size)])
+    entries = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    entries.eliminate_zeros()
+    entries.sort_indices()
+    return entries
 
 
-def build_similarity_matrix(
-    table: EmbeddingTable,
-    k_s: int,
-    alpha: float,
-    center_max: bool = False,
-    workers: int = 1,
-) -> TermSimilarityMatrix:
+def build_similarity_matrix(table: EmbeddingTable, k_s: int, alpha: float) -> TermSimilarityMatrix:
     """Sparse term-similarity matrix over k_s-neighborhoods, thresholded at alpha.
 
     Hyperbolic tables use the neighborhood-normalized ball similarity;
     Euclidean tables use cosine similarity clamped at 0. Entries below alpha
     are dropped, the diagonal is 1 for every term, and rows of terms without
-    embeddings carry only that diagonal. `workers` > 1 fans the per-term
-    computation out over threads.
+    embeddings carry only that diagonal.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
     if k_s < 1:
         raise ConfigurationError("k_s must be >= 1")
-    m = table.vocab_size
-
-    def row_for(w: int):
-        nbhd = knn(table, w, k_s)
-        if len(nbhd.members) < 2:
-            return None
-        if table.space == HYPERBOLIC:
-            sims = neighborhood_similarity(nbhd, table, center_max=center_max)
-        else:
-            sims = [(i, max(0.0, 1.0 - d)) for i, d in nbhd.members]
-            sims[0] = (w, 1.0)
-        terms = np.array([i for i, _ in sims], dtype=np.int64)
-        values = np.array([s for _, s in sims])
-        keep = values >= alpha
-        keep[0] = True  # diagonal survives every threshold
-        return terms[keep], values[keep]
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    diag_done = np.zeros(m, dtype=bool)
-    results = _map_over_terms(row_for, table.term_indices, workers)
-    for w, result in zip(table.term_indices, results):
-        if result is None:
-            continue
-        terms, values = result
-        rows.append(np.full(terms.size, int(w), dtype=np.int64))
-        cols.append(terms)
-        vals.append(values)
-        diag_done[int(w)] = True
-    missing = np.flatnonzero(~diag_done)
-    if missing.size:
-        rows.append(missing)
-        cols.append(missing)
-        vals.append(np.ones(missing.size))
-    entries = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
-    entries.eliminate_zeros()
-    entries.sort_indices()
-    return TermSimilarityMatrix(entries=entries, alpha=alpha, k_s=k_s)
+    members, near = _neighbor_table(table, k_s)
+    if table.space == HYPERBOLIC:
+        sims = _neighborhood_similarities(table, members, near)
+    else:
+        sims = 1.0 - near
+        sims[~(sims > 0.0)] = 0.0
+    sims[:, :1] = 1.0  # the diagonal survives every threshold
+    sims[~(sims >= alpha)] = 0.0
+    return TermSimilarityMatrix(entries=_term_matrix(table, members, sims), alpha=alpha, k_s=k_s)
 
 
-def build_hierarchy_matrix(
-    table: EmbeddingTable, k_h: int, workers: int = 1
-) -> TermHierarchyMatrix:
+def build_hierarchy_matrix(table: EmbeddingTable, k_h: int) -> TermHierarchyMatrix:
     """Binary k-NN adjacency over the vocabulary, unit diagonal everywhere."""
     if k_h < 1:
         raise ConfigurationError("k_h must be >= 1")
-    m = table.vocab_size
-
-    def row_for(w: int):
-        return np.array(knn(table, w, k_h).member_indices(), dtype=np.int64)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    diag_done = np.zeros(m, dtype=bool)
-    results = _map_over_terms(row_for, table.term_indices, workers)
-    for w, members in zip(table.term_indices, results):
-        rows.append(np.full(members.size, int(w), dtype=np.int64))
-        cols.append(members)
-        diag_done[int(w)] = True
-    missing = np.flatnonzero(~diag_done)
-    if missing.size:
-        rows.append(missing)
-        cols.append(missing)
-    row_idx = np.concatenate(rows)
-    col_idx = np.concatenate(cols)
-    entries = sparse.csr_matrix(
-        (np.ones(row_idx.size), (row_idx, col_idx)), shape=(m, m)
+    members, _ = _neighbor_table(table, k_h)
+    return TermHierarchyMatrix(
+        entries=_term_matrix(table, members, np.ones(members.shape)), k_h=k_h
     )
-    entries.sort_indices()
-    return TermHierarchyMatrix(entries=entries, k_h=k_h)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import svds
 
 from .errors import ConfigurationError, ContractError, ShapeError
 
@@ -85,6 +84,9 @@ def _init_random(a, k: int, rng: np.random.Generator):
 def _init_nndsvd(a, k: int, rng: np.random.Generator):
     """SVD-seeded nonnegative init; zeros are lifted slightly so the
     multiplicative updates can still move every entry."""
+    # Imported here: at module level it adds ~10 MB of RSS to every process.
+    from scipy.sparse.linalg import svds
+
     n, m = a.shape
     dense = a.toarray() if _is_sparse(a) else np.asarray(a, dtype=float)
     if 1 <= k < min(n, m):

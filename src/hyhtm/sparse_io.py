@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,13 @@ class MatrixCache:
         return load_triplets(path, shape)
 
     def save(self, key: str, matrix):
-        tmp = self.path_for(key).with_suffix(".tmp")
-        save_triplets(tmp, matrix)
-        os.replace(tmp, self.path_for(key))
+        # A unique temporary file per write: concurrent runs sharing the
+        # directory never write to the same file, and the rename is atomic.
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        os.close(fd)
+        try:
+            save_triplets(tmp, matrix)
+            os.replace(tmp, self.path_for(key))
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

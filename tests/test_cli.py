@@ -190,6 +190,28 @@ class TestTrainCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+    def test_non_finite_embedding_exits_2_naming_line(
+        self, fruit_jsonl, tmp_path, capsys, component
+    ):
+        out = tmp_path / "pre"
+        main(["preprocess", "--input", str(fruit_jsonl), "--output-dir", str(out), "--min-doc-freq", "1"])
+        emb = tmp_path / "emb.txt"
+        emb.write_text(
+            f"apple 0.1 0.0\nbanana 0.0 0.1\ncherry {component} 0.1\n", encoding="utf-8"
+        )
+        code = main(
+            [
+                "train",
+                "--corpus", str(out / "corpus.bin"),
+                "--embeddings", str(emb),
+                "--output-dir", str(tmp_path / "model"),
+            ]
+        )
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "model" / "tree.json").exists()
+
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(
             [

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hyhtm import (
+    EmbeddingTable,
     Vocabulary,
     build_hierarchy_matrix,
     build_similarity_matrix,
@@ -14,7 +16,7 @@ from hyhtm import (
     poincare_distance,
 )
 from hyhtm.errors import ConfigurationError, ContractError, EmbeddingParseError
-from hyhtm.hypspace import poincare_distances
+from hyhtm.hypspace import _neighbor_table, poincare_distances
 from hyhtm.sparse_io import MatrixCache, cache_key, load_triplets, save_triplets
 
 from conftest import table_from_points, write_embedding_file
@@ -139,6 +141,13 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("cat 0.1 oops\n", encoding="utf-8")
         with pytest.raises(EmbeddingParseError, match="line 1"):
+            load_embeddings(path, vocab)
+
+    def test_non_finite_component_reports_number(self, tmp_path):
+        vocab = Vocabulary(terms=["cat", "dog"])
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 0.1 0.2\ndog 0.1 nan\n", encoding="utf-8")
+        with pytest.raises(EmbeddingParseError, match="non-finite.*line 2"):
             load_embeddings(path, vocab)
 
     def test_low_coverage_warns_not_fails(self, tmp_path, caplog):
@@ -279,14 +288,6 @@ class TestNeighborhoodSimilarity:
         with pytest.raises(ContractError):
             neighborhood_similarity(nbhd, table)
 
-    def test_center_max_flag_changes_denominator(self, tmp_path):
-        # the prescribed triple: pairwise max 2.5 vs center max 2.0
-        table, vocab = three_point_neighborhood(tmp_path)
-        nbhd = knn(table, vocab.index["pw"], 3)
-        approx = dict(neighborhood_similarity(nbhd, table, center_max=True))
-        assert approx[vocab.index["px"]] == pytest.approx(1 - 1 / 2.0, abs=1e-9)
-        assert approx[vocab.index["py"]] == pytest.approx(0.0, abs=1e-9)
-
 
 class TestSimilarityMatrix:
     def test_alpha_zero_keeps_raw_values(self, tmp_path):
@@ -396,20 +397,139 @@ class TestHierarchyMatrix:
         assert nnz == sorted(nnz)
 
 
-class TestParallelBuilds:
-    def test_threaded_builds_match_sequential(self, tmp_path):
-        rng = np.random.default_rng(18)
-        table, vocab = table_from_points(
-            tmp_path, ball_points(rng, 25, 3), terms=[f"w{i:02d}" for i in range(25)]
+def reference_sq_norms(x):
+    acc = np.zeros(x.shape[0])
+    for k in range(x.shape[1]):
+        acc = acc + x[:, k] * x[:, k]
+    return acc
+
+
+def reference_distance_row(points, row, space):
+    """Distances from points[row] to every row of points: a single center's row."""
+    point = points[row]
+    if space == "hyperbolic":
+        diff_sq = reference_sq_norms(points - point[None, :])
+        denom = (1.0 - float(reference_sq_norms(point[None, :])[0])) * (
+            1.0 - reference_sq_norms(points)
         )
-        seq_ms = build_similarity_matrix(table, k_s=8, alpha=0.3)
-        par_ms = build_similarity_matrix(table, k_s=8, alpha=0.3, workers=4)
-        assert np.array_equal(seq_ms.entries.indptr, par_ms.entries.indptr)
-        assert np.array_equal(seq_ms.entries.indices, par_ms.entries.indices)
-        assert np.array_equal(seq_ms.entries.data, par_ms.entries.data)
-        seq_mh = build_hierarchy_matrix(table, k_h=6)
-        par_mh = build_hierarchy_matrix(table, k_h=6, workers=4)
-        assert np.array_equal(seq_mh.entries.toarray(), par_mh.entries.toarray())
+        arg = 1.0 + 2.0 * diff_sq / denom
+        np.maximum(arg, 1.0, out=arg)
+        return np.arccosh(arg)
+    norms = np.sqrt(reference_sq_norms(points))
+    pn = float(np.sqrt(reference_sq_norms(point[None, :])[0]))
+    out = np.zeros(points.shape[0])
+    if pn != 0.0:
+        sims = points @ point
+        nonzero = norms > 0.0
+        out[nonzero] = sims[nonzero] / (norms[nonzero] * pn)
+    return 1.0 - out
+
+
+def reference_builders(table, k_s, alpha, k_h):
+    """S and H from a per-term loop: one kNN pass per term and matrix, scalar pairwise maximum."""
+    points, terms, m = table.matrix, table.term_indices, table.vocab_size
+
+    def neighbors(r, k):
+        dists = reference_distance_row(points, r, table.space)
+        cand = np.flatnonzero(np.arange(len(terms)) != r)
+        order = np.lexsort((terms[cand], dists[cand]))[: max(k - 1, 0)]
+        return [r] + list(cand[order]), [0.0] + list(dists[cand][order])
+
+    def assemble(rows, cols, vals):
+        covered = set(rows)
+        missing = [w for w in range(m) if w not in covered]
+        entries = sparse.csr_matrix(
+            (np.array(vals + [1.0] * len(missing)),
+             (np.array(rows + missing, dtype=np.int64), np.array(cols + missing, dtype=np.int64))),
+            shape=(m, m),
+        )
+        entries.eliminate_zeros()
+        entries.sort_indices()
+        return entries
+
+    s_rows, s_cols, s_vals, h_rows, h_cols = [], [], [], [], []
+    for r, w in enumerate(terms):
+        members, dists = neighbors(r, k_s)
+        if len(members) >= 2:
+            if table.space == "hyperbolic":
+                rows = points[members]
+                center = reference_distance_row(rows, 0, "hyperbolic")
+                max_dist = float(center.max())
+                for i in range(1, len(members)):
+                    pair = reference_distance_row(rows[i:], 0, "hyperbolic")
+                    max_dist = max(max_dist, float(pair.max()))
+                sims = [1.0] * len(members) if max_dist == 0.0 else list(1.0 - center / max_dist)
+            else:
+                sims = [max(0.0, 1.0 - d) for d in dists]
+                sims[0] = 1.0
+            for j, (member, value) in enumerate(zip(members, sims)):
+                if j == 0 or value >= alpha:
+                    s_rows.append(int(w))
+                    s_cols.append(int(terms[member]))
+                    s_vals.append(float(value))
+        members, _ = neighbors(r, k_h)
+        h_rows += [int(w)] * len(members)
+        h_cols += [int(terms[member]) for member in members]
+    return (assemble(s_rows, s_cols, s_vals),
+            assemble(h_rows, h_cols, [1.0] * len(h_rows)))
+
+
+def random_table(seed, n, dim, space, uncovered=3, duplicates=2):
+    """A table with `uncovered` vocabulary terms lacking vectors and some repeated points."""
+    rng = np.random.default_rng(seed)
+    points = ball_points(rng, n, dim)
+    for j in range(min(duplicates, n - 1)):
+        points[j + 1] = points[0]
+    if space == "euclidean":
+        points = points * rng.uniform(0.5, 3.0, size=(n, 1))
+    m = n + uncovered
+    terms = np.sort(rng.choice(m, size=n, replace=False)).astype(np.int64)
+    return EmbeddingTable(
+        dim=dim,
+        space=space,
+        vocab_size=m,
+        term_indices=terms,
+        matrix=points,
+        covered=frozenset(int(t) for t in terms),
+        _row_of={int(t): r for r, t in enumerate(terms)},
+    )
+
+
+def assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_builders_bitwise_equal_reference(self, space, k):
+        for seed in range(4):
+            table = random_table(seed, n=int(12 + 7 * seed), dim=2 + seed, space=space)
+            for alpha in (0.0, 0.5):
+                want_s, want_h = reference_builders(table, k, alpha, k)
+                assert_same_csr(build_similarity_matrix(table, k, alpha).entries, want_s)
+                assert_same_csr(build_hierarchy_matrix(table, k).entries, want_h)
+
+    @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
+    def test_ties_on_a_grid(self, space):
+        # coarse grid coordinates make many equal distances
+        table = random_table(21, n=30, dim=2, space=space)
+        table.matrix[:] = np.round(table.matrix, 1)
+        want_s, want_h = reference_builders(table, 6, 0.2, 9)
+        assert_same_csr(build_similarity_matrix(table, 6, 0.2).entries, want_s)
+        assert_same_csr(build_hierarchy_matrix(table, 9).entries, want_h)
+
+    @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
+    def test_sliced_neighbor_table_equals_narrow_table(self, space):
+        wide = random_table(30, n=25, dim=3, space=space)
+        _neighbor_table(wide, 25)
+        for k in (1, 2, 7, 25, 60):
+            narrow = random_table(30, n=25, dim=3, space=space)
+            for got, want in zip(_neighbor_table(wide, k), _neighbor_table(narrow, k)):
+                assert np.array_equal(got, want)
+            assert wide._neighbors[0].shape[1] == 25  # sliced, not rebuilt
 
 
 class TestEuclideanMode:
@@ -452,6 +572,19 @@ class TestSparseIo:
         cache.save(key, matrix)
         again = cache.load(key, (10, 10))
         assert (again != matrix).nnz == 0
+
+    def test_save_ignores_stale_temporary_path(self, tmp_path):
+        # a leftover at the old fixed temporary name must not block the write
+        from scipy import sparse
+
+        cache = MatrixCache(tmp_path / "cache")
+        matrix = sparse.random(10, 10, density=0.3, random_state=3).tocsr()
+        key = cache_key("hierarchy", corpus="abc", k_h=5)
+        (cache.directory / f"{key}.tmp").mkdir()
+        cache.save(key, matrix)
+        again = cache.load(key, (10, 10))
+        assert (again != matrix).nnz == 0
+        assert sorted(p.name for p in cache.directory.iterdir()) == [f"{key}.bin", f"{key}.tmp"]
 
     def test_cache_key_depends_on_parameters(self):
         k1 = cache_key("similarity", corpus="abc", alpha=0.1)
