@@ -205,6 +205,7 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
             raise ShapeError(f"hierarchy matrix is {entries.shape}, expected {(m, m)}")
     gauge = LiveMatrixGauge()
     counters = {"unassigned_docs": 0}
+    nmf_levels: dict[int, dict] = {}
     nmf_config = NmfConfig(
         n_topics=config.n_topics,
         max_iter=config.nmf_max_iter,
@@ -215,6 +216,12 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
 
     def expand(matrix, row_map: np.ndarray, level: int, prefix: str) -> list[TopicNode]:
         pair = factorize(matrix, nmf_config)
+        level_stats = nmf_levels.setdefault(
+            level, {"level": level, "factorizations": 0, "iterations": 0, "unconverged": 0}
+        )
+        level_stats["factorizations"] += 1
+        level_stats["iterations"] += pair.n_iter
+        level_stats["unconverged"] += int(not pair.converged)
         parts = assign_documents(pair.W)
         counters["unassigned_docs"] += matrix.shape[0] - sum(len(p) for p in parts)
         nodes = []
@@ -265,12 +272,14 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
             )
             provenance["peak_live_matrices"] = gauge.peak
             provenance["unassigned_docs"] = 0
+            provenance["nmf_by_level"] = []
             return TopicTree(roots=[], config=asdict(config), provenance=provenance)
         with gauge.live():  # level-1 input: the nonzero rows
             root_matrix = values[root_rows]
             roots = expand(root_matrix, root_rows, 1, "")
     provenance["peak_live_matrices"] = gauge.peak
     provenance["unassigned_docs"] = counters["unassigned_docs"]
+    provenance["nmf_by_level"] = [nmf_levels[level] for level in sorted(nmf_levels)]
     return TopicTree(roots=roots, config=asdict(config), provenance=provenance)
 
 
@@ -317,6 +326,9 @@ def tree_from_payload(payload: dict, vocabulary: Vocabulary) -> TopicTree:
     roots = []
     for entry in payload["nodes"]:
         node = by_id[entry["id"]]
+        for cid in entry["children"]:
+            if cid not in by_id:
+                raise ContractError(f"tree node {node.node_id!r} lists a missing child {cid!r}")
         node.children = [by_id[cid] for cid in entry["children"]]
         if node.level == 1:
             roots.append(node)

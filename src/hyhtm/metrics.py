@@ -31,13 +31,19 @@ _TOP_NS = (5, 10)
 
 @dataclass
 class CooccurrenceStats:
-    """Document-presence counts for a set of terms of interest."""
+    """Document-presence counts for a set of terms of interest.
+
+    Joint counts are kept as the nonzeros of the symmetric local-index
+    co-occurrence matrix, addressed by the sorted key row * size + column,
+    so a whole grid of pairs is looked up with one searchsorted call.
+    """
 
     doc_count: int
     term_order: list[int]
     _local: dict[int, int] = field(repr=False)
     _doc_freq: np.ndarray = field(repr=False)
-    _joint: sparse.csr_matrix = field(repr=False)
+    _joint_keys: np.ndarray = field(repr=False)
+    _joint_counts: np.ndarray = field(repr=False)
 
     def has(self, term: int) -> bool:
         return term in self._local
@@ -47,8 +53,25 @@ class CooccurrenceStats:
 
     def joint_doc_freq(self, wi: int, wj: int) -> int:
         # Presence counts are symmetric; (w, w) degenerates to doc_freq(w).
-        li, lj = self._local[wi], self._local[wj]
-        return int(self._joint[li, lj])
+        return self.joint_doc_freqs([wi], [wj])[0][0]
+
+    def joint_doc_freqs(self, rows, cols) -> list[list[int]]:
+        """Joint counts of every (rows[i], cols[j]) pair, as nested lists."""
+        li = self._local_indices(rows)
+        lj = self._local_indices(cols)
+        query = (li[:, None] * len(self.term_order) + lj[None, :]).ravel()
+        counts = np.zeros(query.shape[0], dtype=np.int64)
+        if self._joint_keys.size:
+            pos = np.minimum(np.searchsorted(self._joint_keys, query), self._joint_keys.size - 1)
+            found = self._joint_keys[pos] == query
+            counts[found] = self._joint_counts[pos[found]]
+        return counts.reshape(li.shape[0], lj.shape[0]).tolist()
+
+    def _local_indices(self, terms) -> np.ndarray:
+        try:
+            return np.array([self._local[t] for t in terms], dtype=np.int64)
+        except KeyError as exc:
+            raise ContractError(f"term {exc.args[0]} is not in the statistics") from None
 
 
 def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
@@ -71,10 +94,24 @@ def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
         (np.ones(len(rows)), (rows, cols)), shape=(n, len(order))
     )
     joint = (presence.T @ presence).tocsr()
+    joint.sort_indices()
     doc_freq = joint.diagonal().astype(np.int64) if len(order) else np.zeros(0, dtype=np.int64)
+    joint_rows = np.repeat(np.arange(len(order), dtype=np.int64), np.diff(joint.indptr))
     return CooccurrenceStats(
-        doc_count=n, term_order=order, _local=local, _doc_freq=doc_freq, _joint=joint
+        doc_count=n, term_order=order, _local=local, _doc_freq=doc_freq,
+        _joint_keys=joint_rows * len(order) + joint.indices,
+        _joint_counts=joint.data.astype(np.int64),
     )
+
+
+def _pmi(stats: CooccurrenceStats, wi: int, wj: int, joint: int) -> float:
+    df_i, df_j = stats.doc_freq(wi), stats.doc_freq(wj)
+    if df_i == 0 or df_j == 0:
+        log.debug("pair (%d, %d) has a zero marginal; PMI set to 0", wi, wj)
+        return 0.0
+    n = stats.doc_count
+    p_joint = (joint + _JOINT_EPS) / n
+    return math.log(p_joint * n * n / (df_i * df_j))
 
 
 def pmi(stats: CooccurrenceStats, wi: int, wj: int) -> float:
@@ -85,13 +122,7 @@ def pmi(stats: CooccurrenceStats, wi: int, wj: int) -> float:
     """
     if not (stats.has(wi) and stats.has(wj)):
         raise ContractError("both terms must be present in the statistics")
-    df_i, df_j = stats.doc_freq(wi), stats.doc_freq(wj)
-    if df_i == 0 or df_j == 0:
-        log.debug("pair (%d, %d) has a zero marginal; PMI set to 0", wi, wj)
-        return 0.0
-    n = stats.doc_count
-    p_joint = (stats.joint_doc_freq(wi, wj) + _JOINT_EPS) / n
-    return math.log(p_joint * n * n / (df_i * df_j))
+    return _pmi(stats, wi, wj, stats.joint_doc_freq(wi, wj))
 
 
 def coherence(topic_terms, stats: CooccurrenceStats, n: int) -> float | None:
@@ -104,11 +135,12 @@ def coherence(topic_terms, stats: CooccurrenceStats, n: int) -> float | None:
     terms = list(topic_terms)[:n]
     if len(terms) < 2:
         return None
+    joint = stats.joint_doc_freqs(terms, terms)
     total = 0.0
     count = 0
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
-            total += pmi(stats, terms[i], terms[j])
+            total += _pmi(stats, terms[i], terms[j], joint[i][j])
             count += 1
     return total / count
 
@@ -121,7 +153,12 @@ def hierarchical_coherence(parent_terms, child_terms, stats: CooccurrenceStats, 
     children = list(child_terms)[:n]
     if not parents or not children:
         return None
-    total = sum(pmi(stats, p, c) for p in parents for c in children)
+    joint = stats.joint_doc_freqs(parents, children)
+    total = sum(
+        _pmi(stats, p, c, joint[i][j])
+        for i, p in enumerate(parents)
+        for j, c in enumerate(children)
+    )
     return total / (len(parents) * len(children))
 
 

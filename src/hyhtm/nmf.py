@@ -4,6 +4,15 @@ Minimizes 0.5 * ||A - WH||_F^2 over nonnegative factors using the classic
 multiplicative update rules, which never increase the objective. That
 monotonicity is the property the test suite leans on, so the objective
 value after every iteration is recorded on the result.
+
+Each iteration costs two sparse products, A·Hᵀ and Aᵀ·W, and four small
+dense GEMMs: W·(H·Hᵀ), WᵀW, (WᵀW)·H and H·Hᵀ. The objective after an
+iteration needs A·Hᵀ and H·Hᵀ of the new H, which are exactly what the
+next W update needs, so they are computed once and carried over; WᵀW is
+shared by the H update and the objective; Aᵀ is built once per call. The
+textbook loop recomputes all of these, but every product here receives the
+same operands in the same order, so W, H and the objective history are
+bitwise those of the textbook loop.
 """
 
 from __future__ import annotations
@@ -64,12 +73,12 @@ def _sq_frobenius(a) -> float:
     return float(np.square(a).sum())
 
 
-def _objective(norm_a_sq: float, a, w, h) -> float:
-    # 0.5*||A - WH||^2 without forming WH densely:
-    # ||A||^2 - 2*sum(W o (A H^T)) + sum((W^T W) o (H H^T))
-    cross = float(np.sum(w * (a @ h.T)))
-    gram = float(np.sum((w.T @ w) * (h @ h.T)))
-    return 0.5 * max(norm_a_sq - 2.0 * cross + gram, 0.0)
+def _sq_error(norm_a_sq: float, w, aht, wtw, hht) -> float:
+    """||A - WH||^2 without forming WH densely, from A H^T, W^T W and H H^T:
+    ||A||^2 - 2*sum(W o (A H^T)) + sum((W^T W) o (H H^T)), clipped at 0."""
+    cross = float(np.sum(w * aht))
+    gram = float(np.sum(wtw * hht))
+    return max(norm_a_sq - 2.0 * cross + gram, 0.0)
 
 
 def _init_random(a, k: int, rng: np.random.Generator):
@@ -153,13 +162,17 @@ def factorize(a, config: NmfConfig) -> FactorPair:
         w, h = _init_nndsvd(values, config.n_topics, rng)
 
     norm_a_sq = _sq_frobenius(values)
-    history = [_objective(norm_a_sq, values, w, h)]
+    values_t = values.T
+    aht, hht = values @ h.T, h @ h.T
+    history = [0.5 * _sq_error(norm_a_sq, w, aht, w.T @ w, hht)]
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        w *= (values @ h.T) / np.maximum(w @ (h @ h.T), _EPS)
-        h *= (values.T @ w).T / np.maximum((w.T @ w) @ h, _EPS)
-        obj = _objective(norm_a_sq, values, w, h)
+        w *= aht / np.maximum(w @ hht, _EPS)
+        wtw = w.T @ w
+        h *= (values_t @ w).T / np.maximum(wtw @ h, _EPS)
+        aht, hht = values @ h.T, h @ h.T
+        obj = 0.5 * _sq_error(norm_a_sq, w, aht, wtw, hht)
         history.append(obj)
         prev = history[-2]
         if prev > 0 and abs(prev - obj) / prev < config.tol:
@@ -179,7 +192,4 @@ def reconstruction_error(a, w, h) -> float:
         raise ShapeError(
             f"inconsistent shapes: A {values.shape}, W {w.shape}, H {h.shape}"
         )
-    norm_a_sq = _sq_frobenius(values)
-    cross = float(np.sum(w * (values @ h.T)))
-    gram = float(np.sum((w.T @ w) * (h @ h.T)))
-    return float(np.sqrt(max(norm_a_sq - 2.0 * cross + gram, 0.0)))
+    return float(np.sqrt(_sq_error(_sq_frobenius(values), w, values @ h.T, w.T @ w, h @ h.T)))

@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+
+from .errors import ContractError
+
+log = logging.getLogger(__name__)
 
 TRIPLET_DTYPE = np.dtype([("row", "<u4"), ("col", "<u4"), ("val", "<f8")])
 
@@ -32,8 +37,26 @@ def save_triplets(path, matrix):
 
 
 def load_triplets(path, shape) -> sparse.csr_matrix:
-    """Read a triplet file back into CSR form; shape is supplied by the caller."""
+    """Read a triplet file back into CSR form; shape is supplied by the caller.
+
+    A partial trailing record or an index outside `shape` raises
+    ContractError naming the file.
+    """
+    size = os.path.getsize(path)
+    if size % TRIPLET_DTYPE.itemsize:
+        raise ContractError(
+            f"{path}: {size} bytes is not a whole number of "
+            f"{TRIPLET_DTYPE.itemsize}-byte records"
+        )
     records = np.fromfile(path, dtype=TRIPLET_DTYPE)
+    for axis, limit in zip(("row", "col"), shape):
+        beyond = np.flatnonzero(records[axis] >= limit)
+        if beyond.size:
+            i = int(beyond[0])
+            raise ContractError(
+                f"{path}: record {i} has {axis} {int(records[axis][i])} "
+                f"outside shape {tuple(shape)}"
+            )
     matrix = sparse.csr_matrix(
         (records["val"], (records["row"].astype(np.int64), records["col"].astype(np.int64))),
         shape=shape,
@@ -74,10 +97,16 @@ class MatrixCache:
         return self.path_for(key).exists()
 
     def load(self, key: str, shape) -> sparse.csr_matrix | None:
+        """The cached matrix, or None on a miss. A damaged file is a miss,
+        logged, and the caller's rebuild overwrites it."""
         path = self.path_for(key)
         if not path.exists():
             return None
-        return load_triplets(path, shape)
+        try:
+            return load_triplets(path, shape)
+        except ContractError as exc:
+            log.warning("%s; rebuilding", exc)
+            return None
 
     def save(self, key: str, matrix):
         # A unique temporary file per write: concurrent runs sharing the

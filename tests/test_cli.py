@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyhtm.cli import main
-from hyhtm.sparse_io import file_sha256
+from hyhtm.sparse_io import TRIPLET_DTYPE, file_sha256
 
 from conftest import PLANTED_ALPHA, PLANTED_K
 
@@ -155,6 +155,59 @@ class TestTrainCommand:
         assert files1 == files2 and files1
         for name in files1:
             assert file_sha256(caches[0] / name) == file_sha256(caches[1] / name)
+
+    @pytest.mark.parametrize("damage", ["partial-record", "index-beyond-shape"])
+    def test_damaged_cache_is_rebuilt_to_the_no_cache_tree(
+        self, planted_cli, tmp_path, caplog, damage
+    ):
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+        assert main(train_args(corpus_bin, emb, tmp_path / "fill", cache_dir=cache)) == 0
+        files = sorted(cache.iterdir())
+        assert len(files) == 3
+        intact = {p.name: p.read_bytes() for p in files}
+        for path in files:
+            if damage == "partial-record":
+                path.write_bytes(intact[path.name][:-3])
+            else:
+                records = np.fromfile(path, dtype=TRIPLET_DTYPE)
+                records["col"][0] = np.iinfo("<u4").max
+                records.tofile(path)
+        warm = tmp_path / "warm"
+        cold = tmp_path / "cold"
+        with caplog.at_level("WARNING"):
+            assert main(train_args(corpus_bin, emb, warm, cache_dir=cache)) == 0
+        assert sum("rebuilding" in r.message for r in caplog.records) == 3
+        assert main(train_args(corpus_bin, emb, cold) + ["--no-cache"]) == 0
+        assert file_sha256(warm / "tree.json") == file_sha256(cold / "tree.json")
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
+
+    def test_provenance_records_nmf_per_level(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        out = tmp_path / "m"
+        assert main(train_args(corpus_bin, emb, out)) == 0
+        levels = json.loads((out / "provenance.json").read_text(encoding="utf-8"))["nmf_by_level"]
+        assert [row["level"] for row in levels] == [1, 2]
+        for row in levels:
+            assert set(row) == {"level", "factorizations", "iterations", "unconverged"}
+            assert 0 <= row["unconverged"] <= row["factorizations"]
+            assert row["factorizations"] <= row["iterations"] <= 300 * row["factorizations"]
+        assert levels[0]["factorizations"] == 1
+        n_leaves = sum(
+            1 for n in json.loads((out / "tree.json").read_text(encoding="utf-8"))["nodes"]
+            if n["level"] == 2
+        )
+        assert levels[1]["factorizations"] * 3 == n_leaves
+
+    def test_iteration_cap_is_visible_in_provenance(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        out = tmp_path / "capped"
+        assert main(train_args(corpus_bin, emb, out, nmf_max_iter=2)) == 0
+        levels = json.loads((out / "provenance.json").read_text(encoding="utf-8"))["nmf_by_level"]
+        assert levels
+        for row in levels:
+            assert row["unconverged"] == row["factorizations"]
+            assert row["iterations"] == 2 * row["factorizations"]
 
     def test_cache_env_var_overrides(self, planted_cli, tmp_path, monkeypatch):
         corpus_bin, emb = planted_cli
@@ -338,6 +391,15 @@ class TestEvaluateCommand:
         }
         (model / "tree.json").write_text(json.dumps(payload), encoding="utf-8")
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
+
+    def test_dangling_child_id_exits_3_naming_nodes(self, metric_model, capsys):
+        corpus_bin, model = metric_model
+        payload = json.loads((model / "tree.json").read_text(encoding="utf-8"))
+        payload["nodes"][0]["children"] = ["0.7"]
+        (model / "tree.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
+        err = capsys.readouterr().err
+        assert "'0'" in err and "'0.7'" in err
 
     def test_missing_model_exits_2(self, metric_model, tmp_path):
         corpus_bin, _ = metric_model

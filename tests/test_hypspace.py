@@ -17,7 +17,13 @@ from hyhtm import (
 )
 from hyhtm.errors import ConfigurationError, ContractError, EmbeddingParseError
 from hyhtm.hypspace import _neighbor_table, poincare_distances
-from hyhtm.sparse_io import MatrixCache, cache_key, load_triplets, save_triplets
+from hyhtm.sparse_io import (
+    TRIPLET_DTYPE,
+    MatrixCache,
+    cache_key,
+    load_triplets,
+    save_triplets,
+)
 
 from conftest import table_from_points, write_embedding_file
 
@@ -585,6 +591,28 @@ class TestSparseIo:
         again = cache.load(key, (10, 10))
         assert (again != matrix).nnz == 0
         assert sorted(p.name for p in cache.directory.iterdir()) == [f"{key}.bin", f"{key}.tmp"]
+
+    @pytest.mark.parametrize("damage", ["partial-record", "row-beyond-shape", "col-beyond-shape"])
+    def test_damaged_cache_file_is_a_logged_miss(self, tmp_path, caplog, damage):
+        from scipy import sparse
+
+        cache = MatrixCache(tmp_path / "cache")
+        matrix = sparse.random(10, 12, density=0.3, random_state=4).tocsr()
+        key = cache_key("representation", corpus="abc")
+        cache.save(key, matrix)
+        path = cache.path_for(key)
+        if damage == "partial-record":
+            path.write_bytes(path.read_bytes() + b"\x00" * 5)
+        else:
+            records = np.fromfile(path, dtype=TRIPLET_DTYPE)
+            axis, limit = ("row", 10) if damage == "row-beyond-shape" else ("col", 12)
+            records[axis][-1] = limit
+            records.tofile(path)
+        with pytest.raises(ContractError, match=str(path)):
+            load_triplets(path, (10, 12))
+        with caplog.at_level("WARNING"):
+            assert cache.load(key, (10, 12)) is None
+        assert any("rebuilding" in r.message for r in caplog.records)
 
     def test_cache_key_depends_on_parameters(self):
         k1 = cache_key("similarity", corpus="abc", alpha=0.1)

@@ -105,6 +105,30 @@ class TestBuildStats:
         with pytest.raises(ContractError):
             build_stats(four_doc_corpus, [99])
 
+    def test_joint_grid_matches_dense_presence_counts(self):
+        # Sparse co-occurrence with absent pairs, a term in no document and
+        # a subset of the vocabulary as the terms of interest.
+        rng = np.random.default_rng(42)
+        terms = [f"t{i}" for i in range(12)]
+        docs = [
+            [terms[j] for j in rng.choice(11, size=rng.integers(1, 4), replace=False)]
+            for _ in range(25)
+        ]
+        corpus = make_corpus(docs, terms=terms)
+        presence = np.zeros((corpus.n_docs, 12), dtype=np.int64)
+        for i, doc in enumerate(corpus.documents):
+            presence[i, sorted(set(doc.tokens))] = 1
+        dense = presence.T @ presence
+        interest = [0, 2, 3, 5, 7, 8, 10, 11]
+        stats = build_stats(corpus, interest)
+        rows, cols = [11, 3, 0, 8], [5, 5, 2, 10, 11, 7]
+        assert stats.joint_doc_freqs(rows, cols) == dense[np.ix_(rows, cols)].tolist()
+        for i in interest:
+            for j in interest:
+                assert stats.joint_doc_freq(i, j) == dense[i, j]
+        with pytest.raises(ContractError):
+            stats.joint_doc_freqs([0], [1])
+
 
 class TestPmi:
     def test_hand_value(self, four_doc_corpus, four_doc_stats):

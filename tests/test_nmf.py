@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from hyhtm import FactorPair, NmfConfig, factorize, reconstruction_error
+from hyhtm import nmf
 from hyhtm.errors import ConfigurationError, ContractError, ShapeError
 
 
@@ -120,3 +121,109 @@ class TestReconstructionError:
             reconstruction_error(a, np.ones((2, 2)), np.ones((3, 3)))
         with pytest.raises(ShapeError):
             reconstruction_error(a, np.ones((3, 2)), np.ones((2, 3)))
+
+
+def reference_factorize(a, config: NmfConfig) -> FactorPair:
+    """The textbook loop: three sparse products per iteration (A·Hᵀ for the
+    W update, Aᵀ·W for the H update, A·Hᵀ again for the objective), with Aᵀ,
+    H·Hᵀ and WᵀW rebuilt wherever they are used."""
+    rng = np.random.default_rng(config.seed)
+    init = nmf._init_random if config.init == nmf.INIT_RANDOM else nmf._init_nndsvd
+    w, h = init(a, config.n_topics, rng)
+    norm_a_sq = nmf._sq_frobenius(a)
+
+    def objective(w, h):
+        cross = float(np.sum(w * (a @ h.T)))
+        gram = float(np.sum((w.T @ w) * (h @ h.T)))
+        return 0.5 * max(norm_a_sq - 2.0 * cross + gram, 0.0)
+
+    history = [objective(w, h)]
+    converged = False
+    it = 0
+    for it in range(1, config.max_iter + 1):
+        w *= (a @ h.T) / np.maximum(w @ (h @ h.T), nmf._EPS)
+        h *= (a.T @ w).T / np.maximum((w.T @ w) @ h, nmf._EPS)
+        obj = objective(w, h)
+        history.append(obj)
+        prev = history[-2]
+        if prev > 0 and abs(prev - obj) / prev < config.tol:
+            converged = True
+            break
+        if obj == 0.0:
+            converged = True
+            break
+    return FactorPair(W=w, H=h, objective_history=history, n_iter=it, converged=converged)
+
+
+def _seeded_input(seed, n, m, density, dense):
+    a = random_nonnegative(np.random.default_rng(seed), n, m, density)
+    return a.toarray() if dense else a
+
+
+# An exactly factorizable block matrix: with k=2 and seed 0 the objective
+# reaches 0.0 at iteration 15, before the relative tolerance fires.
+_BLOCK = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+class TestMatchesTextbookLoop:
+    """factorize reuses products across iterations; every bit must match."""
+
+    def assert_same(self, a, config, expect_converged=None):
+        ref = reference_factorize(a, config)
+        got = factorize(a, config)
+        assert got.objective_history == ref.objective_history
+        assert np.array_equal(got.W, ref.W)
+        assert np.array_equal(got.H, ref.H)
+        assert got.n_iter == ref.n_iter
+        assert got.converged == ref.converged
+        if expect_converged is not None:
+            assert got.converged == expect_converged
+        return got
+
+    def test_seeded_batch(self, dense):
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            n, m = int(rng.integers(4, 50)), int(rng.integers(4, 70))
+            a = _seeded_input(trial, n, m, float(rng.uniform(0.05, 0.9)), dense)
+            k = int(rng.integers(2, 7))
+            self.assert_same(a, NmfConfig(n_topics=k, max_iter=80, tol=1e-7, seed=trial))
+
+    def test_single_topic(self, dense):
+        a = _seeded_input(1, 30, 40, 0.3, dense)
+        self.assert_same(a, NmfConfig(n_topics=1, max_iter=120, tol=1e-9, seed=5))
+
+    def test_early_convergence(self, dense):
+        a = _seeded_input(2, 25, 35, 0.4, dense)
+        pair = self.assert_same(
+            a, NmfConfig(n_topics=3, max_iter=300, tol=1e-3, seed=2), expect_converged=True
+        )
+        assert pair.n_iter < 300
+
+    def test_zero_objective_exit(self, dense):
+        a = _BLOCK if dense else sparse.csr_matrix(_BLOCK)
+        pair = self.assert_same(
+            a, NmfConfig(n_topics=2, max_iter=300, tol=1e-12, seed=0), expect_converged=True
+        )
+        assert pair.objective_history[-1] == 0.0 and pair.objective_history[-2] > 0.0
+        assert pair.n_iter < 300
+
+    def test_single_iteration(self, dense):
+        a = _seeded_input(3, 20, 30, 0.5, dense)
+        pair = self.assert_same(a, NmfConfig(n_topics=4, max_iter=1, seed=3))
+        assert pair.n_iter == 1 and len(pair.objective_history) == 2
+
+    def test_nndsvd_like_init(self, dense):
+        # Full rank, so the truncated SVD behind the init is unique.
+        a = _seeded_input(4, 18, 24, 0.6, dense)
+        assert np.linalg.matrix_rank(sparse.csr_matrix(a).toarray()) >= 3
+        self.assert_same(a, NmfConfig(n_topics=3, max_iter=60, tol=1e-8, seed=4, init="nndsvd-like"))
+
+    def test_reconstruction_error_matches_expansion(self, dense):
+        a = _seeded_input(5, 15, 20, 0.5, dense)
+        rng = np.random.default_rng(6)
+        w, h = rng.random((15, 3)), rng.random((3, 20))
+        cross = float(np.sum(w * (a @ h.T)))
+        gram = float(np.sum((w.T @ w) * (h @ h.T)))
+        expected = float(np.sqrt(max(nmf._sq_frobenius(a) - 2.0 * cross + gram, 0.0)))
+        assert reconstruction_error(a, w, h) == expected
