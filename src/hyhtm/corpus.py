@@ -16,9 +16,9 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ConfigurationError,
@@ -27,6 +27,10 @@ from .errors import (
     InvariantError,
     ShapeError,
 )
+from .sparse_io import csr_from_triplets
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 log = logging.getLogger(__name__)
 
@@ -244,10 +248,7 @@ def build_tf(corpus: Corpus) -> TermFrequencyMatrix:
             rows.append(i)
             cols.append(j)
             vals.append(c)
-    counts = sparse.csr_matrix(
-        (np.array(vals, dtype=np.int64), (rows, cols)), shape=(n, m), dtype=np.int64
-    )
-    counts.sort_indices()
+    counts = csr_from_triplets(np.array(vals, dtype=np.int64), rows, cols, (n, m), dtype=np.int64)
     return TermFrequencyMatrix(counts=counts, doc_ids=[d.id for d in corpus.documents])
 
 
@@ -385,8 +386,14 @@ def read_corpus(path) -> Corpus:
             off += 8
             doc_id = blob[off : off + idlen].decode("utf-8")
             off += idlen
-            tokens = np.frombuffer(blob, dtype="<u4", count=ntok, offset=off).tolist()
+            tokens = np.frombuffer(blob, dtype="<u4", count=ntok, offset=off)
             off += 4 * ntok
+            if ntok and tokens.max() >= n_terms:
+                raise CorpusError(
+                    f"{path}: document {doc_id!r} has term index {int(tokens.max())} "
+                    f"outside the vocabulary of {n_terms} terms"
+                )
+            tokens = tokens.tolist()
             docs.append(Document(id=doc_id, tokens=tokens))
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise CorpusError(f"{path}: corpus file is truncated or corrupt ({exc})") from None

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import DocTermRepresentation, Vocabulary
 from .errors import ConfigurationError, ContractError, ShapeError

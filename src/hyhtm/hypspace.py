@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Vocabulary
 from .errors import ConfigurationError, ContractError, EmbeddingParseError
+from .sparse_io import csr_from_triplets
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 log = logging.getLogger(__name__)
 
@@ -357,9 +361,8 @@ def _term_matrix(table: EmbeddingTable, members: np.ndarray, values: np.ndarray)
     rows = np.concatenate([np.repeat(terms, members.shape[1]), missing])
     cols = np.concatenate([terms[members].ravel(), missing])
     vals = np.concatenate([values.ravel(), np.ones(missing.size)])
-    entries = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    entries = csr_from_triplets(vals, rows, cols, (m, m))
     entries.eliminate_zeros()
-    entries.sort_indices()
     return entries
 
 

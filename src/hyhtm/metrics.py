@@ -15,11 +15,11 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy import sparse
 
-from .corpus import Corpus, build_tf
+from .corpus import Corpus
 from .errors import ContractError
 from .hierarchy import TopicTree
 
@@ -27,23 +27,23 @@ log = logging.getLogger(__name__)
 
 _JOINT_EPS = 1e-12
 _TOP_NS = (5, 10)
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 
 
 @dataclass
 class CooccurrenceStats:
     """Document-presence counts for a set of terms of interest.
 
-    Joint counts are kept as the nonzeros of the symmetric local-index
-    co-occurrence matrix, addressed by the sorted key row * size + column,
-    so a whole grid of pairs is looked up with one searchsorted call.
+    Each term of interest has one packed bit row over the documents, in the
+    bit layout of np.packbits; the joint count of two terms is the popcount
+    of their ANDed rows, so every count is an exact integer.
     """
 
     doc_count: int
     term_order: list[int]
     _local: dict[int, int] = field(repr=False)
     _doc_freq: np.ndarray = field(repr=False)
-    _joint_keys: np.ndarray = field(repr=False)
-    _joint_counts: np.ndarray = field(repr=False)
+    _presence: np.ndarray = field(repr=False)
 
     def has(self, term: int) -> bool:
         return term in self._local
@@ -57,21 +57,26 @@ class CooccurrenceStats:
 
     def joint_doc_freqs(self, rows, cols) -> list[list[int]]:
         """Joint counts of every (rows[i], cols[j]) pair, as nested lists."""
-        li = self._local_indices(rows)
-        lj = self._local_indices(cols)
-        query = (li[:, None] * len(self.term_order) + lj[None, :]).ravel()
-        counts = np.zeros(query.shape[0], dtype=np.int64)
-        if self._joint_keys.size:
-            pos = np.minimum(np.searchsorted(self._joint_keys, query), self._joint_keys.size - 1)
-            found = self._joint_keys[pos] == query
-            counts[found] = self._joint_counts[pos[found]]
-        return counts.reshape(li.shape[0], lj.shape[0]).tolist()
+        li = self._presence[self._local_indices(rows)]
+        lj = self._presence[self._local_indices(cols)]
+        both = li[:, None, :] & lj[None, :, :]
+        return _POPCOUNT[both].sum(axis=2, dtype=np.int64).tolist()
 
     def _local_indices(self, terms) -> np.ndarray:
         try:
             return np.array([self._local[t] for t in terms], dtype=np.int64)
         except KeyError as exc:
             raise ContractError(f"term {exc.args[0]} is not in the statistics") from None
+
+
+def _token_arrays(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Every token occurrence as two parallel int64 arrays: its document
+    row and its term index."""
+    lengths = np.fromiter((len(d.tokens) for d in corpus.documents), dtype=np.int64,
+                          count=corpus.n_docs)
+    terms = np.fromiter(chain.from_iterable(d.tokens for d in corpus.documents),
+                        dtype=np.int64, count=int(lengths.sum()))
+    return np.repeat(np.arange(corpus.n_docs, dtype=np.int64), lengths), terms
 
 
 def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
@@ -83,24 +88,17 @@ def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
             raise ContractError(f"term index {t} outside vocabulary of size {m}")
     local = {t: i for i, t in enumerate(order)}
     n = corpus.n_docs
-    rows, cols = [], []
-    for i, doc in enumerate(corpus.documents):
-        for t in set(doc.tokens):
-            j = local.get(t)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    presence = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, len(order))
-    )
-    joint = (presence.T @ presence).tocsr()
-    joint.sort_indices()
-    doc_freq = joint.diagonal().astype(np.int64) if len(order) else np.zeros(0, dtype=np.int64)
-    joint_rows = np.repeat(np.arange(len(order), dtype=np.int64), np.diff(joint.indptr))
+    to_local = np.full(m, -1, dtype=np.int64)
+    to_local[order] = np.arange(len(order))
+    docs, terms = _token_arrays(corpus)
+    rows = to_local[terms]
+    kept = rows >= 0
+    rows, docs = rows[kept], docs[kept]
+    presence = np.zeros((len(order), (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(presence, (rows, docs >> 3), (0x80 >> (docs & 7)).astype(np.uint8))
     return CooccurrenceStats(
-        doc_count=n, term_order=order, _local=local, _doc_freq=doc_freq,
-        _joint_keys=joint_rows * len(order) + joint.indices,
-        _joint_counts=joint.data.astype(np.int64),
+        doc_count=n, term_order=order, _local=local,
+        _doc_freq=_POPCOUNT[presence].sum(axis=1, dtype=np.int64), _presence=presence,
     )
 
 
@@ -293,8 +291,7 @@ def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
             if not 0 <= j < m:
                 raise ContractError(f"node {node.node_id} references term index {j}")
 
-    tf = build_tf(corpus)
-    corpus_vector = np.asarray(tf.counts.sum(axis=0), dtype=float).ravel()
+    corpus_vector = np.bincount(_token_arrays(corpus)[1], minlength=m).astype(float)
     norm = np.linalg.norm(corpus_vector)
     if norm > 0:
         corpus_vector = corpus_vector / norm

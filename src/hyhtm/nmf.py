@@ -18,10 +18,10 @@ bitwise those of the textbook loop.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError, ContractError, ShapeError
 
@@ -64,7 +64,10 @@ class FactorPair:
 
 
 def _is_sparse(a) -> bool:
-    return sparse.issparse(a)
+    # A scipy sparse matrix exists only once scipy.sparse is loaded; this
+    # module never loads it.
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
 
 
 def _sq_frobenius(a) -> float:
@@ -92,25 +95,21 @@ def _init_random(a, k: int, rng: np.random.Generator):
 
 def _init_nndsvd(a, k: int, rng: np.random.Generator):
     """SVD-seeded nonnegative init; zeros are lifted slightly so the
-    multiplicative updates can still move every entry."""
-    # Imported here: at module level it adds ~10 MB of RSS to every process.
-    from scipy.sparse.linalg import svds
+    multiplicative updates can still move every entry.
 
+    Uses the full LAPACK SVD, which is deterministic even on rank-deficient
+    input. `rng` is unused; it keeps the signature of `_init_random`.
+    Components past min(n, m), which the SVD does not have, stay zero and
+    are lifted like every other zero.
+    """
     n, m = a.shape
     dense = a.toarray() if _is_sparse(a) else np.asarray(a, dtype=float)
-    if 1 <= k < min(n, m):
-        v0 = rng.random(min(n, m))
-        u, s, vt = svds(sparse.csr_matrix(dense), k=k, v0=v0)
-        order = np.argsort(s)[::-1]
-        u, s, vt = u[:, order], s[order], vt[order]
-    else:
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        u, s, vt = u[:, :k], s[:k], vt[:k]
+    u, s, vt = np.linalg.svd(dense, full_matrices=False)
     w = np.zeros((n, k))
     h = np.zeros((k, m))
     w[:, 0] = np.sqrt(s[0]) * np.abs(u[:, 0])
     h[0, :] = np.sqrt(s[0]) * np.abs(vt[0, :])
-    for j in range(1, k):
+    for j in range(1, min(k, s.size)):
         x, y = u[:, j], vt[j, :]
         xp, xn = np.maximum(x, 0), np.maximum(-x, 0)
         yp, yn = np.maximum(y, 0), np.maximum(-y, 0)

@@ -14,15 +14,32 @@ import logging
 import os
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ContractError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 log = logging.getLogger(__name__)
 
 TRIPLET_DTYPE = np.dtype([("row", "<u4"), ("col", "<u4"), ("val", "<f8")])
+
+# Part of every cache key: bump it when the triplet layout or the math of a
+# cached matrix changes, so old files miss instead of being reused.
+CACHE_FORMAT_VERSION = 1
+
+
+def csr_from_triplets(vals, rows, cols, shape, dtype=None) -> sparse.csr_matrix:
+    """CSR matrix with sorted indices; duplicate (row, col) entries are summed."""
+    # Imported here: loading scipy.sparse costs about 0.2 s CPU per process.
+    from scipy import sparse
+
+    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=shape, dtype=dtype)
+    matrix.sort_indices()
+    return matrix
 
 
 def save_triplets(path, matrix):
@@ -57,12 +74,9 @@ def load_triplets(path, shape) -> sparse.csr_matrix:
                 f"{path}: record {i} has {axis} {int(records[axis][i])} "
                 f"outside shape {tuple(shape)}"
             )
-    matrix = sparse.csr_matrix(
-        (records["val"], (records["row"].astype(np.int64), records["col"].astype(np.int64))),
-        shape=shape,
+    return csr_from_triplets(
+        records["val"], records["row"].astype(np.int64), records["col"].astype(np.int64), shape
     )
-    matrix.sort_indices()
-    return matrix
 
 
 def file_sha256(path) -> str:
@@ -78,8 +92,12 @@ def bytes_sha256(blob: bytes) -> str:
 
 
 def cache_key(kind: str, **parts) -> str:
-    """Stable cache key from a matrix kind and its producing parameters."""
-    payload = json.dumps({"kind": kind, **parts}, sort_keys=True, separators=(",", ":"))
+    """Stable cache key from a matrix kind, its producing parameters and
+    CACHE_FORMAT_VERSION."""
+    payload = json.dumps(
+        {"kind": kind, "format_version": CACHE_FORMAT_VERSION, **parts},
+        sort_keys=True, separators=(",", ":"),
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:40]
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import hyhtm
 
 from hyhtm.cli import main
 from hyhtm.sparse_io import TRIPLET_DTYPE, file_sha256
@@ -401,6 +407,14 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "'0'" in err and "'0.7'" in err
 
+    def test_corpus_term_index_outside_vocabulary_exits_2(self, metric_model, capsys):
+        corpus_bin, model = metric_model
+        blob = bytearray(corpus_bin.read_bytes())
+        blob[-4:] = (7).to_bytes(4, "little")  # the last token of the last document
+        corpus_bin.write_bytes(bytes(blob))
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 2
+        assert "outside the vocabulary" in capsys.readouterr().err
+
     def test_missing_model_exits_2(self, metric_model, tmp_path):
         corpus_bin, _ = metric_model
         assert main(
@@ -416,6 +430,55 @@ class TestEvaluateCommand:
         assert report["summary"]["mean_hierarchical_coherence"] is not None
         levels = {row["level"]: row for row in report["levels"]}
         assert levels[2]["specialization"] > levels[1]["specialization"]
+
+
+# Loads hyhtm, then runs the commands given as JSON argv lists through
+# cli.main; prints the exit codes and the scipy modules loaded after the
+# import and after the commands.
+SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import hyhtm
+from hyhtm.cli import main
+out = {"import": scipy_modules(), "codes": []}
+for argv in json.loads(sys.argv[1]):
+    out["codes"].append(main(argv))
+out["commands"] = scipy_modules()
+print(json.dumps(out))
+"""
+
+
+class TestScipyStaysUnloaded:
+    """Only `train` needs scipy; loading it costs about 0.2 s CPU per process."""
+
+    def test_preprocess_evaluate_and_export_never_import_scipy(
+        self, planted_inputs, planted_cli, tmp_path
+    ):
+        corpus_jsonl, _ = planted_inputs
+        corpus_bin, emb = planted_cli
+        model = tmp_path / "model"
+        assert main(train_args(corpus_bin, emb, model)) == 0
+        commands = [
+            ["preprocess", "--input", str(corpus_jsonl), "--output-dir", str(tmp_path / "prep")],
+            ["evaluate", "--model", str(model), "--corpus", str(corpus_bin)],
+            ["export", "--model", str(model), "--format", "dot", "--output", str(tmp_path / "t.dot")],
+            ["export", "--model", str(model), "--format", "json", "--output", str(tmp_path / "t.json")],
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(hyhtm.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["codes"] == [0, 0, 0, 0]
+        assert out["import"] == []
+        assert out["commands"] == []
+        assert (model / "report.json").is_file()
 
 
 @pytest.fixture()

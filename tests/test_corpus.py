@@ -278,6 +278,14 @@ class TestSerialization:
         with pytest.raises(CorpusError, match="truncated or corrupt"):
             read_corpus(path)
 
+    def test_term_index_outside_vocabulary(self, tmp_path):
+        corpus = make_corpus([["a", "b"], ["b"]], terms=["a", "b"])
+        corpus.documents[1].tokens = [1, 2]
+        path = tmp_path / "corpus.bin"
+        write_corpus(corpus, path)
+        with pytest.raises(CorpusError, match="'d1' has term index 2 outside"):
+            read_corpus(path)
+
     def test_jsonl_reader(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(

@@ -15,6 +15,7 @@ from hyhtm import (
     neighborhood_similarity,
     poincare_distance,
 )
+from hyhtm import sparse_io
 from hyhtm.errors import ConfigurationError, ContractError, EmbeddingParseError
 from hyhtm.hypspace import _neighbor_table, poincare_distances
 from hyhtm.sparse_io import (
@@ -620,3 +621,8 @@ class TestSparseIo:
         k3 = cache_key("hierarchy", corpus="abc", alpha=0.1)
         assert len({k1, k2, k3}) == 3
         assert k1 == cache_key("similarity", alpha=0.1, corpus="abc")
+
+    def test_cache_key_depends_on_format_version(self, monkeypatch):
+        key = cache_key("similarity", corpus="abc", alpha=0.1)
+        monkeypatch.setattr(sparse_io, "CACHE_FORMAT_VERSION", sparse_io.CACHE_FORMAT_VERSION + 1)
+        assert cache_key("similarity", corpus="abc", alpha=0.1) != key

@@ -129,6 +129,32 @@ class TestBuildStats:
         with pytest.raises(ContractError):
             stats.joint_doc_freqs([0], [1])
 
+    @pytest.mark.parametrize("n_docs", [1, 7, 8, 9, 13, 17])
+    def test_edge_cases_match_dense_presence_counts(self, n_docs):
+        # Document counts around the 8-bit packing boundary, empty documents,
+        # repeated tokens, a term of interest in no document, and the diagonal.
+        rng = np.random.default_rng(100 + n_docs)
+        terms = [f"t{i}" for i in range(8)]
+        docs = [
+            [terms[j] for j in rng.integers(0, 7, size=rng.integers(0, 9))]
+            for _ in range(n_docs)
+        ]
+        docs[0] = [terms[1], terms[1], terms[1]]
+        docs[-1] = []
+        corpus = make_corpus(docs, terms=terms)
+        presence = np.zeros((n_docs, 8), dtype=np.int64)
+        for i, doc in enumerate(corpus.documents):
+            presence[i, doc.tokens] = 1
+        dense = presence.T @ presence
+        interest = [0, 1, 3, 6, 7]  # t7 is in no document
+        stats = build_stats(corpus, interest)
+        assert stats.doc_count == n_docs
+        assert stats.joint_doc_freqs(interest, interest) == dense[np.ix_(interest, interest)].tolist()
+        for w in interest:
+            assert stats.doc_freq(w) == stats.joint_doc_freq(w, w) == dense[w, w]
+        assert stats.doc_freq(7) == 0
+        assert pmi(stats, 7, 1) == 0.0 and pmi(stats, 7, 7) == 0.0
+
 
 class TestPmi:
     def test_hand_value(self, four_doc_corpus, four_doc_stats):

@@ -81,6 +81,35 @@ class TestFactorize:
         for prev, cur in zip(hist, hist[1:]):
             assert cur <= prev + 1e-10
 
+    def test_nndsvd_like_init_is_deterministic_on_rank_deficient_input(self):
+        # Exact rank 2 with zeros, asked for more components, with calls of
+        # other k in between: a truncated iterative SVD gave a different W
+        # on the later k=5 calls for this input.
+        rng = np.random.default_rng(9)
+        u = rng.random((7, 2)) * (rng.random((7, 2)) < 0.6)
+        v = rng.random((2, 10)) * (rng.random((2, 10)) < 0.6)
+        a = sparse.csr_matrix(u @ v)
+        first = nmf._init_nndsvd(a, 5, np.random.default_rng(0))
+        for k in (3, 5, 2, 5, 4, 5):
+            w, h = nmf._init_nndsvd(a, k, np.random.default_rng(0))
+            if k == 5:
+                assert np.array_equal(w, first[0]) and np.array_equal(h, first[1])
+        cfg = NmfConfig(n_topics=5, max_iter=30, seed=0, init="nndsvd-like")
+        p1, p2 = factorize(a, cfg), factorize(a, cfg)
+        assert np.array_equal(p1.W, p2.W) and np.array_equal(p1.H, p2.H)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_nndsvd_like_init_with_more_topics_than_min_dimension(self, shape):
+        rng = np.random.default_rng(27)
+        a = sparse.csr_matrix(rng.random(shape))
+        w, h = nmf._init_nndsvd(a, 6, rng)
+        assert w.shape == (shape[0], 6) and h.shape == (6, shape[1])
+        lift = 1e-6 * a.toarray().mean()
+        assert np.all(w[:, min(shape):] == lift) and np.all(h[min(shape):] == lift)
+        pair = factorize(a, NmfConfig(n_topics=6, max_iter=40, seed=0, init="nndsvd-like"))
+        hist = pair.objective_history
+        assert all(cur <= prev + 1e-10 for prev, cur in zip(hist, hist[1:]))
+
     def test_convergence_flag_and_history_length(self):
         a = sparse.csr_matrix(np.outer([1.0, 2.0, 3.0], [1.0, 0.5]))
         pair = factorize(a, NmfConfig(n_topics=1, max_iter=500, tol=1e-9, seed=0))
