@@ -101,12 +101,6 @@ class RunConfig:
             nmf_tol=self.nmf_tol,
         )
         cfg.validate()
-        if self.space not in hypspace.SPACES:
-            raise ConfigurationError(f"unknown space {self.space!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigurationError("alpha must be in [0, 1]")
-        if self.k_s < 1 or self.k_h < 1:
-            raise ConfigurationError("k_s and k_h must be >= 1")
         return cfg
 
 
@@ -186,12 +180,28 @@ def cmd_preprocess(config: RunConfig) -> int:
 
 def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     """The three heavy artifacts, from cache when possible: the similarity
-    matrix, the hierarchy matrix, and the enriched document representation."""
+    matrix, the hierarchy matrix, and the enriched document representation.
+
+    Cache hits are numpy CSR arrays and only a build loads scipy, so a
+    train whose three matrices all hit the cache runs without it. The
+    cache status of each artifact is `hit`, `miss` (no file), `rebuilt`
+    (a damaged file, logged and replaced) or `off` (no cache).
+    """
     m = len(built.vocabulary)
     corpus_sha = sparse_io.file_sha256(config.corpus)
     emb_sha = sparse_io.file_sha256(config.embeddings)
     cache_dir = _resolve_cache_dir(config)
     cache = sparse_io.MatrixCache(cache_dir) if cache_dir else None
+    status = {}
+
+    def load(kind, key, shape):
+        if cache is None:
+            status[kind] = "off"
+            return None
+        existed = cache.has(key)
+        matrix = cache.load(key, shape)
+        status[kind] = "hit" if matrix is not None else "rebuilt" if existed else "miss"
+        return matrix
 
     sim_key = sparse_io.cache_key(
         "similarity", corpus=corpus_sha, embeddings=emb_sha,
@@ -206,9 +216,9 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
         space=config.space, alpha=config.alpha, k_s=config.k_s,
     )
 
-    sim = cache.load(sim_key, (m, m)) if cache else None
-    hier = cache.load(hier_key, (m, m)) if cache else None
-    a0 = cache.load(repr_key, (built.n_docs, m)) if cache else None
+    sim = load("similarity", sim_key, (m, m))
+    hier = load("hierarchy", hier_key, (m, m))
+    a0 = load("representation", repr_key, (built.n_docs, m))
 
     coverage = None
     if sim is None or hier is None or a0 is None:
@@ -231,9 +241,9 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
             if cache:
                 cache.save(repr_key, a0)
     doc_ids = [d.id for d in built.documents]
-    rep = corpus_mod.DocTermRepresentation(values=a0.tocsr(), doc_ids=doc_ids)
+    rep = corpus_mod.DocTermRepresentation(values=a0, doc_ids=doc_ids)
     hashes = {"corpus_sha256": corpus_sha, "embeddings_sha256": emb_sha}
-    return rep, hier, hashes, coverage
+    return rep, hier, hashes, coverage, status
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -246,7 +256,7 @@ def cmd_train(config: RunConfig) -> int:
 
     t_start = time.perf_counter()
     built = corpus_mod.read_corpus(config.corpus)
-    rep, hier, hashes, coverage = _load_or_build_matrices(config, built)
+    rep, hier, hashes, coverage, cache_status = _load_or_build_matrices(config, built)
     t_matrices = time.perf_counter()
 
     tree = hierarchy_mod.build_hierarchy(rep, hier, train_cfg)
@@ -276,6 +286,7 @@ def cmd_train(config: RunConfig) -> int:
     provenance.update(hashes)
     provenance["space"] = config.space
     provenance["embedding_coverage"] = coverage
+    provenance["cache"] = cache_status
     provenance["tree_sha256"] = sparse_io.file_sha256(out_dir / "tree.json")
     provenance["timings"] = {
         "matrices_s": t_matrices - t_start,

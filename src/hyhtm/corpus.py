@@ -15,7 +15,6 @@ import string
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,6 +30,8 @@ from .sparse_io import csr_from_triplets
 
 if TYPE_CHECKING:
     from scipy import sparse
+
+    from .sparse_io import CsrArrays
 
 log = logging.getLogger(__name__)
 
@@ -99,9 +100,10 @@ class TermFrequencyMatrix:
 
 @dataclass
 class DocTermRepresentation:
-    """Sparse nonnegative n x m document representation."""
+    """Sparse nonnegative n x m document representation; the CSR arrays
+    of a cache hit stand in for the scipy matrix."""
 
-    values: sparse.csr_matrix
+    values: sparse.csr_matrix | CsrArrays
     doc_ids: list[str]
 
 
@@ -133,6 +135,9 @@ class PreprocessConfig:
 
 def bundled_stopword_paths() -> tuple[str, str]:
     """Paths of the two stopword lists shipped with the package."""
+    # Imported here: only preprocess needs it, and it costs 20-40 ms to load.
+    from importlib import resources
+
     base = resources.files("hyhtm") / "data"
     return (str(base / "stopwords_english.txt"), str(base / "stopwords_smart.txt"))
 

@@ -3,28 +3,45 @@
 Each node factorizes its document representation into N topics, assigns
 every document to its strongest topic, and derives each child's
 representation by reweighting the root representation's rows with the
-topic's hierarchy-expanded term vector. Traversal is depth-first and keeps
-at most one branch of representations alive, which an instrumented gauge
-verifies: the number of simultaneously live representation matrices never
-exceeds max_depth + 1.
+topic's hierarchy-expanded term vector.
+
+The root representation A0 stays sparse. Each node takes its rows of A0,
+scales them by the node's reweight vector and factorizes them as a dense
+(rows, m) array when at least DENSE_MIN_DENSITY of its cells are stored,
+else as a sparse matrix. The node matrix is dropped before the node's
+children are built, so at most A0 and one node matrix are alive at once;
+an instrumented gauge follows every node matrix until it is freed and
+records the peak, which the max_depth + 1 bound is checked against. A0
+and the hierarchy matrix are read through their CSR arrays (`indptr`,
+`indices`, `data`, `shape`), so scipy matrices and the numpy arrays of a
+cache hit take the same path, and scipy is needed only for a sparse node.
 """
 
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
+import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .corpus import DocTermRepresentation, Vocabulary
 from .errors import ConfigurationError, ContractError, ShapeError
+from .hypspace import SPACES
 from .nmf import NmfConfig, factorize
 
 log = logging.getLogger(__name__)
 
 REWEIGHT_HIERARCHY = "hierarchy"
 REWEIGHT_ONES = "ones"
+
+# A node matrix with at least this share of its cells stored is factorized
+# dense. Summed over a tree's nodes at one BLAS thread, dense NMF took
+# 0.51-0.59 of the sparse time on planted trees whose nodes store 25-42%
+# of their cells (m = 128 to 1000) and 1.6-6.5 times the sparse time on
+# trees whose nodes store 2-16% (m = 4440). Below this share a dense node
+# would also take more than three times the memory of a sparse one.
+DENSE_MIN_DENSITY = 0.2
 
 
 @dataclass
@@ -62,6 +79,12 @@ class TrainConfig:
             raise ConfigurationError(f"unknown reweight_mode {self.reweight_mode!r}")
         if self.top_terms < 1:
             raise ConfigurationError("top_terms must be >= 1")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigurationError("alpha must be in [0, 1]")
+        if self.k_s < 1 or self.k_h < 1:
+            raise ConfigurationError("k_s and k_h must be >= 1")
+        if self.space not in SPACES:
+            raise ConfigurationError(f"unknown space {self.space!r}")
 
 
 @dataclass
@@ -104,20 +127,25 @@ class TopicTree:
 
 
 class LiveMatrixGauge:
-    """Counts representation matrices currently alive; records the peak."""
+    """Counts representation matrices currently alive and records the peak.
+
+    A tracked matrix counts from `track` until the matrix itself is freed
+    (a weakref finalizer), so a node matrix kept past its factorization
+    shows in the peak.
+    """
 
     def __init__(self):
         self.count = 0
         self.peak = 0
 
-    @contextmanager
-    def live(self):
+    def track(self, matrix):
         self.count += 1
         self.peak = max(self.peak, self.count)
-        try:
-            yield
-        finally:
-            self.count -= 1
+        weakref.finalize(matrix, self._release)
+        return matrix
+
+    def _release(self):
+        self.count -= 1
 
 
 def assign_documents(w: np.ndarray) -> list[list[int]]:
@@ -140,21 +168,45 @@ def assign_documents(w: np.ndarray) -> list[list[int]]:
     return parts
 
 
+def _csr(matrix):
+    """`matrix` if it is in CSR layout (a scipy CSR matrix or cache
+    arrays), else its CSR conversion; callers read only its CSR arrays."""
+    return matrix if getattr(matrix, "format", None) == "csr" else matrix.tocsr()
+
+
 def parent_child_reweight(h: np.ndarray, i: int, mh) -> np.ndarray:
     """A topic's term weights expanded through the hierarchy adjacency.
 
     Entry j sums H[i][w] over every term w whose hierarchy neighborhood
     contains j, boosting terms hierarchically related to the topic's own.
+    The sum runs over the stored entries in CSR order, which makes it
+    bitwise equal to the sparse product `entries.T @ h[i]`.
     """
     h = np.atleast_2d(h)
     if not 0 <= i < h.shape[0]:
         raise ShapeError(f"topic index {i} out of range for {h.shape[0]} topics")
-    entries = getattr(mh, "entries", mh)
-    if entries.shape != (h.shape[1], h.shape[1]):
-        raise ShapeError(
-            f"hierarchy matrix is {entries.shape}, expected {(h.shape[1], h.shape[1])}"
-        )
-    return np.asarray(entries.T @ h[i]).ravel()
+    entries = _csr(getattr(mh, "entries", mh))
+    m = h.shape[1]
+    if entries.shape != (m, m):
+        raise ShapeError(f"hierarchy matrix is {entries.shape}, expected {(m, m)}")
+    rows = np.repeat(np.arange(m), np.diff(entries.indptr))
+    return np.bincount(entries.indices, weights=entries.data * h[i][rows], minlength=m)
+
+
+def _dense_rows(values, rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """Rows `rows` of a CSR matrix as a dense array, then columns scaled by
+    `scale`; duplicate entries are summed, as in the sparse matrix."""
+    m = values.shape[1]
+    starts = values.indptr[rows]
+    lengths = values.indptr[rows + 1] - starts
+    first = np.cumsum(lengths) - lengths  # where each row starts in the gather
+    pos = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+    flat = np.repeat(np.arange(rows.size) * m, lengths) + values.indices[pos]
+    dense = np.bincount(flat, weights=values.data[pos], minlength=rows.size * m)
+    dense = dense.reshape(rows.size, m)
+    if scale is not None:
+        dense *= scale
+    return dense
 
 
 def next_level_representation(a_parent, m_ti: np.ndarray):
@@ -194,15 +246,22 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
     representation, scaled by the topic's hierarchy-expanded term vector,
     and recursed on. Recursion stops beyond max_depth or below min_docs
     documents; topics whose reweight vector vanishes become leaves.
+
+    Every node matrix, the root's included, is factorized as a dense
+    array gathered from A0's CSR arrays when at least DENSE_MIN_DENSITY of
+    its cells are stored, else as a scipy CSR matrix; `a0.values` and `mh`
+    may be scipy matrices or the `sparse_io.CsrArrays` of a cache hit.
     """
     config.validate()
-    values = a0.values.tocsr()
+    values = _csr(a0.values)
     n, m = values.shape
     if config.reweight_mode == REWEIGHT_HIERARCHY:
-        entries = getattr(mh, "entries", mh)
-        if entries.shape != (m, m):
-            raise ShapeError(f"hierarchy matrix is {entries.shape}, expected {(m, m)}")
+        hier = _csr(getattr(mh, "entries", mh))
+        if hier.shape != (m, m):
+            raise ShapeError(f"hierarchy matrix is {hier.shape}, expected {(m, m)}")
     gauge = LiveMatrixGauge()
+    gauge.track(values)  # the root representation itself
+    sparse_values = None  # A0 as a scipy matrix, made for the first sparse node
     counters = {"unassigned_docs": 0}
     nmf_levels: dict[int, dict] = {}
     nmf_config = NmfConfig(
@@ -213,8 +272,22 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
         init=config.nmf_init,
     )
 
-    def expand(matrix, row_map: np.ndarray, level: int, prefix: str) -> list[TopicNode]:
+    def node_matrix(rows: np.ndarray, scale):
+        """Rows `rows` of A0 with columns scaled by `scale`, dense or sparse
+        by the share of stored cells."""
+        nonlocal sparse_values
+        stored = values.indptr[rows + 1] - values.indptr[rows]
+        if stored.sum() >= DENSE_MIN_DENSITY * rows.size * m:
+            return _dense_rows(values, rows, scale)
+        if sparse_values is None:
+            sparse_values = values.tocsr()
+        matrix = sparse_values[rows]
+        return matrix if scale is None else matrix.multiply(scale[None, :]).tocsr()
+
+    def expand(row_map: np.ndarray, scale, level: int, prefix: str) -> list[TopicNode]:
+        matrix = gauge.track(node_matrix(row_map, scale))
         pair = factorize(matrix, nmf_config)
+        del matrix  # freed before the children take their own rows of A0
         level_stats = nmf_levels.setdefault(
             level, {"level": level, "factorizations": 0, "iterations": 0, "unconverged": 0}
         )
@@ -222,7 +295,7 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
         level_stats["iterations"] += pair.n_iter
         level_stats["unconverged"] += int(not pair.converged)
         parts = assign_documents(pair.W)
-        counters["unassigned_docs"] += matrix.shape[0] - sum(len(p) for p in parts)
+        counters["unassigned_docs"] += row_map.size - sum(len(p) for p in parts)
         nodes = []
         for i in range(config.n_topics):
             node_id = f"{prefix}{i}"
@@ -241,12 +314,9 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
                 if config.reweight_mode == REWEIGHT_ONES:
                     m_ti = np.ones(m)
                 else:
-                    m_ti = parent_child_reweight(pair.H, i, mh)
+                    m_ti = parent_child_reweight(pair.H, i, hier)
                 if m_ti.any():
-                    with gauge.live():
-                        child = values[global_rows].multiply(m_ti[None, :]).tocsr()
-                        child.eliminate_zeros()
-                        node.children = expand(child, global_rows, level + 1, node_id + ".")
+                    node.children = expand(global_rows, m_ti, level + 1, node_id + ".")
                 else:
                     log.debug("topic %s has an all-zero reweight vector; leaf", node_id)
             nodes.append(node)
@@ -258,24 +328,21 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
         "n_documents": n,
         "vocab_size": m,
     }
-    with gauge.live():  # the root representation itself
-        root_rows = np.flatnonzero(np.diff(values.indptr) > 0)
-        provenance["excluded_empty_rows"] = int(n - root_rows.size)
-        if root_rows.size < config.min_docs:
-            log.warning(
-                "only %d nonzero document rows (< min_docs=%d); empty tree",
-                root_rows.size, config.min_docs,
-            )
-            provenance["diagnostic"] = (
-                f"root has {root_rows.size} nonzero rows, fewer than min_docs={config.min_docs}"
-            )
-            provenance["peak_live_matrices"] = gauge.peak
-            provenance["unassigned_docs"] = 0
-            provenance["nmf_by_level"] = []
-            return TopicTree(roots=[], config=asdict(config), provenance=provenance)
-        with gauge.live():  # level-1 input: the nonzero rows
-            root_matrix = values[root_rows]
-            roots = expand(root_matrix, root_rows, 1, "")
+    root_rows = np.flatnonzero(np.diff(values.indptr) > 0)
+    provenance["excluded_empty_rows"] = int(n - root_rows.size)
+    if root_rows.size < config.min_docs:
+        log.warning(
+            "only %d nonzero document rows (< min_docs=%d); empty tree",
+            root_rows.size, config.min_docs,
+        )
+        provenance["diagnostic"] = (
+            f"root has {root_rows.size} nonzero rows, fewer than min_docs={config.min_docs}"
+        )
+        provenance["peak_live_matrices"] = gauge.peak
+        provenance["unassigned_docs"] = 0
+        provenance["nmf_by_level"] = []
+        return TopicTree(roots=[], config=asdict(config), provenance=provenance)
+    roots = expand(root_rows, None, 1, "")
     provenance["peak_live_matrices"] = gauge.peak
     provenance["unassigned_docs"] = counters["unassigned_docs"]
     provenance["nmf_by_level"] = [nmf_levels[level] for level in sorted(nmf_levels)]

@@ -5,7 +5,14 @@ multiplicative update rules, which never increase the objective. That
 monotonicity is the property the test suite leans on, so the objective
 value after every iteration is recorded on the result.
 
-Each iteration costs two sparse products, A·Hᵀ and Aᵀ·W, and four small
+A may be sparse or dense. The tree builder passes a node matrix as a
+dense array when at least a fifth of its cells are stored (see
+`hierarchy.DENSE_MIN_DENSITY`), where the two products with A below are
+dense GEMMs: on planted nodes of 25-42% density, scipy's
+sparse-times-dense dispatch took about twice as long. Sparser nodes stay
+sparse, where the dense products would cost more time and memory.
+
+Each iteration costs two products with A, A·Hᵀ and Aᵀ·W, and four small
 dense GEMMs: W·(H·Hᵀ), WᵀW, (WᵀW)·H and H·Hᵀ. The objective after an
 iteration needs A·Hᵀ and H·Hᵀ of the new H, which are exactly what the
 next W update needs, so they are computed once and carried over; WᵀW is

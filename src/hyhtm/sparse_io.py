@@ -1,9 +1,13 @@
 """Binary sparse-matrix persistence and the content-addressed matrix cache.
 
 Matrices are stored as a flat sequence of triplet records, little-endian
-u32 row, u32 col, f64 value, in row-major order. Cache files are keyed by
-a hash of the inputs and hyperparameters that produced the matrix, so a
+u32 row, u32 col, f64 value, in canonical row-major order: rows never
+decrease and columns strictly increase within a row. Cache files are keyed
+by a hash of the inputs and hyperparameters that produced the matrix, so a
 hit is guaranteed to be bitwise identical to a cold rebuild.
+
+A cache hit comes back as `CsrArrays`, plain numpy CSR arrays, so a run
+whose matrices all come from the cache never loads scipy.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import logging
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -42,9 +47,36 @@ def csr_from_triplets(vals, rows, cols, shape, dtype=None) -> sparse.csr_matrix:
     return matrix
 
 
+@dataclass(frozen=True)
+class CsrArrays:
+    """A matrix in CSR layout as bare numpy arrays, without scipy.
+
+    The attribute names are those of a scipy CSR matrix, so code that reads
+    only `indptr`, `indices`, `data` and `shape` takes either. `tocsr`
+    builds the scipy matrix for code that needs sparse arithmetic.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    format = "csr"
+
+    def tocsr(self) -> sparse.csr_matrix:
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+
 def save_triplets(path, matrix):
-    """Write a sparse matrix as little-endian (u32 row, u32 col, f64 value) records."""
-    coo = matrix.tocsr().tocoo()  # csr round-trip canonicalizes row-major order
+    """Write a sparse matrix as little-endian (u32 row, u32 col, f64 value)
+    records in canonical row-major order."""
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()  # sorts the indices too
+    coo = csr.tocoo()
     records = np.empty(coo.nnz, dtype=TRIPLET_DTYPE)
     records["row"] = coo.row.astype("<u4")
     records["col"] = coo.col.astype("<u4")
@@ -53,11 +85,12 @@ def save_triplets(path, matrix):
         records.tofile(fh)
 
 
-def load_triplets(path, shape) -> sparse.csr_matrix:
-    """Read a triplet file back into CSR form; shape is supplied by the caller.
+def read_triplets(path, shape) -> CsrArrays:
+    """Read a triplet file into CSR arrays; shape is supplied by the caller.
 
-    A partial trailing record or an index outside `shape` raises
-    ContractError naming the file.
+    A partial trailing record, an index outside `shape` or a record out of
+    canonical row-major order raises ContractError naming the file and the
+    record.
     """
     size = os.path.getsize(path)
     if size % TRIPLET_DTYPE.itemsize:
@@ -74,8 +107,22 @@ def load_triplets(path, shape) -> sparse.csr_matrix:
                 f"{path}: record {i} has {axis} {int(records[axis][i])} "
                 f"outside shape {tuple(shape)}"
             )
-    return csr_from_triplets(
-        records["val"], records["row"].astype(np.int64), records["col"].astype(np.int64), shape
+    rows, cols = records["row"], records["col"]
+    disorder = np.flatnonzero(
+        (rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))
+    )
+    if disorder.size:
+        i = int(disorder[0]) + 1
+        raise ContractError(
+            f"{path}: record {i} (row {rows[i]}, col {cols[i]}) is out of "
+            f"row-major order after (row {rows[i - 1]}, col {cols[i - 1]})"
+        )
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    index_dtype = np.int32 if shape[1] <= np.iinfo(np.int32).max else np.int64
+    return CsrArrays(
+        indptr=indptr, indices=cols.astype(index_dtype), data=records["val"].astype(np.float64),
+        shape=(int(shape[0]), int(shape[1])),
     )
 
 
@@ -114,14 +161,14 @@ class MatrixCache:
     def has(self, key: str) -> bool:
         return self.path_for(key).exists()
 
-    def load(self, key: str, shape) -> sparse.csr_matrix | None:
-        """The cached matrix, or None on a miss. A damaged file is a miss,
-        logged, and the caller's rebuild overwrites it."""
+    def load(self, key: str, shape) -> CsrArrays | None:
+        """The cached matrix as CSR arrays, or None on a miss. A damaged
+        file is a miss, logged, and the caller's rebuild overwrites it."""
         path = self.path_for(key)
         if not path.exists():
             return None
         try:
-            return load_triplets(path, shape)
+            return read_triplets(path, shape)
         except ContractError as exc:
             log.warning("%s; rebuilding", exc)
             return None

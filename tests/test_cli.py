@@ -162,7 +162,7 @@ class TestTrainCommand:
         for name in files1:
             assert file_sha256(caches[0] / name) == file_sha256(caches[1] / name)
 
-    @pytest.mark.parametrize("damage", ["partial-record", "index-beyond-shape"])
+    @pytest.mark.parametrize("damage", ["partial-record", "index-beyond-shape", "out-of-order"])
     def test_damaged_cache_is_rebuilt_to_the_no_cache_tree(
         self, planted_cli, tmp_path, caplog, damage
     ):
@@ -177,7 +177,10 @@ class TestTrainCommand:
                 path.write_bytes(intact[path.name][:-3])
             else:
                 records = np.fromfile(path, dtype=TRIPLET_DTYPE)
-                records["col"][0] = np.iinfo("<u4").max
+                if damage == "out-of-order":
+                    records[[0, 1]] = records[[1, 0]]
+                else:
+                    records["col"][0] = np.iinfo("<u4").max
                 records.tofile(path)
         warm = tmp_path / "warm"
         cold = tmp_path / "cold"
@@ -187,6 +190,31 @@ class TestTrainCommand:
         assert main(train_args(corpus_bin, emb, cold) + ["--no-cache"]) == 0
         assert file_sha256(warm / "tree.json") == file_sha256(cold / "tree.json")
         assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
+
+    def test_provenance_records_cache_status(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+        kinds = ("similarity", "hierarchy", "representation")
+
+        def status(out):
+            return json.loads((out / "provenance.json").read_text(encoding="utf-8"))["cache"]
+
+        assert main(train_args(corpus_bin, emb, tmp_path / "cold", cache_dir=cache)) == 0
+        assert status(tmp_path / "cold") == dict.fromkeys(kinds, "miss")
+        assert main(train_args(corpus_bin, emb, tmp_path / "warm", cache_dir=cache)) == 0
+        assert status(tmp_path / "warm") == dict.fromkeys(kinds, "hit")
+        damaged = max(cache.iterdir(), key=lambda p: p.stat().st_size)  # the representation
+        damaged.write_bytes(damaged.read_bytes()[:-1])
+        assert main(train_args(corpus_bin, emb, tmp_path / "mended", cache_dir=cache)) == 0
+        assert status(tmp_path / "mended") == {
+            "similarity": "hit", "hierarchy": "hit", "representation": "rebuilt"
+        }
+        assert main(train_args(corpus_bin, emb, tmp_path / "off") + ["--no-cache"]) == 0
+        assert status(tmp_path / "off") == dict.fromkeys(kinds, "off")
+        trees = {(tmp_path / run / "tree.json").read_bytes()
+                 for run in ("cold", "warm", "mended", "off")}
+        assert len(trees) == 1
+        assert "cache" not in json.loads(trees.pop())
 
     def test_provenance_records_nmf_per_level(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -449,8 +477,37 @@ print(json.dumps(out))
 """
 
 
+def run_scipy_probe(commands):
+    """Run CLI commands in a fresh interpreter; what it reports."""
+    env = dict(os.environ)
+    env.pop("HYHTM_CACHE_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(hyhtm.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 class TestScipyStaysUnloaded:
-    """Only `train` needs scipy; loading it costs about 0.2 s CPU per process."""
+    """Only a `train` that builds a matrix needs scipy; loading it costs
+    about 0.2 s CPU and 16 MB per process."""
+
+    def test_warm_train_never_imports_scipy(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+        fill, warm = tmp_path / "fill", tmp_path / "warm"
+        assert main(train_args(corpus_bin, emb, fill, cache_dir=cache)) == 0
+        out = run_scipy_probe([train_args(corpus_bin, emb, warm, cache_dir=cache)])
+        assert out["codes"] == [0]
+        assert out["import"] == []
+        assert out["commands"] == []
+        assert (warm / "tree.json").read_bytes() == (fill / "tree.json").read_bytes()
+        provenance = json.loads((warm / "provenance.json").read_text(encoding="utf-8"))
+        assert set(provenance["cache"].values()) == {"hit"}
 
     def test_preprocess_evaluate_and_export_never_import_scipy(
         self, planted_inputs, planted_cli, tmp_path
@@ -465,16 +522,7 @@ class TestScipyStaysUnloaded:
             ["export", "--model", str(model), "--format", "dot", "--output", str(tmp_path / "t.dot")],
             ["export", "--model", str(model), "--format", "json", "--output", str(tmp_path / "t.json")],
         ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(hyhtm.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        out = run_scipy_probe(commands)
         assert out["codes"] == [0, 0, 0, 0]
         assert out["import"] == []
         assert out["commands"] == []

@@ -12,7 +12,9 @@ from hyhtm import (
     top_words,
 )
 from hyhtm.errors import ConfigurationError, ContractError, ShapeError
+from hyhtm import hierarchy
 from hyhtm.hierarchy import tree_from_payload, tree_to_payload
+from hyhtm.sparse_io import CsrArrays
 
 from conftest import (
     PLANTED_ALPHA,
@@ -65,7 +67,35 @@ class TestAssignDocuments:
         assert set(seen) == nonzero_rows
 
 
+def as_cache_arrays(matrix):
+    """The CSR arrays a cache hit would return for `matrix`."""
+    csr = matrix.tocsr()
+    return CsrArrays(
+        indptr=csr.indptr.astype(np.int64), indices=csr.indices.astype(np.int32),
+        data=csr.data.astype(np.float64), shape=csr.shape,
+    )
+
+
 class TestParentChildReweight:
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_sparse_product(self, m, weighted):
+        # Random adjacency with empty rows (all of them in the first trial);
+        # the reweight for every topic is bitwise the sparse product, for
+        # scipy CSR and for cache arrays.
+        rng = np.random.default_rng(1000 * m + weighted)
+        for trial in range(20):
+            dense = (rng.random((m, m)) < 0.3) * (rng.random((m, m)) if weighted else 1.0)
+            dense[rng.random(m) < (0.2 if trial else 1.0)] = 0.0
+            mh = sparse.csr_matrix(dense)
+            h = rng.random((3, m)) * (rng.random((3, m)) < 0.8)
+            for i in range(3):
+                expected = np.asarray(mh.T @ h[i]).ravel()
+                for entries in (mh, as_cache_arrays(mh)):
+                    out = parent_child_reweight(h, i, entries)
+                    assert out.shape == (m,)
+                    assert out.tobytes() == expected.tobytes()
+
     def test_identity_returns_topic_row(self):
         h = np.array([[0.5, 0.0, 0.2]])
         out = parent_child_reweight(h, 0, sparse.identity(3, format="csr"))
@@ -239,11 +269,138 @@ class TestBuildHierarchy:
         for w1, w2 in zip(*weights):
             assert np.array_equal(w1, w2)
 
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("reweight_mode", ["hierarchy", "ones"])
+    def test_cache_arrays_build_the_scipy_tree(
+        self, planted_matrices, planted_corpus, monkeypatch, reweight_mode, layout
+    ):
+        # A cache hit hands build_hierarchy numpy CSR arrays; the tree is
+        # identical to the one built from the scipy matrices, with the
+        # planted nodes factorized dense (their own layout) or sparse.
+        if layout == "sparse":
+            monkeypatch.setattr(hierarchy, "DENSE_MIN_DENSITY", 1.0)
+        a0, mh = planted_matrices["a0"], planted_matrices["mh"]
+        config = planted_config(seed=4, reweight_mode=reweight_mode)
+        from_scipy = build_hierarchy(a0, mh, config)
+        from_arrays = build_hierarchy(
+            DocTermRepresentation(values=as_cache_arrays(a0.values), doc_ids=a0.doc_ids),
+            as_cache_arrays(mh.entries),
+            config,
+        )
+        terms = planted_corpus.vocabulary.terms
+        assert tree_to_payload(from_arrays, terms) == tree_to_payload(from_scipy, terms)
+        assert from_arrays.provenance == from_scipy.provenance
+        for a, b in zip(from_arrays.nodes(), from_scipy.nodes()):
+            assert a.term_weights.tobytes() == b.term_weights.tobytes()
+
+    def test_duplicate_entries_are_summed(self):
+        # An uncanonical scipy input means the sum of its duplicates, as it
+        # does in sparse arithmetic: each entry is stored as two parts.
+        rng = np.random.default_rng(5)
+        dense = rng.random((60, 8)) + 0.1
+        parts = np.concatenate([dense * 0.25, dense * 0.75], axis=1).ravel()
+        doubled = sparse.csr_matrix(
+            (parts, np.tile(np.arange(8), 120), np.arange(61) * 16), shape=(60, 8)
+        )
+        assert not doubled.has_canonical_format
+        summed = sparse.csr_matrix(doubled.toarray())
+        ids = [f"d{i}" for i in range(60)]
+        config = planted_config(n_topics=2, max_depth=2, min_docs=10)
+        eye = sparse.identity(8, format="csr")
+        trees = [
+            build_hierarchy(DocTermRepresentation(values=values, doc_ids=ids), eye, config)
+            for values in (doubled, summed)
+        ]
+        assert [n.doc_ids for n in trees[0].nodes()] == [n.doc_ids for n in trees[1].nodes()]
+        for a, b in zip(trees[0].nodes(), trees[1].nodes()):
+            assert a.term_weights.tobytes() == b.term_weights.tobytes()
+
     def test_live_matrix_gauge_bound(self, planted_matrices):
         tree = build_hierarchy(
             planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
         )
         assert tree.provenance["peak_live_matrices"] <= PLANTED_MAX_DEPTH + 1
+
+    def test_one_node_matrix_alive_at_a_time(self, planted_matrices):
+        # A0 and the node matrix being factorized: a parent's matrix kept
+        # alive while its children are factorized would raise the peak.
+        tree = build_hierarchy(
+            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+        )
+        assert tree.depth == PLANTED_MAX_DEPTH
+        assert tree.provenance["peak_live_matrices"] == 2
+
+    def test_gauge_counts_a_node_matrix_until_it_is_freed(self, planted_matrices, monkeypatch):
+        kept = []
+        real = hierarchy.factorize
+
+        def keeping(matrix, config):
+            kept.append(matrix)
+            return real(matrix, config)
+
+        monkeypatch.setattr(hierarchy, "factorize", keeping)
+        tree = build_hierarchy(
+            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+        )
+        assert len(kept) > 2
+        assert tree.provenance["peak_live_matrices"] == 1 + len(kept)
+
+    def record_layouts(self, monkeypatch) -> list[bool]:
+        """Whether each matrix build_hierarchy factorizes is sparse, in order."""
+        layouts = []
+        real = hierarchy.factorize
+
+        def recording(matrix, config):
+            layouts.append(sparse.issparse(matrix))
+            return real(matrix, config)
+
+        monkeypatch.setattr(hierarchy, "factorize", recording)
+        return layouts
+
+    def test_sparse_and_dense_nodes_build_the_same_tree(
+        self, planted_matrices, planted_corpus, monkeypatch
+    ):
+        # The planted nodes store about 35% of their cells, so they are
+        # factorized dense; with the threshold above that they are
+        # factorized sparse, and the tree is the same up to rounding.
+        layouts = self.record_layouts(monkeypatch)
+        a0, mh = planted_matrices["a0"], planted_matrices["mh"]
+        config = planted_config(seed=4)
+        dense_tree = build_hierarchy(a0, mh, config)
+        assert layouts and not any(layouts)
+        layouts.clear()
+        monkeypatch.setattr(hierarchy, "DENSE_MIN_DENSITY", 1.0)
+        sparse_tree = build_hierarchy(a0, mh, config)
+        assert layouts and all(layouts)
+
+        def shape(tree):
+            return [
+                (n.node_id, n.doc_ids, [j for j, _ in n.top_terms], [c.node_id for c in n.children])
+                for n in tree.nodes()
+            ]
+
+        assert shape(sparse_tree) == shape(dense_tree)
+        for a, b in zip(sparse_tree.nodes(), dense_tree.nodes()):
+            assert np.allclose(a.term_weights, b.term_weights, rtol=1e-9, atol=1e-12)
+
+    def test_sparse_input_nodes_stay_sparse(self, monkeypatch):
+        # Three stored cells in 50 per document (6%): every node matrix is
+        # sparse, as a dense one would cost more time and memory.
+        rng = np.random.default_rng(8)
+        n, m = 80, 50
+        cols = np.concatenate([rng.choice(m, 3, replace=False) for _ in range(n)])
+        values = sparse.csr_matrix(
+            (rng.random(3 * n) + 0.1, cols, np.arange(n + 1) * 3), shape=(n, m)
+        )
+        values.sort_indices()
+        layouts = self.record_layouts(monkeypatch)
+        tree = build_hierarchy(
+            DocTermRepresentation(values=values, doc_ids=[f"d{i}" for i in range(n)]),
+            sparse.identity(m, format="csr"),
+            planted_config(n_topics=2, max_depth=2, min_docs=10),
+        )
+        assert tree.depth == 2
+        assert layouts and all(layouts)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -254,6 +411,19 @@ class TestBuildHierarchy:
             TrainConfig(n_topics=10, min_docs=5).validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(reweight_mode="other").validate()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", -0.1, "alpha"), ("alpha", 1.5, "alpha"),
+            ("k_s", 0, "k_s"), ("k_h", 0, "k_h"), ("space", "spherical", "space"),
+        ],
+    )
+    def test_geometry_parameters_are_validated(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TrainConfig(**{field: value}).validate()
+        for ok in ({"alpha": 0.0}, {"alpha": 1.0}, {"k_s": 1, "k_h": 1}, {"space": "euclidean"}):
+            TrainConfig(**ok).validate()
 
 
 class TestTreePayload:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from hyhtm.errors import ConfigurationError, ContractError, EmbeddingParseError
 from hyhtm.hypspace import _neighbor_table, poincare_distances
 from hyhtm.sparse_io import (
     TRIPLET_DTYPE,
+    CsrArrays,
     MatrixCache,
     cache_key,
-    load_triplets,
+    read_triplets,
     save_triplets,
 )
 
@@ -557,6 +559,16 @@ class TestEuclideanMode:
         assert np.allclose(table.vector(0), [0.1, 0.0])
 
 
+def assert_same_csr_arrays(loaded, matrix):
+    """`loaded` holds bitwise the CSR arrays of `matrix` in canonical form."""
+    canonical = matrix.tocsr().copy()
+    canonical.sum_duplicates()
+    assert loaded.shape == canonical.shape
+    assert np.array_equal(loaded.indptr, canonical.indptr)
+    assert np.array_equal(loaded.indices, canonical.indices)
+    assert loaded.data.tobytes() == canonical.data.tobytes()
+
+
 class TestSparseIo:
     def test_triplet_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -565,7 +577,7 @@ class TestSparseIo:
         matrix = sparse.random(30, 40, density=0.2, random_state=1).tocsr()
         path = tmp_path / "m.bin"
         save_triplets(path, matrix)
-        loaded = load_triplets(path, (30, 40))
+        loaded = read_triplets(path, (30, 40)).tocsr()
         assert (loaded != matrix).nnz == 0
         assert np.array_equal(loaded.data, matrix.tocsr().data)
 
@@ -577,8 +589,7 @@ class TestSparseIo:
         key = cache_key("similarity", corpus="abc", alpha=0.1)
         assert cache.load(key, (10, 10)) is None
         cache.save(key, matrix)
-        again = cache.load(key, (10, 10))
-        assert (again != matrix).nnz == 0
+        assert_same_csr_arrays(cache.load(key, (10, 10)), matrix)
 
     def test_save_ignores_stale_temporary_path(self, tmp_path):
         # a leftover at the old fixed temporary name must not block the write
@@ -589,9 +600,53 @@ class TestSparseIo:
         key = cache_key("hierarchy", corpus="abc", k_h=5)
         (cache.directory / f"{key}.tmp").mkdir()
         cache.save(key, matrix)
-        again = cache.load(key, (10, 10))
-        assert (again != matrix).nnz == 0
+        assert_same_csr_arrays(cache.load(key, (10, 10)), matrix)
         assert sorted(p.name for p in cache.directory.iterdir()) == [f"{key}.bin", f"{key}.tmp"]
+
+    @pytest.mark.parametrize(
+        "order, names",
+        [
+            ([1, 0, 2], "record 1 (row 0, col 1)"),  # two columns of row 0 swapped
+            ([0, 2, 1], "record 2 (row 0, col 5)"),  # the last entry of row 0 after row 1
+            ([0, 0, 2], "record 1 (row 0, col 1)"),  # one entry stored twice
+        ],
+    )
+    def test_records_out_of_row_major_order_are_rejected(self, tmp_path, order, names):
+        from scipy import sparse
+
+        matrix = sparse.csr_matrix(np.array([[0, 2.0, 0, 0, 0, 3.0], [4.0, 0, 0, 0, 0, 0]]))
+        path = tmp_path / "m.bin"
+        save_triplets(path, matrix)
+        np.fromfile(path, dtype=TRIPLET_DTYPE)[order].tofile(path)
+        with pytest.raises(ContractError, match=f"{path}: {re.escape(names)} is out of row-major"):
+            read_triplets(path, (2, 6))
+        cache = MatrixCache(tmp_path / "cache")
+        cache.path_for("k").write_bytes(path.read_bytes())
+        assert cache.load("k", (2, 6)) is None
+
+    def test_read_triplets_returns_the_csr_arrays(self, tmp_path):
+        from scipy import sparse
+
+        dense = sparse.random(8, 9, density=0.4, random_state=5).toarray()
+        dense[3] = 0.0  # an empty row
+        matrix = sparse.csr_matrix(dense)
+        save_triplets(tmp_path / "m.bin", matrix)
+        arrays = read_triplets(tmp_path / "m.bin", (8, 9))
+        assert isinstance(arrays, CsrArrays)
+        assert arrays.data.size == matrix.nnz
+        assert_same_csr_arrays(arrays, matrix)
+        assert (arrays.tocsr() != matrix).nnz == 0
+
+    def test_save_canonicalizes_uncanonical_matrices(self, tmp_path):
+        from scipy import sparse
+
+        # unsorted columns and a duplicate (0, 1) entry
+        matrix = sparse.csr_matrix(
+            (np.array([1.0, 2.0, 0.5, 3.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4])),
+            shape=(2, 3),
+        )
+        save_triplets(tmp_path / "m.bin", matrix)
+        assert_same_csr_arrays(read_triplets(tmp_path / "m.bin", (2, 3)), matrix)
 
     @pytest.mark.parametrize("damage", ["partial-record", "row-beyond-shape", "col-beyond-shape"])
     def test_damaged_cache_file_is_a_logged_miss(self, tmp_path, caplog, damage):
@@ -610,7 +665,7 @@ class TestSparseIo:
             records[axis][-1] = limit
             records.tofile(path)
         with pytest.raises(ContractError, match=str(path)):
-            load_triplets(path, (10, 12))
+            read_triplets(path, (10, 12))
         with caplog.at_level("WARNING"):
             assert cache.load(key, (10, 12)) is None
         assert any("rebuilding" in r.message for r in caplog.records)
