@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -30,8 +31,6 @@ from .errors import (
     DegenerateCorpusError,
     EmbeddingParseError,
     HyhtmError,
-    InvariantError,
-    ShapeError,
 )
 
 log = logging.getLogger(__name__)
@@ -42,6 +41,10 @@ EXIT_CONTRACT = 3
 EXIT_DEGENERATE = 4
 
 CACHE_ENV_VAR = "HYHTM_CACHE_DIR"
+
+# Errors that exit EXIT_INPUT; every other package error but a degenerate
+# corpus (shapes, contracts, invariants) exits EXIT_CONTRACT.
+_INPUT_ERRORS = (ConfigurationError, CorpusError, EmbeddingParseError, OSError)
 
 
 @dataclass
@@ -104,6 +107,37 @@ class RunConfig:
         return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_float(value) -> bool:
+    """A float, or an int small enough to convert to one."""
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+
+
+# The JSON values a config-file key takes, by the base type of its RunConfig
+# field; a field annotated `... | None` also takes null.
+_VALUE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "int": _is_int,
+    "float": _is_float,
+    "bool": lambda v: isinstance(v, bool),
+    "list[str]": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+}
+
+
+def _read_json(path: Path, error: type[HyhtmError]):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno} ({exc.msg})"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     """Layer dataclass defaults, then the JSON config file, then CLI flags."""
     merged = asdict(RunConfig())
@@ -111,13 +145,16 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigurationError(f"config file not found: {path}")
-        try:
-            file_values = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc.msg})") from None
+        file_values = _read_json(path, ConfigurationError)
+        if not isinstance(file_values, dict):
+            raise ConfigurationError(f"{path}: a config file must hold a JSON object")
         unknown = set(file_values) - set(merged)
         if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigurationError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for f in (f for f in fields(RunConfig) if f.name in file_values):
+            value, (base, _, optional) = file_values[f.name], f.type.partition(" | ")
+            if not (value is None and optional or _VALUE_CHECKS[base](value)):
+                raise ConfigurationError(f"{path}: config key {f.name!r} must be {f.type}")
         merged.update(file_values)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
@@ -226,6 +263,8 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
         coverage = table.coverage
         if not table.covered:
             raise ContractError("no vocabulary term has an embedding vector")
+        if sim is None and hier is None:  # one kNN pass: the narrower build slices it
+            hypspace._neighbor_table(table, max(config.k_s, config.k_h))
         if sim is None:
             sim = hypspace.build_similarity_matrix(table, config.k_s, config.alpha).entries
             if cache:
@@ -304,12 +343,58 @@ def _read_tree_payload(model_dir: Path) -> dict:
     tree_path = model_dir / "tree.json"
     if not tree_path.exists():
         raise CorpusError(f"model file not found: {tree_path}")
-    try:
-        return json.loads(tree_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ContractError(
-            f"{tree_path}: invalid JSON at line {exc.lineno} column {exc.colno} ({exc.msg})"
-        ) from None
+    payload = _read_json(tree_path, ContractError)
+    _check_tree_payload(payload, tree_path)
+    return payload
+
+
+def _is_term_entry(item) -> bool:
+    return isinstance(item, dict) and isinstance(item.get("term"), str) and (
+        _is_float(item.get("weight")) and math.isfinite(item["weight"])
+    )
+
+
+def _check_tree_payload(payload, path: Path):
+    """The tree.json contract that evaluate and export rely on: unique
+    string ids, int levels >= 1, finite term weights, and every node above
+    level 1 listed as a child by exactly one node one level up, which rules
+    out cycles."""
+
+    def fail(where, what):
+        raise ContractError(f"{path}: {where}: {what}")
+
+    if not (isinstance(payload, dict) and isinstance(payload.get("nodes"), list)):
+        fail("top level", "expected an object with a 'nodes' list")
+    config = payload.get("config", {})
+    if not (isinstance(config, dict) and _is_int(config.get("vocab_size", 0))):
+        fail("config", "expected an object whose 'vocab_size', if any, is an int")
+    nodes = {}
+    for pos, node in enumerate(payload["nodes"]):
+        if not (isinstance(node, dict) and isinstance(node.get("id"), str)):
+            fail(f"node {pos}", "expected an object with a string 'id'")
+        where = f"node {node['id']!r}"
+        if node["id"] in nodes:
+            fail(where, "duplicate id")
+        if not (_is_int(node.get("level")) and node["level"] >= 1):
+            fail(where, "'level' must be an int >= 1")
+        if not (isinstance(node.get("top_terms"), list)
+                and all(map(_is_term_entry, node["top_terms"]))):
+            fail(where, "'top_terms' must be a list of {term: string, weight: finite number}")
+        for key in ("doc_ids", "children"):
+            if not _VALUE_CHECKS["list[str]"](node.get(key)):
+                fail(where, f"{key!r} must be a list of strings")
+        nodes[node["id"]] = node
+    parent_of = {}
+    for node_id, node in nodes.items():
+        for child in node["children"]:
+            if nodes.get(child, {}).get("level") != node["level"] + 1:
+                fail(f"node {node_id!r}", f"child {child!r} is missing or not one level below")
+            if child in parent_of:
+                fail(f"node {child!r}", f"has two parents, {parent_of[child]!r} and {node_id!r}")
+            parent_of[child] = node_id
+    for node_id, node in nodes.items():
+        if node["level"] > 1 and node_id not in parent_of:
+            fail(f"node {node_id!r}", f"at level {node['level']} has no parent")
 
 
 def _attach_factors(tree: hierarchy_mod.TopicTree, model_dir: Path, m: int):
@@ -452,21 +537,11 @@ def main(argv=None) -> int:
         if args.command == "export":
             return cmd_export(config, args.model, args.format, args.output, args.top_k)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, CorpusError, EmbeddingParseError) as exc:
+    except (HyhtmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ShapeError, ContractError, InvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except DegenerateCorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HyhtmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+        if isinstance(exc, DegenerateCorpusError):
+            return EXIT_DEGENERATE
+        return EXIT_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_CONTRACT
 
 
 def entrypoint():

@@ -32,9 +32,6 @@ from .nmf import NmfConfig, factorize
 
 log = logging.getLogger(__name__)
 
-REWEIGHT_HIERARCHY = "hierarchy"
-REWEIGHT_ONES = "ones"
-
 # A node matrix with at least this share of its cells stored is factorized
 # dense. Summed over a tree's nodes at one BLAS thread, dense NMF took
 # 0.51-0.59 of the sparse time on planted trees whose nodes store 25-42%
@@ -50,8 +47,6 @@ class TrainConfig:
 
     Defaults follow the best-performing configuration for mid-size corpora:
     threshold 0.1 with 500-term neighborhoods, 10 topics per node, 3 levels.
-    `reweight_mode` "ones" disables parent guidance entirely (plain recursive
-    factorization of root-representation rows), kept as a test mode.
     """
 
     n_topics: int = 10
@@ -62,11 +57,9 @@ class TrainConfig:
     k_h: int = 500
     seed: int = 42
     space: str = "hyperbolic"
-    reweight_mode: str = REWEIGHT_HIERARCHY
     top_terms: int = 10
     nmf_max_iter: int = 300
     nmf_tol: float = 1e-5
-    nmf_init: str = "random-uniform"
 
     def validate(self):
         if self.n_topics < 2:
@@ -75,8 +68,6 @@ class TrainConfig:
             raise ConfigurationError("max_depth must be >= 1")
         if self.min_docs < self.n_topics:
             raise ConfigurationError("min_docs must be >= n_topics")
-        if self.reweight_mode not in (REWEIGHT_HIERARCHY, REWEIGHT_ONES):
-            raise ConfigurationError(f"unknown reweight_mode {self.reweight_mode!r}")
         if self.top_terms < 1:
             raise ConfigurationError("top_terms must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
@@ -85,6 +76,12 @@ class TrainConfig:
             raise ConfigurationError("k_s and k_h must be >= 1")
         if self.space not in SPACES:
             raise ConfigurationError(f"unknown space {self.space!r}")
+        if self.nmf_max_iter < 1:
+            raise ConfigurationError("nmf_max_iter must be >= 1")
+        if not 0 < self.nmf_tol < float("inf"):
+            raise ConfigurationError(f"nmf_tol must be finite and > 0, got {self.nmf_tol}")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass
@@ -93,7 +90,6 @@ class TopicNode:
 
     node_id: str
     level: int
-    topic_index: int
     term_weights: np.ndarray | None
     top_terms: list[tuple[int, float]]
     doc_ids: list[str]
@@ -209,22 +205,6 @@ def _dense_rows(values, rows: np.ndarray, scale: np.ndarray | None = None) -> np
     return dense
 
 
-def next_level_representation(a_parent, m_ti: np.ndarray):
-    """Columnwise reweighting of a representation: every row scaled by m_ti."""
-    values = a_parent.values if isinstance(a_parent, DocTermRepresentation) else a_parent
-    m_ti = np.asarray(m_ti).ravel()
-    if values.shape[1] != m_ti.shape[0]:
-        raise ShapeError(
-            f"representation has {values.shape[1]} columns, reweight vector {m_ti.shape[0]}"
-        )
-    out = values.multiply(m_ti[None, :]).tocsr()
-    out.eliminate_zeros()
-    out.sort_indices()
-    if isinstance(a_parent, DocTermRepresentation):
-        return DocTermRepresentation(values=out, doc_ids=list(a_parent.doc_ids))
-    return out
-
-
 def top_words(h: np.ndarray, i: int, n: int) -> list[tuple[int, float]]:
     """The n heaviest terms of topic i, descending, index-ascending on ties."""
     if n < 1:
@@ -255,22 +235,16 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
     config.validate()
     values = _csr(a0.values)
     n, m = values.shape
-    if config.reweight_mode == REWEIGHT_HIERARCHY:
-        hier = _csr(getattr(mh, "entries", mh))
-        if hier.shape != (m, m):
-            raise ShapeError(f"hierarchy matrix is {hier.shape}, expected {(m, m)}")
+    hier = _csr(getattr(mh, "entries", mh))
+    if hier.shape != (m, m):
+        raise ShapeError(f"hierarchy matrix is {hier.shape}, expected {(m, m)}")
     gauge = LiveMatrixGauge()
     gauge.track(values)  # the root representation itself
     sparse_values = None  # A0 as a scipy matrix, made for the first sparse node
     counters = {"unassigned_docs": 0}
     nmf_levels: dict[int, dict] = {}
-    nmf_config = NmfConfig(
-        n_topics=config.n_topics,
-        max_iter=config.nmf_max_iter,
-        tol=config.nmf_tol,
-        seed=config.seed,
-        init=config.nmf_init,
-    )
+    nmf_config = NmfConfig(n_topics=config.n_topics, max_iter=config.nmf_max_iter,
+                           tol=config.nmf_tol, seed=config.seed)
 
     def node_matrix(rows: np.ndarray, scale):
         """Rows `rows` of A0 with columns scaled by `scale`, dense or sparse
@@ -304,17 +278,13 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
             node = TopicNode(
                 node_id=node_id,
                 level=level,
-                topic_index=i,
                 term_weights=pair.H[i].copy(),
                 # zero-weight terms say nothing about the topic; keep them out
                 top_terms=[(j, w) for j, w in top_words(pair.H, i, config.top_terms) if w > 0],
                 doc_ids=[a0.doc_ids[r] for r in global_rows],
             )
             if level + 1 <= config.max_depth and len(global_rows) >= config.min_docs:
-                if config.reweight_mode == REWEIGHT_ONES:
-                    m_ti = np.ones(m)
-                else:
-                    m_ti = parent_child_reweight(pair.H, i, hier)
+                m_ti = parent_child_reweight(pair.H, i, hier)
                 if m_ti.any():
                     node.children = expand(global_rows, m_ti, level + 1, node_id + ".")
                 else:
@@ -369,8 +339,9 @@ def tree_to_payload(tree: TopicTree, terms: list[str], top_k: int | None = None)
 
 
 def tree_from_payload(payload: dict, vocabulary: Vocabulary) -> TopicTree:
-    """Rebuild a TopicTree from its payload; term weights stay unset unless
-    factor dumps are attached separately."""
+    """Rebuild a TopicTree from a payload whose structure has been checked
+    (the CLI checks every tree.json it reads); term weights stay unset
+    unless factor dumps are attached separately."""
     by_id: dict[str, TopicNode] = {}
     for entry in payload["nodes"]:
         top_terms = []
@@ -384,7 +355,6 @@ def tree_from_payload(payload: dict, vocabulary: Vocabulary) -> TopicTree:
         by_id[entry["id"]] = TopicNode(
             node_id=entry["id"],
             level=int(entry["level"]),
-            topic_index=int(entry["id"].rsplit(".", 1)[-1]),
             term_weights=None,
             top_terms=top_terms,
             doc_ids=list(entry["doc_ids"]),
@@ -392,9 +362,6 @@ def tree_from_payload(payload: dict, vocabulary: Vocabulary) -> TopicTree:
     roots = []
     for entry in payload["nodes"]:
         node = by_id[entry["id"]]
-        for cid in entry["children"]:
-            if cid not in by_id:
-                raise ContractError(f"tree node {node.node_id!r} lists a missing child {cid!r}")
         node.children = [by_id[cid] for cid in entry["children"]]
         if node.level == 1:
             roots.append(node)

@@ -3,7 +3,8 @@
 Minimizes 0.5 * ||A - WH||_F^2 over nonnegative factors using the classic
 multiplicative update rules, which never increase the objective. That
 monotonicity is the property the test suite leans on, so the objective
-value after every iteration is recorded on the result.
+value after every iteration is recorded on the result. The factors start
+from one seeded uniform draw scaled to the mean entry of A.
 
 A may be sparse or dense. The tree builder passes a node matrix as a
 dense array when at least a fifth of its cells are stored (see
@@ -36,9 +37,6 @@ log = logging.getLogger(__name__)
 
 _EPS = 1e-12
 
-INIT_RANDOM = "random-uniform"
-INIT_NNDSVD = "nndsvd-like"
-
 
 @dataclass
 class NmfConfig:
@@ -46,17 +44,14 @@ class NmfConfig:
     max_iter: int = 300
     tol: float = 1e-5
     seed: int = 42
-    init: str = INIT_RANDOM
 
     def validate(self):
         if self.n_topics < 1:
             raise ConfigurationError("n_topics must be >= 1")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be > 0")
-        if self.init not in (INIT_RANDOM, INIT_NNDSVD):
-            raise ConfigurationError(f"unknown init {self.init!r}")
+        if not 0 < self.tol < float("inf"):
+            raise ConfigurationError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -100,41 +95,6 @@ def _init_random(a, k: int, rng: np.random.Generator):
     return w, h
 
 
-def _init_nndsvd(a, k: int, rng: np.random.Generator):
-    """SVD-seeded nonnegative init; zeros are lifted slightly so the
-    multiplicative updates can still move every entry.
-
-    Uses the full LAPACK SVD, which is deterministic even on rank-deficient
-    input. `rng` is unused; it keeps the signature of `_init_random`.
-    Components past min(n, m), which the SVD does not have, stay zero and
-    are lifted like every other zero.
-    """
-    n, m = a.shape
-    dense = a.toarray() if _is_sparse(a) else np.asarray(a, dtype=float)
-    u, s, vt = np.linalg.svd(dense, full_matrices=False)
-    w = np.zeros((n, k))
-    h = np.zeros((k, m))
-    w[:, 0] = np.sqrt(s[0]) * np.abs(u[:, 0])
-    h[0, :] = np.sqrt(s[0]) * np.abs(vt[0, :])
-    for j in range(1, min(k, s.size)):
-        x, y = u[:, j], vt[j, :]
-        xp, xn = np.maximum(x, 0), np.maximum(-x, 0)
-        yp, yn = np.maximum(y, 0), np.maximum(-y, 0)
-        mp = np.linalg.norm(xp) * np.linalg.norm(yp)
-        mn = np.linalg.norm(xn) * np.linalg.norm(yn)
-        if mp >= mn and mp > 0:
-            w[:, j] = np.sqrt(s[j] * mp) * xp / np.linalg.norm(xp)
-            h[j, :] = np.sqrt(s[j] * mp) * yp / np.linalg.norm(yp)
-        elif mn > 0:
-            w[:, j] = np.sqrt(s[j] * mn) * xn / np.linalg.norm(xn)
-            h[j, :] = np.sqrt(s[j] * mn) * yn / np.linalg.norm(yn)
-    mean = dense.mean()
-    lift = 1e-6 * (mean if mean > 0 else 1.0)
-    w[w < lift] = lift
-    h[h < lift] = lift
-    return w, h
-
-
 def factorize(a, config: NmfConfig) -> FactorPair:
     """Factor a nonnegative matrix into W (docs x topics) and H (topics x terms).
 
@@ -161,11 +121,7 @@ def factorize(a, config: NmfConfig) -> FactorPair:
         pair.converged = True
         return pair
 
-    rng = np.random.default_rng(config.seed)
-    if config.init == INIT_RANDOM:
-        w, h = _init_random(values, config.n_topics, rng)
-    else:
-        w, h = _init_nndsvd(values, config.n_topics, rng)
+    w, h = _init_random(values, config.n_topics, np.random.default_rng(config.seed))
 
     norm_a_sq = _sq_frobenius(values)
     values_t = values.T

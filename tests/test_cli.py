@@ -9,7 +9,8 @@ import pytest
 
 import hyhtm
 
-from hyhtm.cli import main
+from hyhtm import hypspace
+from hyhtm.cli import _load_run_config, build_parser, main
 from hyhtm.sparse_io import TRIPLET_DTYPE, file_sha256
 
 from conftest import PLANTED_ALPHA, PLANTED_K
@@ -342,6 +343,86 @@ class TestTrainCommand:
         cfg_path.write_text('{"mystery": 1}', encoding="utf-8")
         assert main(["train", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"k_s": "5"}', "'k_s'"),
+            ('{"k_s": true}', "'k_s'"),
+            ('{"k_s": 5.0}', "'k_s'"),
+            ('{"alpha": null}', "'alpha'"),
+            ('{"seed": "x"}', "'seed'"),
+            ('{"nmf_tol": "1e-5"}', "'nmf_tol'"),
+            ('{"nmf_tol": 1%s}' % ("0" * 400), "'nmf_tol'"),
+            ('{"no_cache": 1}', "'no_cache'"),
+            ('{"stopwords": "en"}', "'stopwords'"),
+            ('{"stopwords": [1]}', "'stopwords'"),
+            ('{"corpus": 7}', "'corpus'"),
+            ("[1, 2]", "JSON object"),
+        ],
+    )
+    def test_config_file_value_types_exit_2(self, tmp_path, capsys, text, named):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and named in err
+
+    def test_config_file_accepts_its_field_types(self, tmp_path):
+        values = {
+            "corpus": None, "alpha": 1, "nmf_tol": 1e-4, "k_s": 3,
+            "no_cache": True, "stopwords": ["en"],
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(values), encoding="utf-8")
+        args = build_parser().parse_args(["train", "--config", str(cfg_path)])
+        config = _load_run_config(args)
+        assert all(getattr(config, key) == value for key, value in values.items())
+
+    @pytest.mark.parametrize("flags", [["--nmf-tol", "0"], ["--nmf-tol", "nan"],
+                                       ["--nmf-max-iter", "0"], ["--seed", "-1"]])
+    def test_bad_train_settings_exit_2_before_any_matrix(
+        self, planted_cli, tmp_path, capsys, flags
+    ):
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+        args = train_args(corpus_bin, emb, tmp_path / "m", cache_dir=cache) + flags
+        assert main(args) == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not cache.exists() and not (tmp_path / "m").exists()
+
+    def test_one_neighbor_table_for_both_widths(self, planted_cli, tmp_path, monkeypatch):
+        # k_h > k_s: the hierarchy table is built once at k_h and the
+        # similarity build slices it; the cache files equal those of
+        # builds that each made their own table.
+        corpus_bin, emb = planted_cli
+        k_h = PLANTED_K + 10
+        real = hypspace._neighbor_table
+        builds = []
+
+        def counting(table, k):
+            before = table._neighbors
+            out = real(table, k)
+            if table._neighbors is not before:
+                builds.append(k)
+            return out
+
+        def unshared(table, k):
+            table._neighbors = None
+            return real(table, k)
+
+        caches = {}
+        for name, wrapper in (("shared", counting), ("unshared", unshared)):
+            monkeypatch.setattr(hypspace, "_neighbor_table", wrapper)
+            caches[name] = tmp_path / f"cache-{name}"
+            args = train_args(corpus_bin, emb, tmp_path / name, cache_dir=caches[name], k_h=k_h)
+            assert main(args) == 0
+        assert builds == [k_h]
+        files = {p.name: p.read_bytes() for p in caches["shared"].iterdir()}
+        assert len(files) == 3
+        assert files == {p.name: p.read_bytes() for p in caches["unshared"].iterdir()}
+        trees = [(tmp_path / name / "tree.json").read_bytes() for name in caches]
+        assert trees[0] == trees[1]
+
 
 @pytest.fixture()
 def metric_model(tmp_path):
@@ -477,7 +558,7 @@ print(json.dumps(out))
 """
 
 
-def run_scipy_probe(commands):
+def run_scipy_probe(commands, timeout=120):
     """Run CLI commands in a fresh interpreter; what it reports."""
     env = dict(os.environ)
     env.pop("HYHTM_CACHE_DIR", None)
@@ -486,10 +567,10 @@ def run_scipy_probe(commands):
     )
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "stderr": proc.stderr}
 
 
 class TestScipyStaysUnloaded:
@@ -613,3 +694,123 @@ class TestExportCommand:
         with pytest.raises(SystemExit) as err:
             main(["export", "--model", str(three_node_model), "--format", "pdf"])
         assert err.value.code == 2
+
+
+def _without(key):
+    return lambda d: d.pop(key)
+
+
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+def _edit(change, node=None):
+    """A mutation that applies `change` to the payload, or to one of its nodes."""
+
+    def mutate(payload):
+        change(payload if node is None else payload["nodes"][node])
+        return payload
+
+    return mutate
+
+
+# Each mutation of `contract_model`'s tree and a word its error must name.
+TREE_MUTATIONS = {
+    "self-child": (_edit(_set("children", ["0.0"]), 1), "'0.0'"),
+    "two-node-cycle": (_edit(_set("children", ["0"]), 1), "'0.0'"),
+    "duplicate-node": (_edit(lambda p: p["nodes"].append(dict(p["nodes"][1]))), "duplicate"),
+    "leaf-relabelled-level-7": (_edit(_set("level", 7), 3), "'1'"),
+    "root-relabelled-level-7": (_edit(_set("level", 7), 0), "'0'"),
+    "second-parent": (_edit(_set("children", ["0.1"]), 3), "'0.1'"),
+    "top-level-list": (lambda p: [p], "top level"),
+    "missing-nodes": (_edit(_without("nodes")), "nodes"),
+    "nodes-object": (_edit(_set("nodes", {})), "nodes"),
+    "config-list": (_edit(_set("config", [])), "config"),
+    "vocab-size-text": (_edit(lambda p: p["config"].update(vocab_size="three")), "vocab_size"),
+    "node-not-object": (_edit(lambda n: n.clear() or n.update(x=1), 0), "node 0"),
+    "missing-id": (_edit(_without("id"), 0), "node 0"),
+    "numeric-id": (_edit(_set("id", 0), 0), "node 0"),
+    "missing-level": (_edit(_without("level"), 2), "level"),
+    "level-text": (_edit(_set("level", "2"), 2), "level"),
+    "level-zero": (_edit(_set("level", 0), 0), "level"),
+    "level-bool": (_edit(_set("level", True), 0), "level"),
+    "missing-top-terms": (_edit(_without("top_terms"), 2), "top_terms"),
+    "top-terms-object": (_edit(_set("top_terms", {"term": "x"}), 2), "top_terms"),
+    "missing-term": (_edit(lambda n: n["top_terms"][0].pop("term"), 2), "top_terms"),
+    "term-number": (_edit(lambda n: n["top_terms"][0].update(term=3), 2), "top_terms"),
+    "weight-text": (_edit(lambda n: n["top_terms"][0].update(weight="1"), 2), "top_terms"),
+    "weight-nan": (_edit(lambda n: n["top_terms"][0].update(weight=float("nan")), 2), "top_terms"),
+    "weight-huge-int": (_edit(lambda n: n["top_terms"][0].update(weight=10**400), 2), "top_terms"),
+    "missing-doc-ids": (_edit(_without("doc_ids"), 2), "doc_ids"),
+    "doc-ids-numbers": (_edit(_set("doc_ids", [1, 2]), 2), "doc_ids"),
+    "missing-children": (_edit(_without("children"), 0), "children"),
+    "children-string": (_edit(_set("children", "0.0"), 0), "children"),
+}
+
+# Mutations that made the node walk loop, its stack growing by about 35 MB/s,
+# before the contract was checked; they run in a child process so that a
+# regression fails on a short timeout.
+CYCLES = ("self-child", "two-node-cycle")
+
+
+@pytest.fixture()
+def contract_model(metric_model):
+    """`metric_model`'s corpus with a valid two-level tree over its terms."""
+    corpus_bin, model = metric_model
+
+    def node(node_id, level, terms, doc_ids, children=()):
+        return {
+            "id": node_id, "level": level, "doc_ids": doc_ids, "children": list(children),
+            "top_terms": [{"term": t, "weight": 1.0 - i / 10} for i, t in enumerate(terms)],
+        }
+
+    payload = {
+        "config": {"vocab_size": 3},
+        "nodes": [
+            node("0", 1, ["alpha", "beta"], ["d1", "d2", "d3"], ["0.0", "0.1"]),
+            node("0.0", 2, ["beta", "alpha"], ["d1", "d2"]),
+            node("0.1", 2, ["gamma", "alpha"], ["d3"]),
+            node("1", 1, ["gamma"], ["d4"]),
+        ],
+    }
+    (model / "tree.json").write_text(json.dumps(payload), encoding="utf-8")
+    return corpus_bin, model, payload
+
+
+def reader_commands(corpus_bin, model, out):
+    """evaluate and both export formats over one model directory."""
+    return [
+        ["evaluate", "--model", str(model), "--corpus", str(corpus_bin),
+         "--output-dir", str(out / "report")],
+        ["export", "--model", str(model), "--format", "dot", "--output", str(out / "t.dot")],
+        ["export", "--model", str(model), "--format", "json", "--output", str(out / "t.json")],
+    ]
+
+
+class TestTreeContract:
+    def test_valid_tree_is_read_by_every_command(self, contract_model, tmp_path):
+        corpus_bin, model, _ = contract_model
+        for argv in reader_commands(corpus_bin, model, tmp_path):
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize("mutation", sorted(TREE_MUTATIONS))
+    def test_malformed_tree_exits_3_naming_file_and_node(
+        self, contract_model, tmp_path, capsys, mutation
+    ):
+        corpus_bin, model, payload = contract_model
+        change, named = TREE_MUTATIONS[mutation]
+        payload = change(payload)
+        (model / "tree.json").write_text(json.dumps(payload), encoding="utf-8")
+        commands = reader_commands(corpus_bin, model, tmp_path)
+        if mutation in CYCLES:
+            out = run_scipy_probe(commands, timeout=15)
+            codes, errors = out["codes"], out["stderr"].splitlines()
+        else:
+            codes, errors = [], []
+            for argv in commands:
+                codes.append(main(argv))
+                errors.append(capsys.readouterr().err)
+        assert codes == [3, 3, 3]
+        assert len(errors) == 3
+        for err in errors:
+            assert "tree.json" in err and named in err, err

@@ -1,0 +1,198 @@
+"""Property tests: damaged inputs end in a documented exit code.
+
+Truncated and bit-flipped `corpus.bin` files go through `train` and
+`evaluate`; mutated `tree.json` files go through `evaluate` and both
+`export` formats. Every run must return 0, 2, 3 or 4 from `cli.main`;
+any other exception fails the test.
+"""
+
+import json
+import signal
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hyhtm.cli import main
+
+from conftest import write_embedding_file
+
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+
+# Seconds one command may take; every command here takes well under one.
+COMMAND_SECONDS = 10
+
+FUZZ_SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+_WORDS = ["apple", "banana", "cherry", "grape", "lemon", "mango", "olive", "peach"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """A small corpus, embeddings for its terms, and a tree trained on them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(11)
+    rows = [
+        {"id": f"d{i}", "text": " ".join(rng.choice(_WORDS[(i % 2) * 4 :][:4], size=6))}
+        for i in range(24)
+    ]
+    docs = root / "docs.jsonl"
+    docs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    prep = root / "prep"
+    assert main(["preprocess", "--input", str(docs), "--output-dir", str(prep),
+                 "--min-doc-freq", "1"]) == 0
+    emb = write_embedding_file(
+        root / "emb.txt", [(w, rng.uniform(-0.4, 0.4, size=3)) for w in _WORDS]
+    )
+    model = root / "model"
+    assert main(train_args(prep / "corpus.bin", emb, model)) == 0
+    return {"root": root, "corpus": (prep / "corpus.bin").read_bytes(), "emb": emb,
+            "model": model, "tree": (model / "tree.json").read_bytes()}
+
+
+def train_args(corpus_bin, emb, out):
+    return [
+        "train", "--corpus", str(corpus_bin), "--embeddings", str(emb),
+        "--output-dir", str(out), "--no-cache", "--k-s", "4", "--k-h", "4",
+        "--alpha", "0.1", "--n-topics", "2", "--max-depth", "2", "--min-docs", "4",
+        "--seed", "0",
+    ]
+
+
+def damaged_bytes(blob: bytes):
+    """Strategy: `blob` cut short, or with one to three bits flipped."""
+    truncated = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+    flips = st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3)
+
+    def flip(bits):
+        out = bytearray(blob)
+        for bit in bits:
+            out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+
+    return st.one_of(truncated, flips.map(flip))
+
+
+@pytest.fixture(autouse=True)
+def command_alarm():
+    """Make a command that runs past COMMAND_SECONDS raise, so that a hang
+    (a cyclic tree once looped forever) fails the test instead of the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"command ran past {COMMAND_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def run(argv) -> int:
+    signal.setitimer(signal.ITIMER_REAL, COMMAND_SECONDS)
+    try:
+        code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    assert code in DOCUMENTED_EXITS, (argv, code)
+    return code
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_damaged_corpus_exits_with_a_documented_code(fuzz_model, data):
+    root = fuzz_model["root"]
+    corpus = root / "damaged-corpus.bin"
+    corpus.write_bytes(data.draw(damaged_bytes(fuzz_model["corpus"])))
+    run(train_args(corpus, fuzz_model["emb"], root / "damaged-train"))
+    run(["evaluate", "--model", str(fuzz_model["model"]), "--corpus", str(corpus),
+         "--output-dir", str(root / "damaged-report")])
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8), st.text(max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["0", "1", "0.0", "0.1", "1.0", "apple", "d1"]),
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["id", "level", "term", "weight", "children", "x"]), inner, max_size=3
+    ),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    """Every location inside a JSON value, as key/index tuples."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def mutated_payload(payload):
+    """Strategy: `payload` with one location replaced, deleted or duplicated."""
+
+    @st.composite
+    def mutate(draw):
+        doc = json.loads(json.dumps(payload))
+        path = draw(st.sampled_from(list(_paths(doc))))
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if not path:
+            return draw(_JSON)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "replace":
+            parent[key] = draw(_JSON)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+        else:
+            parent[key] = [parent[key], parent[key]]
+        return doc
+
+    return mutate()
+
+
+def _read_commands(fuzz_model):
+    root, model = fuzz_model["root"], fuzz_model["root"] / "mutated-model"
+    model.mkdir(exist_ok=True)
+    corpus = root / "corpus.bin"
+    corpus.write_bytes(fuzz_model["corpus"])
+    return model, [
+        ["evaluate", "--model", str(model), "--corpus", str(corpus),
+         "--output-dir", str(root / "mutated-report")],
+        ["export", "--model", str(model), "--format", "dot", "--output", str(root / "t.dot")],
+        ["export", "--model", str(model), "--format", "json", "--output", str(root / "t.json")],
+    ]
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_mutated_tree_exits_with_a_documented_code(fuzz_model, data):
+    model, commands = _read_commands(fuzz_model)
+    payload = json.loads(fuzz_model["tree"])
+    text = json.dumps(data.draw(mutated_payload(payload)))
+    (model / "tree.json").write_text(text, encoding="utf-8")
+    for argv in commands:
+        run(argv)
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_damaged_tree_bytes_exit_with_a_documented_code(fuzz_model, data):
+    model, commands = _read_commands(fuzz_model)
+    (model / "tree.json").write_bytes(data.draw(damaged_bytes(fuzz_model["tree"])))
+    for argv in commands:
+        run(argv)

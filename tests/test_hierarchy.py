@@ -7,7 +7,6 @@ from hyhtm import (
     TrainConfig,
     assign_documents,
     build_hierarchy,
-    next_level_representation,
     parent_child_reweight,
     top_words,
 )
@@ -126,46 +125,6 @@ class TestParentChildReweight:
         assert parent_child_reweight(h, 1, mh).min() >= 0
 
 
-class TestNextLevelRepresentation:
-    def test_all_ones_is_identity(self):
-        values = sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        out = next_level_representation(values, np.ones(2))
-        assert np.array_equal(out.toarray(), values.toarray())
-
-    def test_hand_hadamard(self):
-        values = sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        out = next_level_representation(values, np.array([0.5, 0.0]))
-        assert out.toarray().tolist() == [[0.5, 0.0], [0.0, 0.0]]
-
-    def test_all_zeros_annihilates(self):
-        values = sparse.csr_matrix(np.array([[1.0, 2.0]]))
-        out = next_level_representation(values, np.zeros(2))
-        assert out.nnz == 0
-
-    def test_support_never_grows(self):
-        rng = np.random.default_rng(33)
-        values = sparse.random(20, 15, density=0.3, random_state=4).tocsr()
-        values.data = np.abs(values.data)
-        reweight = rng.random(15) * (rng.random(15) < 0.6)
-        out = next_level_representation(values, reweight)
-        parent = set(zip(*values.nonzero()))
-        child = set(zip(*out.nonzero()))
-        assert child <= parent
-
-    def test_wraps_representation_type(self):
-        rep = DocTermRepresentation(
-            values=sparse.csr_matrix(np.array([[1.0, 2.0]])), doc_ids=["a"]
-        )
-        out = next_level_representation(rep, np.array([1.0, 0.5]))
-        assert isinstance(out, DocTermRepresentation)
-        assert out.doc_ids == ["a"]
-
-    def test_shape_error(self):
-        values = sparse.csr_matrix(np.array([[1.0, 2.0]]))
-        with pytest.raises(ShapeError):
-            next_level_representation(values, np.ones(3))
-
-
 class TestTopWords:
     def test_direct_sort(self):
         picks = top_words(np.array([[0.1, 0.9, 0.3]]), 0, 2)
@@ -249,14 +208,6 @@ class TestBuildHierarchy:
         )
         assert tree.depth == PLANTED_MAX_DEPTH
 
-    def test_all_ones_reduction_runs(self, planted_matrices):
-        tree = build_hierarchy(
-            planted_matrices["a0"],
-            planted_matrices["mh"],
-            planted_config(seed=0, reweight_mode="ones"),
-        )
-        assert tree.depth == PLANTED_MAX_DEPTH
-
     def test_deterministic_given_seed(self, planted_matrices, planted_corpus):
         terms = planted_corpus.vocabulary.terms
         trees = [
@@ -270,21 +221,23 @@ class TestBuildHierarchy:
             assert np.array_equal(w1, w2)
 
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
-    @pytest.mark.parametrize("reweight_mode", ["hierarchy", "ones"])
+    @pytest.mark.parametrize("hierarchy_matrix", ["hierarchy", "identity"])
     def test_cache_arrays_build_the_scipy_tree(
-        self, planted_matrices, planted_corpus, monkeypatch, reweight_mode, layout
+        self, planted_matrices, planted_corpus, monkeypatch, hierarchy_matrix, layout
     ):
         # A cache hit hands build_hierarchy numpy CSR arrays; the tree is
         # identical to the one built from the scipy matrices, with the
-        # planted nodes factorized dense (their own layout) or sparse.
+        # planted nodes factorized dense (their own layout) or sparse, under
+        # the planted hierarchy matrix or the identity.
         if layout == "sparse":
             monkeypatch.setattr(hierarchy, "DENSE_MIN_DENSITY", 1.0)
-        a0, mh = planted_matrices["a0"], planted_matrices["mh"]
-        config = planted_config(seed=4, reweight_mode=reweight_mode)
+        a0 = planted_matrices["a0"]
+        mh = planted_matrices["mh" if hierarchy_matrix == "hierarchy" else "mh_identity"]
+        config = planted_config(seed=4)
         from_scipy = build_hierarchy(a0, mh, config)
         from_arrays = build_hierarchy(
             DocTermRepresentation(values=as_cache_arrays(a0.values), doc_ids=a0.doc_ids),
-            as_cache_arrays(mh.entries),
+            as_cache_arrays(getattr(mh, "entries", mh)),
             config,
         )
         terms = planted_corpus.vocabulary.terms
@@ -409,8 +362,13 @@ class TestBuildHierarchy:
             TrainConfig(max_depth=0).validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(n_topics=10, min_docs=5).validate()
-        with pytest.raises(ConfigurationError):
-            TrainConfig(reweight_mode="other").validate()
+        with pytest.raises(ConfigurationError, match="nmf_max_iter"):
+            TrainConfig(nmf_max_iter=0).validate()
+        for tol in (0.0, -1e-5, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="nmf_tol"):
+                TrainConfig(nmf_tol=tol).validate()
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrainConfig(seed=-1).validate()
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -37,7 +37,6 @@ def hand_tree(levels):
         node = TopicNode(
             node_id=f"{prefix}{index}",
             level=level,
-            topic_index=index,
             term_weights=None if weights is None else np.asarray(weights, dtype=float),
             top_terms=(
                 []

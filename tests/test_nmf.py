@@ -70,46 +70,6 @@ class TestFactorize:
         pair = factorize(a, NmfConfig(n_topics=2, max_iter=30, seed=0))
         assert pair.W.shape == (10, 2) and pair.H.shape == (2, 12)
 
-    def test_nndsvd_like_init_runs_and_is_deterministic(self):
-        rng = np.random.default_rng(25)
-        a = random_nonnegative(rng, 15, 20, 0.5)
-        cfg = NmfConfig(n_topics=3, max_iter=40, seed=3, init="nndsvd-like")
-        p1 = factorize(a, cfg)
-        p2 = factorize(a, cfg)
-        assert np.array_equal(p1.W, p2.W) and np.array_equal(p1.H, p2.H)
-        hist = p1.objective_history
-        for prev, cur in zip(hist, hist[1:]):
-            assert cur <= prev + 1e-10
-
-    def test_nndsvd_like_init_is_deterministic_on_rank_deficient_input(self):
-        # Exact rank 2 with zeros, asked for more components, with calls of
-        # other k in between: a truncated iterative SVD gave a different W
-        # on the later k=5 calls for this input.
-        rng = np.random.default_rng(9)
-        u = rng.random((7, 2)) * (rng.random((7, 2)) < 0.6)
-        v = rng.random((2, 10)) * (rng.random((2, 10)) < 0.6)
-        a = sparse.csr_matrix(u @ v)
-        first = nmf._init_nndsvd(a, 5, np.random.default_rng(0))
-        for k in (3, 5, 2, 5, 4, 5):
-            w, h = nmf._init_nndsvd(a, k, np.random.default_rng(0))
-            if k == 5:
-                assert np.array_equal(w, first[0]) and np.array_equal(h, first[1])
-        cfg = NmfConfig(n_topics=5, max_iter=30, seed=0, init="nndsvd-like")
-        p1, p2 = factorize(a, cfg), factorize(a, cfg)
-        assert np.array_equal(p1.W, p2.W) and np.array_equal(p1.H, p2.H)
-
-    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
-    def test_nndsvd_like_init_with_more_topics_than_min_dimension(self, shape):
-        rng = np.random.default_rng(27)
-        a = sparse.csr_matrix(rng.random(shape))
-        w, h = nmf._init_nndsvd(a, 6, rng)
-        assert w.shape == (shape[0], 6) and h.shape == (6, shape[1])
-        lift = 1e-6 * a.toarray().mean()
-        assert np.all(w[:, min(shape):] == lift) and np.all(h[min(shape):] == lift)
-        pair = factorize(a, NmfConfig(n_topics=6, max_iter=40, seed=0, init="nndsvd-like"))
-        hist = pair.objective_history
-        assert all(cur <= prev + 1e-10 for prev, cur in zip(hist, hist[1:]))
-
     def test_convergence_flag_and_history_length(self):
         a = sparse.csr_matrix(np.outer([1.0, 2.0, 3.0], [1.0, 0.5]))
         pair = factorize(a, NmfConfig(n_topics=1, max_iter=500, tol=1e-9, seed=0))
@@ -123,8 +83,9 @@ class TestFactorize:
             NmfConfig(n_topics=2, max_iter=0).validate()
         with pytest.raises(ConfigurationError):
             NmfConfig(n_topics=2, tol=0.0).validate()
-        with pytest.raises(ConfigurationError):
-            NmfConfig(n_topics=2, init="fancy").validate()
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                NmfConfig(n_topics=2, tol=tol).validate()
 
 
 class TestReconstructionError:
@@ -156,9 +117,7 @@ def reference_factorize(a, config: NmfConfig) -> FactorPair:
     """The textbook loop: three sparse products per iteration (A·Hᵀ for the
     W update, Aᵀ·W for the H update, A·Hᵀ again for the objective), with Aᵀ,
     H·Hᵀ and WᵀW rebuilt wherever they are used."""
-    rng = np.random.default_rng(config.seed)
-    init = nmf._init_random if config.init == nmf.INIT_RANDOM else nmf._init_nndsvd
-    w, h = init(a, config.n_topics, rng)
+    w, h = nmf._init_random(a, config.n_topics, np.random.default_rng(config.seed))
     norm_a_sq = nmf._sq_frobenius(a)
 
     def objective(w, h):
@@ -241,12 +200,6 @@ class TestMatchesTextbookLoop:
         a = _seeded_input(3, 20, 30, 0.5, dense)
         pair = self.assert_same(a, NmfConfig(n_topics=4, max_iter=1, seed=3))
         assert pair.n_iter == 1 and len(pair.objective_history) == 2
-
-    def test_nndsvd_like_init(self, dense):
-        # Full rank, so the truncated SVD behind the init is unique.
-        a = _seeded_input(4, 18, 24, 0.6, dense)
-        assert np.linalg.matrix_rank(sparse.csr_matrix(a).toarray()) >= 3
-        self.assert_same(a, NmfConfig(n_topics=3, max_iter=60, tol=1e-8, seed=4, init="nndsvd-like"))
 
     def test_reconstruction_error_matches_expansion(self, dense):
         a = _seeded_input(5, 15, 20, 0.5, dense)
