@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 user or input error, 3 data-contract error,
 4 degenerate-corpus stop. Every command is deterministic given its config,
 inputs, and seed; `train` reruns reproduce tree.json byte for byte. The
-matrix cache is keyed by content hashes of the inputs plus hyperparameters
-and can be redirected with the HYHTM_CACHE_DIR environment variable.
+matrix cache is keyed by content hashes of the inputs plus hyperparameters;
+the HYHTM_CACHE_DIR environment variable overrides --cache-dir, and
+--no-cache turns the cache off whatever the variable says.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,81 +49,39 @@ _INPUT_ERRORS = (ConfigurationError, CorpusError, EmbeddingParseError, OSError)
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; JSON config files use these exact keys."""
+    """A run's own settings plus the library's preprocessing and training
+    settings; JSON config files use every field of all three as a flat key."""
 
     input: str | None = None
     input_format: str = "auto"
     corpus: str | None = None
     embeddings: str | None = None
-    space: str = hypspace.HYPERBOLIC
-    alpha: float = 0.1
-    k_s: int = 500
-    k_h: int = 500
-    n_topics: int = 10
-    max_depth: int = 3
-    min_docs: int = 50
-    seed: int = 42
-    top_terms: int = 10
     output_dir: str = "."
     cache_dir: str | None = None
     no_cache: bool = False
     write_factors: bool = True
-    stopwords: list[str] | None = None
-    min_doc_freq: int = 5
-    min_token_length: int = 1
-    ratio_filter: bool = False
-    ratio_threshold: float = 0.8
-    stem: bool = False
-    nmf_max_iter: int = 300
-    nmf_tol: float = 1e-5
-
-    def preprocess_config(self) -> corpus_mod.PreprocessConfig:
-        cfg = corpus_mod.PreprocessConfig(
-            stopword_lists=tuple(self.stopwords) if self.stopwords else None,
-            min_doc_freq=self.min_doc_freq,
-            min_token_length=self.min_token_length,
-            ratio_filter_enabled=self.ratio_filter,
-            ratio_threshold=self.ratio_threshold,
-            stemmer_enabled=self.stem,
-        )
-        cfg.validate()
-        return cfg
-
-    def train_config(self) -> hierarchy_mod.TrainConfig:
-        cfg = hierarchy_mod.TrainConfig(
-            n_topics=self.n_topics,
-            max_depth=self.max_depth,
-            min_docs=self.min_docs,
-            alpha=self.alpha,
-            k_s=self.k_s,
-            k_h=self.k_h,
-            seed=self.seed,
-            space=self.space,
-            top_terms=self.top_terms,
-            nmf_max_iter=self.nmf_max_iter,
-            nmf_tol=self.nmf_tol,
-        )
-        cfg.validate()
-        return cfg
+    preprocess: corpus_mod.PreprocessConfig = field(default_factory=corpus_mod.PreprocessConfig)
+    train: hierarchy_mod.TrainConfig = field(default_factory=hierarchy_mod.TrainConfig)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _config_keys(config: RunConfig) -> dict:
+    """Each flat config key, mapped to the dataclass in `config` that
+    declares it and to its field there."""
+    sections = {"preprocess": config.preprocess, "train": config.train}
+    return {
+        f.name: (owner, f)
+        for owner in (config, *sections.values()) for f in fields(owner) if f.name not in sections
+    }
 
 
-def _is_float(value) -> bool:
-    """A float, or an int small enough to convert to one."""
-    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
-
-
-# The JSON values a config-file key takes, by the base type of its RunConfig
-# field; a field annotated `... | None` also takes null.
+# The JSON values a config-file key takes, by the base type of its field;
+# a field annotated `... | None` also takes null.
 _VALUE_CHECKS = {
     "str": lambda v: isinstance(v, str),
-    "int": _is_int,
-    "float": _is_float,
+    "int": hierarchy_mod._is_int,
+    "float": hierarchy_mod._is_float,
     "bool": lambda v: isinstance(v, bool),
-    "list[str]": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "list[str]": hierarchy_mod._is_str_list,
 }
 
 
@@ -139,28 +97,33 @@ def _read_json(path: Path, error: type[HyhtmError]):
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    """Layer dataclass defaults, then the JSON config file, then CLI flags."""
-    merged = asdict(RunConfig())
+    """Layer dataclass defaults, then the JSON config file, then CLI flags;
+    each key goes to the dataclass that declares it."""
+    config = RunConfig()
+    keys = _config_keys(config)
+    values = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise ConfigurationError(f"config file not found: {path}")
-        file_values = _read_json(path, ConfigurationError)
-        if not isinstance(file_values, dict):
+        values = _read_json(path, ConfigurationError)
+        if not isinstance(values, dict):
             raise ConfigurationError(f"{path}: a config file must hold a JSON object")
-        unknown = set(file_values) - set(merged)
+        unknown = set(values) - set(keys)
         if unknown:
             raise ConfigurationError(f"{path}: unknown config keys: {sorted(unknown)}")
-        for f in (f for f in fields(RunConfig) if f.name in file_values):
-            value, (base, _, optional) = file_values[f.name], f.type.partition(" | ")
+        for name, value in values.items():
+            annotation = keys[name][1].type
+            base, _, optional = annotation.partition(" | ")
             if not (value is None and optional or _VALUE_CHECKS[base](value)):
-                raise ConfigurationError(f"{path}: config key {f.name!r} must be {f.type}")
-        merged.update(file_values)
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+                raise ConfigurationError(f"{path}: config key {name!r} must be {annotation}")
+    for name in keys:
+        value = getattr(args, name, None)
         if value is not None:
-            merged[f.name] = value
-    return RunConfig(**merged)
+            values[name] = value
+    for name, value in values.items():
+        setattr(keys[name][0], name, value)
+    return config
 
 
 def _resolve_cache_dir(config: RunConfig) -> Path | None:
@@ -187,7 +150,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     path = Path(config.input)
     if not path.exists():
         raise CorpusError(f"input file not found: {path}")
-    pre_cfg = config.preprocess_config()
+    config.preprocess.validate()
 
     fmt = config.input_format
     if fmt == "auto":
@@ -201,7 +164,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     if not raw:
         raise CorpusError(f"{path}: no documents")
 
-    built = corpus_mod.preprocess(raw, pre_cfg)
+    built = corpus_mod.preprocess(raw, config.preprocess)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(built, out_dir / "corpus.bin")
@@ -224,6 +187,7 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     cache status of each artifact is `hit`, `miss` (no file), `rebuilt`
     (a damaged file, logged and replaced) or `off` (no cache).
     """
+    train = config.train
     m = len(built.vocabulary)
     corpus_sha = sparse_io.file_sha256(config.corpus)
     emb_sha = sparse_io.file_sha256(config.embeddings)
@@ -242,15 +206,15 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
 
     sim_key = sparse_io.cache_key(
         "similarity", corpus=corpus_sha, embeddings=emb_sha,
-        space=config.space, alpha=config.alpha, k_s=config.k_s,
+        space=train.space, alpha=train.alpha, k_s=train.k_s,
     )
     hier_key = sparse_io.cache_key(
         "hierarchy", corpus=corpus_sha, embeddings=emb_sha,
-        space=config.space, k_h=config.k_h,
+        space=train.space, k_h=train.k_h,
     )
     repr_key = sparse_io.cache_key(
         "representation", corpus=corpus_sha, embeddings=emb_sha,
-        space=config.space, alpha=config.alpha, k_s=config.k_s,
+        space=train.space, alpha=train.alpha, k_s=train.k_s,
     )
 
     sim = load("similarity", sim_key, (m, m))
@@ -259,18 +223,18 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
 
     coverage = None
     if sim is None or hier is None or a0 is None:
-        table = hypspace.load_embeddings(config.embeddings, built.vocabulary, config.space)
+        table = hypspace.load_embeddings(config.embeddings, built.vocabulary, train.space)
         coverage = table.coverage
         if not table.covered:
             raise ContractError("no vocabulary term has an embedding vector")
         if sim is None and hier is None:  # one kNN pass: the narrower build slices it
-            hypspace._neighbor_table(table, max(config.k_s, config.k_h))
+            hypspace._neighbor_table(table, max(train.k_s, train.k_h))
         if sim is None:
-            sim = hypspace.build_similarity_matrix(table, config.k_s, config.alpha).entries
+            sim = hypspace.build_similarity_matrix(table, train.k_s, train.alpha).entries
             if cache:
                 cache.save(sim_key, sim)
         if hier is None:
-            hier = hypspace.build_hierarchy_matrix(table, config.k_h).entries
+            hier = hypspace.build_hierarchy_matrix(table, train.k_h).entries
             if cache:
                 cache.save(hier_key, hier)
         if a0 is None:
@@ -291,14 +255,14 @@ def cmd_train(config: RunConfig) -> int:
     for path in (config.corpus, config.embeddings):
         if not Path(path).exists():
             raise CorpusError(f"input file not found: {path}")
-    train_cfg = config.train_config()
+    config.train.validate()
 
     t_start = time.perf_counter()
     built = corpus_mod.read_corpus(config.corpus)
     rep, hier, hashes, coverage, cache_status = _load_or_build_matrices(config, built)
     t_matrices = time.perf_counter()
 
-    tree = hierarchy_mod.build_hierarchy(rep, hier, train_cfg)
+    tree = hierarchy_mod.build_hierarchy(rep, hier, config.train)
     t_tree = time.perf_counter()
     if not tree.roots:
         diagnostic = tree.provenance.get("diagnostic", "no topics were produced")
@@ -323,7 +287,7 @@ def cmd_train(config: RunConfig) -> int:
 
     provenance = dict(tree.provenance)
     provenance.update(hashes)
-    provenance["space"] = config.space
+    provenance["space"] = config.train.space
     provenance["embedding_coverage"] = coverage
     provenance["cache"] = cache_status
     provenance["tree_sha256"] = sparse_io.file_sha256(out_dir / "tree.json")
@@ -339,62 +303,17 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _read_tree_payload(model_dir: Path) -> dict:
+def _read_tree(model_dir: Path, read):
+    """`read` applied to a model directory's tree.json payload; a contract
+    error from reading or from `read` names the file."""
     tree_path = model_dir / "tree.json"
     if not tree_path.exists():
         raise CorpusError(f"model file not found: {tree_path}")
     payload = _read_json(tree_path, ContractError)
-    _check_tree_payload(payload, tree_path)
-    return payload
-
-
-def _is_term_entry(item) -> bool:
-    return isinstance(item, dict) and isinstance(item.get("term"), str) and (
-        _is_float(item.get("weight")) and math.isfinite(item["weight"])
-    )
-
-
-def _check_tree_payload(payload, path: Path):
-    """The tree.json contract that evaluate and export rely on: unique
-    string ids, int levels >= 1, finite term weights, and every node above
-    level 1 listed as a child by exactly one node one level up, which rules
-    out cycles."""
-
-    def fail(where, what):
-        raise ContractError(f"{path}: {where}: {what}")
-
-    if not (isinstance(payload, dict) and isinstance(payload.get("nodes"), list)):
-        fail("top level", "expected an object with a 'nodes' list")
-    config = payload.get("config", {})
-    if not (isinstance(config, dict) and _is_int(config.get("vocab_size", 0))):
-        fail("config", "expected an object whose 'vocab_size', if any, is an int")
-    nodes = {}
-    for pos, node in enumerate(payload["nodes"]):
-        if not (isinstance(node, dict) and isinstance(node.get("id"), str)):
-            fail(f"node {pos}", "expected an object with a string 'id'")
-        where = f"node {node['id']!r}"
-        if node["id"] in nodes:
-            fail(where, "duplicate id")
-        if not (_is_int(node.get("level")) and node["level"] >= 1):
-            fail(where, "'level' must be an int >= 1")
-        if not (isinstance(node.get("top_terms"), list)
-                and all(map(_is_term_entry, node["top_terms"]))):
-            fail(where, "'top_terms' must be a list of {term: string, weight: finite number}")
-        for key in ("doc_ids", "children"):
-            if not _VALUE_CHECKS["list[str]"](node.get(key)):
-                fail(where, f"{key!r} must be a list of strings")
-        nodes[node["id"]] = node
-    parent_of = {}
-    for node_id, node in nodes.items():
-        for child in node["children"]:
-            if nodes.get(child, {}).get("level") != node["level"] + 1:
-                fail(f"node {node_id!r}", f"child {child!r} is missing or not one level below")
-            if child in parent_of:
-                fail(f"node {child!r}", f"has two parents, {parent_of[child]!r} and {node_id!r}")
-            parent_of[child] = node_id
-    for node_id, node in nodes.items():
-        if node["level"] > 1 and node_id not in parent_of:
-            fail(f"node {node_id!r}", f"at level {node['level']} has no parent")
+    try:
+        return read(payload)
+    except ContractError as exc:
+        raise ContractError(f"{tree_path}: {exc}") from None
 
 
 def _attach_factors(tree: hierarchy_mod.TopicTree, model_dir: Path, m: int):
@@ -418,9 +337,8 @@ def cmd_evaluate(config: RunConfig, model_dir: str) -> int:
     if not Path(config.corpus).exists():
         raise CorpusError(f"input file not found: {config.corpus}")
     model = Path(model_dir)
-    payload = _read_tree_payload(model)
     built = corpus_mod.read_corpus(config.corpus)
-    tree = hierarchy_mod.tree_from_payload(payload, built.vocabulary)
+    tree = _read_tree(model, lambda p: hierarchy_mod.tree_from_payload(p, built.vocabulary))
     _attach_factors(tree, model, len(built.vocabulary))
 
     report = metrics.evaluate(tree, built)
@@ -437,8 +355,10 @@ def cmd_evaluate(config: RunConfig, model_dir: str) -> int:
 
 
 def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, top_k: int) -> int:
+    if top_k < 1:
+        raise ConfigurationError(f"--top-k must be >= 1, got {top_k}")
     model = Path(model_dir)
-    payload = _read_tree_payload(model)
+    payload = _read_tree(model, hierarchy_mod.check_tree_payload)
     if fmt == "dot":
         lines = ["digraph topics {", '  node [shape=box];']
         for node in payload["nodes"]:
@@ -464,7 +384,7 @@ def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, 
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON config file with RunConfig keys")
+    parser.add_argument("--config", help="JSON config file with flat setting keys")
     parser.add_argument("--output-dir", dest="output_dir")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--verbose", action="store_true", default=False)

@@ -111,26 +111,28 @@ class DocTermRepresentation:
 class PreprocessConfig:
     """Knobs for text cleanup and vocabulary filtering.
 
-    `stopword_lists` of None selects the two bundled lists (general English
-    plus the SMART list). The ratio filter is implemented verbatim as
-    documented and kept off by default; `min_doc_freq` is the operative
-    rare-term filter.
+    `stopwords` lists stopword files; None or an empty list selects the two
+    bundled lists (general English plus the SMART list). The ratio filter
+    is implemented verbatim as documented and kept off by default;
+    `min_doc_freq` is the operative rare-term filter.
     """
 
-    stopword_lists: tuple[str, ...] | None = None
+    stopwords: list[str] | None = None
     min_doc_freq: int = 5
     min_token_length: int = 1
-    ratio_filter_enabled: bool = False
+    ratio_filter: bool = False
     ratio_threshold: float = 0.8
-    stemmer_enabled: bool = False
+    stem: bool = False
 
     def validate(self):
         if self.min_doc_freq < 1:
             raise ConfigurationError("min_doc_freq must be >= 1")
         if self.min_token_length < 1:
             raise ConfigurationError("min_token_length must be >= 1")
-        if self.ratio_threshold <= 0:
-            raise ConfigurationError("ratio_threshold must be > 0")
+        if not 0 < self.ratio_threshold < float("inf"):
+            raise ConfigurationError(
+                f"ratio_threshold must be finite and > 0, got {self.ratio_threshold}"
+            )
 
 
 def bundled_stopword_paths() -> tuple[str, str]:
@@ -183,7 +185,7 @@ def tokenize(text: str, stopwords: set[str], config: PreprocessConfig) -> list[s
             continue
         if tok in stopwords:
             continue
-        if config.stemmer_enabled:
+        if config.stem:
             tok = _light_stem(tok)
         if len(tok) < config.min_token_length:
             continue
@@ -210,8 +212,7 @@ def preprocess(raw_documents, config: PreprocessConfig | None = None) -> Corpus:
             raise CorpusError(f"duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
 
-    paths = config.stopword_lists if config.stopword_lists is not None else bundled_stopword_paths()
-    stopwords = load_stopwords(paths)
+    stopwords = load_stopwords(config.stopwords or bundled_stopword_paths())
 
     tokenized = [(doc_id, tokenize(text, stopwords, config)) for doc_id, text in raw_documents]
 
@@ -222,7 +223,7 @@ def preprocess(raw_documents, config: PreprocessConfig | None = None) -> Corpus:
         total_count.update(toks)
 
     kept = {t for t, df in doc_freq.items() if df >= config.min_doc_freq}
-    if config.ratio_filter_enabled:
+    if config.ratio_filter:
         # Verbatim rule: drop terms whose occurrences-per-containing-document
         # ratio is below the threshold. The ratio is >= 1, so thresholds
         # below 1 cannot exclude anything; the flag exists for fidelity.

@@ -20,6 +20,8 @@ cache hit take the same path, and scipy is needed only for a sparse node.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 import weakref
 from dataclasses import asdict, dataclass, field
 
@@ -319,17 +321,16 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
     return TopicTree(roots=roots, config=asdict(config), provenance=provenance)
 
 
-def tree_to_payload(tree: TopicTree, terms: list[str], top_k: int | None = None) -> dict:
+def tree_to_payload(tree: TopicTree, terms: list[str]) -> dict:
     """The serializable tree structure: config plus a flat preorder node list."""
     nodes = []
     for node in tree.nodes():
-        top = node.top_terms if top_k is None else node.top_terms[:top_k]
         nodes.append(
             {
                 "id": node.node_id,
                 "level": node.level,
                 "top_terms": [
-                    {"term": terms[j], "weight": w} for j, w in top
+                    {"term": terms[j], "weight": w} for j, w in node.top_terms
                 ],
                 "doc_ids": list(node.doc_ids),
                 "children": [c.node_id for c in node.children],
@@ -338,10 +339,73 @@ def tree_to_payload(tree: TopicTree, terms: list[str], top_k: int | None = None)
     return {"config": dict(tree.config), "nodes": nodes}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_float(value) -> bool:
+    """A float, or an int small enough to convert to one."""
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _is_term_entry(item) -> bool:
+    return isinstance(item, dict) and isinstance(item.get("term"), str) and (
+        _is_float(item.get("weight")) and math.isfinite(item["weight"])
+    )
+
+
+def check_tree_payload(payload) -> dict:
+    """`payload` once it meets the contract that `tree_from_payload` relies
+    on: unique string ids, int levels >= 1, finite term weights, and every
+    node above level 1 listed as a child by exactly one node one level up,
+    which rules out cycles. A violation raises ContractError naming the node."""
+
+    def fail(where, what):
+        raise ContractError(f"{where}: {what}")
+
+    if not (isinstance(payload, dict) and isinstance(payload.get("nodes"), list)):
+        fail("top level", "expected an object with a 'nodes' list")
+    config = payload.get("config", {})
+    if not (isinstance(config, dict) and _is_int(config.get("vocab_size", 0))):
+        fail("config", "expected an object whose 'vocab_size', if any, is an int")
+    nodes = {}
+    for pos, node in enumerate(payload["nodes"]):
+        if not (isinstance(node, dict) and isinstance(node.get("id"), str)):
+            fail(f"node {pos}", "expected an object with a string 'id'")
+        where = f"node {node['id']!r}"
+        if node["id"] in nodes:
+            fail(where, "duplicate id")
+        if not (_is_int(node.get("level")) and node["level"] >= 1):
+            fail(where, "'level' must be an int >= 1")
+        if not (isinstance(node.get("top_terms"), list)
+                and all(map(_is_term_entry, node["top_terms"]))):
+            fail(where, "'top_terms' must be a list of {term: string, weight: finite number}")
+        for key in ("doc_ids", "children"):
+            if not _is_str_list(node.get(key)):
+                fail(where, f"{key!r} must be a list of strings")
+        nodes[node["id"]] = node
+    parent_of = {}
+    for node_id, node in nodes.items():
+        for child in node["children"]:
+            if nodes.get(child, {}).get("level") != node["level"] + 1:
+                fail(f"node {node_id!r}", f"child {child!r} is missing or not one level below")
+            if child in parent_of:
+                fail(f"node {child!r}", f"has two parents, {parent_of[child]!r} and {node_id!r}")
+            parent_of[child] = node_id
+    for node_id, node in nodes.items():
+        if node["level"] > 1 and node_id not in parent_of:
+            fail(f"node {node_id!r}", f"at level {node['level']} has no parent")
+    return payload
+
+
 def tree_from_payload(payload: dict, vocabulary: Vocabulary) -> TopicTree:
-    """Rebuild a TopicTree from a payload whose structure has been checked
-    (the CLI checks every tree.json it reads); term weights stay unset
-    unless factor dumps are attached separately."""
+    """Rebuild a TopicTree from a payload, after `check_tree_payload`;
+    term weights stay unset unless factor dumps are attached separately."""
+    check_tree_payload(payload)
     by_id: dict[str, TopicNode] = {}
     for entry in payload["nodes"]:
         top_terms = []

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,15 @@ import pytest
 
 import hyhtm
 
-from hyhtm import hypspace
-from hyhtm.cli import _load_run_config, build_parser, main
+from hyhtm import PreprocessConfig, TrainConfig, hypspace
+from hyhtm.cli import (
+    _VALUE_CHECKS,
+    RunConfig,
+    _config_keys,
+    _load_run_config,
+    build_parser,
+    main,
+)
 from hyhtm.sparse_io import TRIPLET_DTYPE, file_sha256
 
 from conftest import PLANTED_ALPHA, PLANTED_K
@@ -103,6 +111,17 @@ class TestPreprocessCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad.jsonl:2" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])
+    def test_ratio_threshold_must_be_finite_and_positive(
+        self, fruit_jsonl, tmp_path, capsys, threshold
+    ):
+        out = tmp_path / "pre"
+        code = main(["preprocess", "--input", str(fruit_jsonl), "--output-dir", str(out),
+                     "--ratio-filter", f"--ratio-threshold={threshold}"])
+        assert code == 2
+        assert "ratio_threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plain_text_input(self, tmp_path, capsys):
         txt = tmp_path / "docs.txt"
@@ -254,6 +273,16 @@ class TestTrainCommand:
         assert env_cache.exists() and any(env_cache.iterdir())
         assert not ignored.exists()
 
+    def test_no_cache_beats_the_env_var(self, planted_cli, tmp_path, monkeypatch):
+        corpus_bin, emb = planted_cli
+        env_cache = tmp_path / "env-cache"
+        monkeypatch.setenv("HYHTM_CACHE_DIR", str(env_cache))
+        out = tmp_path / "m"
+        assert main(train_args(corpus_bin, emb, out) + ["--no-cache"]) == 0
+        assert not env_cache.exists() and not (out / "cache").exists()
+        provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
+        assert set(provenance["cache"].values()) == {"off"}
+
     def test_euclidean_space_recorded_in_provenance(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
         out = tmp_path / "euc"
@@ -376,7 +405,33 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps(values), encoding="utf-8")
         args = build_parser().parse_args(["train", "--config", str(cfg_path)])
         config = _load_run_config(args)
-        assert all(getattr(config, key) == value for key, value in values.items())
+        keys = _config_keys(config)
+        assert all(getattr(keys[key][0], key) == value for key, value in values.items())
+
+    def test_config_file_keys_land_in_their_sections(self, tmp_path):
+        values = {
+            "corpus": "c.bin", "no_cache": True,
+            "stopwords": ["sw.txt"], "ratio_filter": True, "stem": True, "min_doc_freq": 2,
+            "alpha": 0.3, "nmf_max_iter": 7,
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(values), encoding="utf-8")
+        args = build_parser().parse_args(["train", "--config", str(cfg_path), "--seed", "3"])
+        config = _load_run_config(args)
+        assert config == RunConfig(
+            corpus="c.bin", no_cache=True,
+            preprocess=PreprocessConfig(stopwords=["sw.txt"], ratio_filter=True, stem=True,
+                                        min_doc_freq=2),
+            train=TrainConfig(alpha=0.3, nmf_max_iter=7, seed=3),
+        )
+
+    def test_every_config_key_is_declared_once_and_type_checked(self):
+        keys = _config_keys(RunConfig())
+        declared = [f.name for cls in (RunConfig, PreprocessConfig, TrainConfig)
+                    for f in fields(cls) if f.name not in ("preprocess", "train")]
+        assert len(keys) == len(declared) == 25  # no key is declared twice
+        for name, (_, f) in keys.items():
+            assert f.type.partition(" | ")[0] in _VALUE_CHECKS, name
 
     @pytest.mark.parametrize("flags", [["--nmf-tol", "0"], ["--nmf-tol", "nan"],
                                        ["--nmf-max-iter", "0"], ["--seed", "-1"]])
@@ -689,6 +744,15 @@ class TestExportCommand:
         )
         exported = json.loads(out.read_text(encoding="utf-8"))
         assert all(len(n["top_terms"]) == 5 for n in exported["nodes"])
+
+    @pytest.mark.parametrize("top_k", ["0", "-2"])
+    def test_top_k_below_one_exits_2(self, three_node_model, tmp_path, capsys, top_k):
+        out = tmp_path / "t.json"
+        code = main(["export", "--model", str(three_node_model), "--output", str(out),
+                     "--top-k", top_k])
+        assert code == 2
+        assert "--top-k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_format_exits_2(self, three_node_model):
         with pytest.raises(SystemExit) as err:

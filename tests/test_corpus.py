@@ -68,14 +68,20 @@ class TestPreprocess:
         with pytest.raises(ConfigurationError):
             preprocess(
                 [("d1", "alpha beta")],
-                cfg(stopword_lists=(str(tmp_path / "missing.txt"),)),
+                cfg(stopwords=[str(tmp_path / "missing.txt")]),
             )
 
     def test_stopword_comments_and_custom_list(self, tmp_path):
         sw = tmp_path / "sw.txt"
         sw.write_text("# comment line\nalpha  # trailing comment\n\nbeta\n", encoding="utf-8")
-        corpus = preprocess([("d1", "alpha beta gamma")], cfg(stopword_lists=(str(sw),)))
+        corpus = preprocess([("d1", "alpha beta gamma")], cfg(stopwords=[str(sw)]))
         assert corpus.vocabulary.terms == ["gamma"]
+
+    def test_no_or_empty_stopword_list_selects_the_bundled_lists(self):
+        raw = [("d1", "the apple and a pear")]
+        bundled = preprocess(raw, cfg()).vocabulary.terms
+        assert bundled == ["apple", "pear"]
+        assert preprocess(raw, cfg(stopwords=[])).vocabulary.terms == bundled
 
     def test_vocabulary_is_lexicographic(self):
         corpus = preprocess([("d1", "zebra apple mango apple")], cfg())
@@ -101,13 +107,13 @@ class TestPreprocess:
     def test_ratio_filter_verbatim_cannot_exclude(self):
         raw = [("d1", "alpha beta beta"), ("d2", "alpha gamma")]
         plain = preprocess(raw, cfg())
-        filtered = preprocess(raw, cfg(ratio_filter_enabled=True, ratio_threshold=0.8))
+        filtered = preprocess(raw, cfg(ratio_filter=True, ratio_threshold=0.8))
         assert plain.vocabulary.terms == filtered.vocabulary.terms
 
     def test_stemmer_off_by_default_and_light_rules(self):
         corpus = preprocess([("d1", "running cats")], cfg())
         assert corpus.vocabulary.terms == ["cats", "running"]
-        stemmed = preprocess([("d1", "running cats")], cfg(stemmer_enabled=True))
+        stemmed = preprocess([("d1", "running cats")], cfg(stem=True))
         assert stemmed.vocabulary.terms == ["cat", "runn"]
         for word in ("studies", "classes", "running", "wanted", "cats", "basis", "focus"):
             once = _light_stem(word)

@@ -401,12 +401,26 @@ class TestTreePayload:
             assert [c.node_id for c in twin.children] == [c.node_id for c in node.children]
             assert twin.top_terms == node.top_terms
 
-    def test_top_k_truncation(self, planted_matrices, planted_corpus):
-        tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
-        )
-        payload = tree_to_payload(tree, planted_corpus.vocabulary.terms, top_k=3)
-        assert all(len(n["top_terms"]) == 3 for n in payload["nodes"])
+    @pytest.mark.parametrize(
+        "children, named",
+        [
+            ({"0.0": ["0.0"]}, "'0.0'"),  # a node that is its own child
+            ({"0.0": ["0"]}, "'0'"),  # a two-node cycle
+            ({"0": ["0.0", "0.7"]}, "'0.7'"),  # a child that no node has
+        ],
+    )
+    def test_malformed_structure_rejected(self, children, named):
+        from hyhtm import Vocabulary
+
+        children = {"0": ["0.0"], "0.0": [], **children}
+
+        def node(node_id, level):
+            return {"id": node_id, "level": level, "top_terms": [{"term": "a", "weight": 1.0}],
+                    "doc_ids": [], "children": children[node_id]}
+
+        payload = {"config": {}, "nodes": [node("0", 1), node("0.0", 2)]}
+        with pytest.raises(ContractError, match=named):
+            tree_from_payload(payload, Vocabulary(terms=["a"]))
 
     def test_unknown_term_rejected(self, planted_matrices, planted_corpus):
         from hyhtm import Vocabulary
