@@ -182,10 +182,12 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     """The three heavy artifacts, from cache when possible: the similarity
     matrix, the hierarchy matrix, and the enriched document representation.
 
-    Cache hits are numpy CSR arrays and only a build loads scipy, so a
-    train whose three matrices all hit the cache runs without it. The
-    cache status of each artifact is `hit`, `miss` (no file), `rebuilt`
-    (a damaged file, logged and replaced) or `off` (no cache).
+    Built or read from the cache, each is a `sparse_io.CsrArrays`; neither
+    path loads scipy. Also returns the run's provenance of the matrices:
+    input hashes, embedding coverage (None when nothing was built), the
+    cache status of each artifact, which is `hit`, `miss` (no file),
+    `rebuilt` (a damaged file, logged and replaced) or `off` (no cache),
+    and the shape, stored entries and density of each matrix.
     """
     train = config.train
     m = len(built.vocabulary)
@@ -237,6 +239,7 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
             hier = hypspace.build_hierarchy_matrix(table, train.k_h).entries
             if cache:
                 cache.save(hier_key, hier)
+        del table  # and its neighbor table, before A0 is built
         if a0 is None:
             tf = corpus_mod.build_tf(built)
             idf = corpus_mod.compute_idf(tf, sim)
@@ -245,8 +248,14 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
                 cache.save(repr_key, a0)
     doc_ids = [d.id for d in built.documents]
     rep = corpus_mod.DocTermRepresentation(values=a0, doc_ids=doc_ids)
-    hashes = {"corpus_sha256": corpus_sha, "embeddings_sha256": emb_sha}
-    return rep, hier, hashes, coverage, status
+    matrices = {
+        kind: {"shape": list(matrix.shape), "nnz": matrix.nnz,
+               "density": matrix.nnz / (matrix.shape[0] * matrix.shape[1])}
+        for kind, matrix in (("similarity", sim), ("hierarchy", hier), ("representation", a0))
+    }
+    provenance = {"corpus_sha256": corpus_sha, "embeddings_sha256": emb_sha,
+                  "embedding_coverage": coverage, "cache": status, "matrices": matrices}
+    return rep, hier, provenance
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -259,7 +268,7 @@ def cmd_train(config: RunConfig) -> int:
 
     t_start = time.perf_counter()
     built = corpus_mod.read_corpus(config.corpus)
-    rep, hier, hashes, coverage, cache_status = _load_or_build_matrices(config, built)
+    rep, hier, matrix_provenance = _load_or_build_matrices(config, built)
     t_matrices = time.perf_counter()
 
     tree = hierarchy_mod.build_hierarchy(rep, hier, config.train)
@@ -286,10 +295,8 @@ def cmd_train(config: RunConfig) -> int:
                 )
 
     provenance = dict(tree.provenance)
-    provenance.update(hashes)
+    provenance.update(matrix_provenance)
     provenance["space"] = config.train.space
-    provenance["embedding_coverage"] = coverage
-    provenance["cache"] = cache_status
     provenance["tree_sha256"] = sparse_io.file_sha256(out_dir / "tree.json")
     provenance["timings"] = {
         "matrices_s": t_matrices - t_start,
@@ -383,10 +390,10 @@ def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, 
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, output_dir: bool = True):
     parser.add_argument("--config", help="JSON config file with flat setting keys")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--seed", type=int)
+    if output_dir:
+        parser.add_argument("--output-dir", dest="output_dir")
     parser.add_argument("--verbose", action="store_true", default=False)
 
 
@@ -410,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--corpus")
     p.add_argument("--embeddings")
+    p.add_argument("--seed", type=int)
     p.add_argument("--space", choices=hypspace.SPACES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--k-s", dest="k_s", type=int)
@@ -431,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
 
     p = sub.add_parser("export", help="emit a tree as DOT or truncated JSON")
-    _add_common(p)
+    _add_common(p, output_dir=False)
     p.add_argument("--model", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--output")

@@ -5,17 +5,25 @@ vocabulary plus token-index documents. From there the module builds the
 sparse term-frequency matrix, the similarity-aware inverse document
 frequency vector, and the enriched document-term representation that the
 factorization stages consume.
+
+All three are built with numpy alone. The two sparse products run over
+blocks of rows whose work, products plus dense output cells, stays within
+`_BLOCK_WORK`. Within a block every product is expanded in the order of
+scipy's sparse product (Gustavson's row-wise algorithm): by output row,
+then the left row's stored order, then the right row's. `np.bincount`
+adds each cell's products in that order from 0, as scipy does, so the
+results are bitwise those of scipy's products.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import string
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,17 +34,16 @@ from .errors import (
     InvariantError,
     ShapeError,
 )
-from .sparse_io import csr_from_triplets
-
-if TYPE_CHECKING:
-    from scipy import sparse
-
-    from .sparse_io import CsrArrays
+from .sparse_io import CsrArrays, csr_arrays, csr_from_triplets, index_dtype, row_positions
 
 log = logging.getLogger(__name__)
 
 _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
 _CORPUS_MAGIC = b"HYC1"
+# Products plus dense output cells per row block of a sparse product; a
+# block keeps about 50 bytes per unit alive (6.5 MB). A row over the
+# budget is a block of its own.
+_BLOCK_WORK = 1 << 17
 
 
 @dataclass
@@ -92,18 +99,19 @@ class Corpus:
 
 @dataclass
 class TermFrequencyMatrix:
-    """Sparse n x m raw occurrence counts, rows in document ingestion order."""
+    """Sparse n x m raw occurrence counts (int64), rows in document
+    ingestion order. A library caller may pass a scipy matrix instead."""
 
-    counts: sparse.csr_matrix
+    counts: CsrArrays
     doc_ids: list[str]
 
 
 @dataclass
 class DocTermRepresentation:
-    """Sparse nonnegative n x m document representation; the CSR arrays
-    of a cache hit stand in for the scipy matrix."""
+    """Sparse nonnegative n x m document representation. A library caller
+    may pass a scipy matrix instead."""
 
-    values: sparse.csr_matrix | CsrArrays
+    values: CsrArrays
     doc_ids: list[str]
 
 
@@ -247,20 +255,74 @@ def build_tf(corpus: Corpus) -> TermFrequencyMatrix:
     if corpus.vocabulary is None:
         raise ContractError("corpus has no vocabulary")
     n, m = corpus.n_docs, len(corpus.vocabulary)
-    rows, cols, vals = [], [], []
-    for i, doc in enumerate(corpus.documents):
-        counts = Counter(doc.tokens)
-        for j, c in sorted(counts.items()):
-            rows.append(i)
-            cols.append(j)
-            vals.append(c)
-    counts = csr_from_triplets(np.array(vals, dtype=np.int64), rows, cols, (n, m), dtype=np.int64)
+    lengths = np.fromiter((len(d.tokens) for d in corpus.documents), dtype=np.int64, count=n)
+    tokens = np.fromiter(itertools.chain.from_iterable(d.tokens for d in corpus.documents),
+                         dtype=index_dtype(m), count=int(lengths.sum()))
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < m:
+        raise ContractError(f"a document has a term index outside the vocabulary of {m} terms")
+    ones = np.broadcast_to(np.int64(1), tokens.shape)
+    counts = csr_from_triplets(ones, np.repeat(np.arange(n), lengths), tokens, (n, m))
     return TermFrequencyMatrix(counts=counts, doc_ids=[d.id for d in corpus.documents])
 
 
-def _entries_of(ms):
+def _entries_of(ms) -> CsrArrays:
     # Accept either the TermSimilarityMatrix wrapper or a bare sparse matrix.
-    return getattr(ms, "entries", ms)
+    return csr_arrays(getattr(ms, "entries", ms))
+
+
+def _row_blocks(work: np.ndarray):
+    """Consecutive [start, stop) row ranges whose summed `work` stays within
+    `_BLOCK_WORK`; a row over the budget is a range of its own."""
+    ends = np.cumsum(work)
+    start = 0
+    while start < work.size:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_WORK, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _products_per_row(left: CsrArrays, right: CsrArrays) -> np.ndarray:
+    """How many products each row of `left @ right` expands to."""
+    ends = np.diff(right.indptr)[left.indices]
+    np.cumsum(ends, out=ends)  # products up to and including each entry of left
+    totals = np.zeros(left.shape[0] + 1, dtype=np.int64)
+    stored = left.indptr > 0
+    totals[stored] = ends[left.indptr[stored] - 1]
+    return np.diff(totals)
+
+
+def _product_blocks(left: CsrArrays, right: CsrArrays, pattern: bool = False):
+    """The products of `left @ right`, one row block at a time.
+
+    Yields (start, stop, cells, values): for rows start:stop of the product,
+    each product's flat index into the dense (stop - start, right.shape[1])
+    block and its value `left[i, j] * right[j, k]`, ordered by row i, then
+    by j in left's stored order, then by k in right's stored order. With
+    `pattern`, every stored value of `right` is read as 1.
+    """
+    n_cols = right.shape[1]
+    for start, stop in _row_blocks(_products_per_row(left, right) + n_cols):
+        begin, end = left.indptr[start], left.indptr[stop]
+        pos, lengths = row_positions(right.indptr, left.indices[begin:end])
+        rows = np.repeat(np.arange(stop - start) * n_cols, np.diff(left.indptr[start : stop + 1]))
+        cells = np.repeat(rows, lengths)
+        cells += right.indices[pos]
+        values = np.repeat(left.data[begin:end].astype(np.float64), lengths)
+        if not pattern:
+            values *= right.data[pos]
+        del pos
+        yield start, stop, cells, values
+
+
+def _drop_zeros(matrix: CsrArrays) -> CsrArrays:
+    """`matrix` without its stored zeros."""
+    keep = matrix.data != 0
+    if keep.all():
+        return matrix
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return CsrArrays(indptr=kept[matrix.indptr], indices=matrix.indices[keep],
+                     data=matrix.data[keep], shape=matrix.shape)
 
 
 def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
@@ -270,34 +332,41 @@ def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
     the document's terms that have nonzero similarity to i (zero if none).
     IDF(i) = ln(n_docs / sum of those contributions). Terms whose sum is
     zero get IDF 0 and are counted in a log message.
+
+    The sum for term i runs over the documents in ascending order, through
+    `np.add.reduceat` as scipy's `csr_matrix.sum(axis=1)` does, and each
+    document's similarity sum adds in row i's stored order.
     """
-    entries = _entries_of(ms)
-    n, m = tf.counts.shape
-    if entries.shape != (m, m):
-        raise ShapeError(f"similarity matrix is {entries.shape}, expected {(m, m)}")
+    sim = _drop_zeros(_entries_of(ms))
+    counts = csr_arrays(tf.counts)
+    n, m = counts.shape
+    if sim.shape != (m, m):
+        raise ShapeError(f"similarity matrix is {sim.shape}, expected {(m, m)}")
 
-    presence = tf.counts.astype(bool).astype(np.float64).tocsr()
-    sim = entries.tocsr().copy()
-    sim.eliminate_zeros()
-    sim_pattern = sim.copy()
-    sim_pattern.data = np.ones_like(sim_pattern.data)
+    # The documents of each term, ascending: TF's presence pattern transposed.
+    present = counts.data != 0
+    terms = counts.indices[present]
+    docs = np.repeat(np.arange(n, dtype=index_dtype(n)), np.diff(counts.indptr))[present]
+    docs = docs[np.argsort(terms, kind="stable")]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(terms, minlength=m), out=indptr[1:])
+    docs_of = CsrArrays(indptr=indptr, indices=docs, data=np.broadcast_to(1.0, docs.shape),
+                        shape=(m, n))
+    del present, terms, docs
 
-    weight = (sim @ presence.T).tocsr()
-    count = (sim_pattern @ presence.T).tocsr()
-    weight.sum_duplicates()
-    count.sum_duplicates()
-    weight.sort_indices()
-    count.sort_indices()
-    # Similarity values are positive, so both products share one support.
-    if not (
-        np.array_equal(weight.indptr, count.indptr)
-        and np.array_equal(weight.indices, count.indices)
-    ):
-        raise InvariantError("similarity and pattern products disagree on support")
-
-    ratio = weight.copy()
-    ratio.data = weight.data / count.data
-    mu_sum = np.asarray(ratio.sum(axis=1)).ravel()
+    mu_sum = np.zeros(m)
+    for start, stop, cells, values in _product_blocks(sim, docs_of, pattern=True):
+        size = (stop - start) * n
+        weight = np.bincount(cells, weights=values, minlength=size)
+        count = np.bincount(cells, minlength=size)
+        stored = count > 0
+        # Similarity values are positive, so both sums share one support.
+        if not np.array_equal(stored, weight != 0):
+            raise InvariantError("similarity and pattern products disagree on support")
+        ratio = weight[stored] / count[stored]
+        per_row = stored.reshape(stop - start, n).sum(axis=1)
+        rows = np.flatnonzero(per_row)
+        mu_sum[start + rows] = np.add.reduceat(ratio, (np.cumsum(per_row) - per_row)[rows])
 
     idf = np.zeros(m)
     covered = mu_sum > 0
@@ -312,19 +381,43 @@ def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
 def build_document_representation(
     tf: TermFrequencyMatrix, ms, idf: np.ndarray
 ) -> DocTermRepresentation:
-    """Enriched representation: (TF x similarity) scaled columnwise by IDF."""
-    entries = _entries_of(ms)
-    n, m = tf.counts.shape
-    if entries.shape != (m, m):
-        raise ShapeError(f"similarity matrix is {entries.shape}, expected {(m, m)}")
+    """Enriched representation: (TF x similarity) scaled columnwise by IDF.
+
+    Cells whose product sums to exactly zero, or whose scaled value is
+    zero, are not stored.
+    """
+    sim = _entries_of(ms)
+    counts = csr_arrays(tf.counts)
+    n, m = counts.shape
+    if sim.shape != (m, m):
+        raise ShapeError(f"similarity matrix is {sim.shape}, expected {(m, m)}")
     if idf.shape != (m,):
         raise ShapeError(f"idf vector has length {idf.shape}, expected {m}")
-    spread = (tf.counts.astype(np.float64) @ entries.tocsr()).tocsr()
-    values = spread.multiply(idf[None, :]).tocsr()
-    values.eliminate_zeros()
-    values.sort_indices()
-    if values.nnz and values.data.min() < 0:
+    # Room for the most entries A0 can store: a row has at most one per
+    # product and one per column. Pages are touched only as entries are
+    # written, and the unused tail is returned at the end.
+    bound = int(np.minimum(_products_per_row(counts, sim), m).sum())
+    indices = np.empty(bound, dtype=index_dtype(m))
+    data = np.empty(bound)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    columns = np.arange(m)
+    for start, stop, cells, values in _product_blocks(counts, sim):
+        spread = np.bincount(cells, weights=values, minlength=(stop - start) * m)
+        # (bincount returns ints when a block has no products)
+        spread = spread.astype(np.float64, copy=False).reshape(stop - start, m)
+        keep = spread != 0  # the cells the sparse product stores
+        spread *= idf
+        keep &= spread != 0
+        at = indptr[start]
+        np.cumsum(keep.sum(axis=1), out=indptr[start + 1 : stop + 1])
+        indptr[start + 1 : stop + 1] += at
+        indices[at : indptr[stop]] = np.broadcast_to(columns, spread.shape)[keep]
+        data[at : indptr[stop]] = spread[keep]
+    indices.resize(indptr[-1], refcheck=False)
+    data.resize(indptr[-1], refcheck=False)
+    if data.size and data.min() < 0:
         raise InvariantError("document representation has a negative entry")
+    values = CsrArrays(indptr=indptr, indices=indices, data=data, shape=(n, m))
     return DocTermRepresentation(values=values, doc_ids=list(tf.doc_ids))
 
 

@@ -12,9 +12,8 @@ else as a sparse matrix. The node matrix is dropped before the node's
 children are built, so at most A0 and one node matrix are alive at once;
 an instrumented gauge follows every node matrix until it is freed and
 records the peak, which the max_depth + 1 bound is checked against. A0
-and the hierarchy matrix are read through their CSR arrays (`indptr`,
-`indices`, `data`, `shape`), so scipy matrices and the numpy arrays of a
-cache hit take the same path, and scipy is needed only for a sparse node.
+and the hierarchy matrix are read as `sparse_io.CsrArrays`, so only a
+sparse node needs scipy.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .corpus import DocTermRepresentation, Vocabulary
 from .errors import ConfigurationError, ContractError, ShapeError
 from .hypspace import SPACES
 from .nmf import NmfConfig, factorize
+from .sparse_io import csr_arrays, dense_rows
 
 log = logging.getLogger(__name__)
 
@@ -166,12 +166,6 @@ def assign_documents(w: np.ndarray) -> list[list[int]]:
     return parts
 
 
-def _csr(matrix):
-    """`matrix` if it is in CSR layout (a scipy CSR matrix or cache
-    arrays), else its CSR conversion; callers read only its CSR arrays."""
-    return matrix if getattr(matrix, "format", None) == "csr" else matrix.tocsr()
-
-
 def parent_child_reweight(h: np.ndarray, i: int, mh) -> np.ndarray:
     """A topic's term weights expanded through the hierarchy adjacency.
 
@@ -183,28 +177,12 @@ def parent_child_reweight(h: np.ndarray, i: int, mh) -> np.ndarray:
     h = np.atleast_2d(h)
     if not 0 <= i < h.shape[0]:
         raise ShapeError(f"topic index {i} out of range for {h.shape[0]} topics")
-    entries = _csr(getattr(mh, "entries", mh))
+    entries = csr_arrays(getattr(mh, "entries", mh))
     m = h.shape[1]
     if entries.shape != (m, m):
         raise ShapeError(f"hierarchy matrix is {entries.shape}, expected {(m, m)}")
     rows = np.repeat(np.arange(m), np.diff(entries.indptr))
     return np.bincount(entries.indices, weights=entries.data * h[i][rows], minlength=m)
-
-
-def _dense_rows(values, rows: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """Rows `rows` of a CSR matrix as a dense array, then columns scaled by
-    `scale`; duplicate entries are summed, as in the sparse matrix."""
-    m = values.shape[1]
-    starts = values.indptr[rows]
-    lengths = values.indptr[rows + 1] - starts
-    first = np.cumsum(lengths) - lengths  # where each row starts in the gather
-    pos = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
-    flat = np.repeat(np.arange(rows.size) * m, lengths) + values.indices[pos]
-    dense = np.bincount(flat, weights=values.data[pos], minlength=rows.size * m)
-    dense = dense.reshape(rows.size, m)
-    if scale is not None:
-        dense *= scale
-    return dense
 
 
 def top_words(h: np.ndarray, i: int, n: int) -> list[tuple[int, float]]:
@@ -232,12 +210,12 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
     Every node matrix, the root's included, is factorized as a dense
     array gathered from A0's CSR arrays when at least DENSE_MIN_DENSITY of
     its cells are stored, else as a scipy CSR matrix; `a0.values` and `mh`
-    may be scipy matrices or the `sparse_io.CsrArrays` of a cache hit.
+    are `sparse_io.CsrArrays` or scipy matrices.
     """
     config.validate()
-    values = _csr(a0.values)
+    values = csr_arrays(a0.values)
     n, m = values.shape
-    hier = _csr(getattr(mh, "entries", mh))
+    hier = csr_arrays(getattr(mh, "entries", mh))
     if hier.shape != (m, m):
         raise ShapeError(f"hierarchy matrix is {hier.shape}, expected {(m, m)}")
     gauge = LiveMatrixGauge()
@@ -254,7 +232,7 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
         nonlocal sparse_values
         stored = values.indptr[rows + 1] - values.indptr[rows]
         if stored.sum() >= DENSE_MIN_DENSITY * rows.size * m:
-            return _dense_rows(values, rows, scale)
+            return dense_rows(values, rows, scale)
         if sparse_values is None:
             sparse_values = values.tocsr()
         matrix = sparse_values[rows]

@@ -9,23 +9,20 @@ downstream unchanged.
 
 Both matrices and `knn` slice one sorted neighbor table per
 `EmbeddingTable`; the similarity normalizer is an exact broadcast over
-blocks of neighborhoods, with the arithmetic of `poincare_distance`.
+blocks of neighborhoods, with the arithmetic of `poincare_distance`. Both
+matrices are numpy CSR arrays filled row by row from that table.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import Vocabulary
 from .errors import ConfigurationError, ContractError, EmbeddingParseError
-from .sparse_io import csr_from_triplets
-
-if TYPE_CHECKING:
-    from scipy import sparse
+from .sparse_io import CsrArrays, index_dtype, row_positions
 
 log = logging.getLogger(__name__)
 
@@ -175,18 +172,22 @@ class TermSimilarityMatrix:
     Row w holds neighborhood-normalized similarities of w to terms in its
     own k_s-neighborhood that passed the alpha threshold; the matrix is
     asymmetric by construction. Uncovered terms keep a bare unit diagonal.
+    Columns are sorted within each row and no zero is stored.
     """
 
-    entries: sparse.csr_matrix
+    entries: CsrArrays
     alpha: float
     k_s: int
 
 
 @dataclass
 class TermHierarchyMatrix:
-    """Sparse binary m x m adjacency: (w, w') = 1 iff w' is in w's k_h-neighborhood."""
+    """Sparse binary m x m adjacency: (w, w') = 1 iff w' is in w's k_h-neighborhood.
 
-    entries: sparse.csr_matrix
+    Columns are sorted within each row.
+    """
+
+    entries: CsrArrays
     k_h: int
 
 
@@ -350,20 +351,35 @@ def neighborhood_similarity(nbhd: Neighborhood, table: EmbeddingTable) -> list[t
     return [(t, float(s)) for (t, _), s in zip(nbhd.members, sims)]
 
 
-def _term_matrix(table: EmbeddingTable, members: np.ndarray, values: np.ndarray):
+def _term_matrix(table: EmbeddingTable, members: np.ndarray, values: np.ndarray) -> CsrArrays:
     """m x m CSR: row of each covered term holds `values` at its members' columns.
 
-    Rows of uncovered terms carry a bare unit diagonal; zero values are dropped.
+    Rows of uncovered terms carry a bare unit diagonal; zero values are
+    dropped. Member rows ascend with vocabulary index, so sorting a row's
+    members sorts its columns; blocks of `_BLOCK_VALUES` cells are sorted
+    and written in place.
     """
     m = table.vocab_size
     terms = table.term_indices
     missing = np.setdiff1d(np.arange(m), terms)
-    rows = np.concatenate([np.repeat(terms, members.shape[1]), missing])
-    cols = np.concatenate([terms[members].ravel(), missing])
-    vals = np.concatenate([values.ravel(), np.ones(missing.size)])
-    entries = csr_from_triplets(vals, rows, cols, (m, m))
-    entries.eliminate_zeros()
-    return entries
+    lengths = np.ones(m, dtype=np.int64)
+    lengths[terms] = np.count_nonzero(values, axis=1)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=index_dtype(m))
+    data = np.empty(indptr[-1])
+    indices[indptr[missing]] = missing
+    data[indptr[missing]] = 1.0
+    step = max(1, _BLOCK_VALUES // max(members.shape[1], 1))
+    for i in range(0, terms.size, step):
+        order = np.argsort(members[i : i + step], axis=1)
+        cols = terms[np.take_along_axis(members[i : i + step], order, axis=1)]
+        vals = np.take_along_axis(values[i : i + step], order, axis=1)
+        keep = vals != 0
+        pos, _ = row_positions(indptr, terms[i : i + step])
+        indices[pos] = cols[keep]
+        data[pos] = vals[keep]
+    return CsrArrays(indptr=indptr, indices=indices, data=data, shape=(m, m))
 
 
 def build_similarity_matrix(table: EmbeddingTable, k_s: int, alpha: float) -> TermSimilarityMatrix:

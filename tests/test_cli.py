@@ -236,6 +236,28 @@ class TestTrainCommand:
         assert len(trees) == 1
         assert "cache" not in json.loads(trees.pop())
 
+    def test_provenance_records_matrix_sizes(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+
+        def read(out):
+            return json.loads((out / "provenance.json").read_text(encoding="utf-8"))
+
+        assert main(train_args(corpus_bin, emb, tmp_path / "cold", cache_dir=cache)) == 0
+        assert main(train_args(corpus_bin, emb, tmp_path / "warm", cache_dir=cache)) == 0
+        cold, warm = read(tmp_path / "cold"), read(tmp_path / "warm")
+        assert cold["matrices"] == warm["matrices"]
+        assert set(cold["matrices"]) == {"similarity", "hierarchy", "representation"}
+        m, n = cold["vocab_size"], cold["n_documents"]
+        shapes = {"similarity": [m, m], "hierarchy": [m, m], "representation": [n, m]}
+        for kind, entry in cold["matrices"].items():
+            assert set(entry) == {"shape", "nnz", "density"}
+            assert entry["shape"] == shapes[kind]
+            assert 0 < entry["nnz"] <= entry["shape"][0] * entry["shape"][1]
+            assert entry["density"] == entry["nnz"] / (entry["shape"][0] * entry["shape"][1])
+        assert cold["matrices"]["hierarchy"]["nnz"] == m * PLANTED_K
+        assert "matrices" not in json.loads((tmp_path / "cold" / "tree.json").read_text())
+
     def test_provenance_records_nmf_per_level(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
         out = tmp_path / "m"
@@ -629,8 +651,27 @@ def run_scipy_probe(commands, timeout=120):
 
 
 class TestScipyStaysUnloaded:
-    """Only a `train` that builds a matrix needs scipy; loading it costs
-    about 0.2 s CPU and 16 MB per process."""
+    """Only a sparse node needs scipy, and the planted tree has none;
+    loading scipy costs about 0.2 s CPU and 16 MB per process."""
+
+    @pytest.mark.parametrize("cache", ["no-cache", "empty-cache"])
+    def test_cold_train_never_imports_scipy(self, planted_cli, tmp_path, cache):
+        corpus_bin, emb = planted_cli
+        cache_dir = tmp_path / "cache"
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        if cache == "no-cache":
+            cold_args = train_args(corpus_bin, emb, cold) + ["--no-cache"]
+            assert main(train_args(corpus_bin, emb, tmp_path / "fill", cache_dir=cache_dir)) == 0
+        else:
+            cold_args = train_args(corpus_bin, emb, cold, cache_dir=cache_dir)
+        out = run_scipy_probe([cold_args])
+        assert out["codes"] == [0]
+        assert out["import"] == []
+        assert out["commands"] == []
+        assert main(train_args(corpus_bin, emb, warm, cache_dir=cache_dir)) == 0
+        provenance = json.loads((warm / "provenance.json").read_text(encoding="utf-8"))
+        assert set(provenance["cache"].values()) == {"hit"}
+        assert (cold / "tree.json").read_bytes() == (warm / "tree.json").read_bytes()
 
     def test_warm_train_never_imports_scipy(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -878,3 +919,33 @@ class TestTreeContract:
         assert len(errors) == 3
         for err in errors:
             assert "tree.json" in err and named in err, err
+
+
+class TestCommandFlags:
+    """`--output-dir` belongs to the commands that write into a directory
+    and `--seed` to `train`; argparse rejects them elsewhere."""
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--model", "m", "--output-dir", "x"],
+        ["preprocess", "--input", "docs.jsonl", "--seed", "1"],
+        ["evaluate", "--model", "m", "--corpus", "c.bin", "--seed", "1"],
+        ["export", "--model", "m", "--seed", "1"],
+    ])
+    def test_flag_a_command_ignores_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["preprocess", "--input", "d.jsonl", "--output-dir", "x"], "output_dir", "x"),
+        (["train", "--corpus", "c", "--embeddings", "e", "--output-dir", "x"], "output_dir", "x"),
+        (["evaluate", "--model", "m", "--corpus", "c", "--output-dir", "x"], "output_dir", "x"),
+        (["train", "--corpus", "c", "--embeddings", "e", "--seed", "9"], "seed", 9),
+    ])
+    def test_flag_a_command_uses_is_accepted(self, argv, key, value):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, key) == value
+        config = _load_run_config(args)
+        section = config.train if key == "seed" else config
+        assert getattr(section, key) == value

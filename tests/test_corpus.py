@@ -1,17 +1,25 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from hyhtm import (
+    Corpus,
+    Document,
     PreprocessConfig,
+    TermFrequencyMatrix,
+    Vocabulary,
     build_document_representation,
+    build_similarity_matrix,
     build_tf,
     compute_idf,
+    load_embeddings,
     preprocess,
 )
+from hyhtm import corpus as corpus_mod
 from hyhtm.corpus import (
     _light_stem,
     read_corpus,
@@ -19,9 +27,9 @@ from hyhtm.corpus import (
     read_text_documents,
     write_corpus,
 )
-from hyhtm.errors import ConfigurationError, CorpusError, ShapeError
+from hyhtm.errors import ConfigurationError, CorpusError, InvariantError, ShapeError
 
-from conftest import make_corpus
+from conftest import make_corpus, write_embedding_file
 
 
 def cfg(**kwargs):
@@ -317,3 +325,178 @@ class TestSerialization:
         path = tmp_path / "docs.txt"
         path.write_text("first doc\nsecond doc\n", encoding="utf-8")
         assert read_text_documents(path) == [("doc-1", "first doc"), ("doc-2", "second doc")]
+
+
+# The scipy builders that `build_tf`, `compute_idf` and
+# `build_document_representation` replaced, kept as bitwise references.
+
+
+def reference_tf(corpus):
+    """TF from per-document sorted counters and scipy's COO-to-CSR build."""
+    rows, cols, vals = [], [], []
+    for i, doc in enumerate(corpus.documents):
+        for j, c in sorted(Counter(doc.tokens).items()):
+            rows.append(i)
+            cols.append(j)
+            vals.append(c)
+    counts = sparse.csr_matrix(
+        (np.array(vals, dtype=np.int64), (rows, cols)),
+        shape=(corpus.n_docs, len(corpus.vocabulary)), dtype=np.int64,
+    )
+    counts.sort_indices()
+    return counts
+
+
+def reference_idf(counts, entries):
+    """Similarity-aware IDF from two scipy sparse products."""
+    n, m = counts.shape
+    presence = counts.astype(bool).astype(np.float64).tocsr()
+    sim = entries.tocsr().copy()
+    sim.eliminate_zeros()
+    sim_pattern = sim.copy()
+    sim_pattern.data = np.ones_like(sim_pattern.data)
+    weight = (sim @ presence.T).tocsr()
+    count = (sim_pattern @ presence.T).tocsr()
+    weight.sum_duplicates()
+    count.sum_duplicates()
+    weight.sort_indices()
+    count.sort_indices()
+    if not (
+        np.array_equal(weight.indptr, count.indptr)
+        and np.array_equal(weight.indices, count.indices)
+    ):
+        raise InvariantError("similarity and pattern products disagree on support")
+    ratio = weight.copy()
+    ratio.data = weight.data / count.data
+    mu_sum = np.asarray(ratio.sum(axis=1)).ravel()
+    idf = np.zeros(m)
+    covered = mu_sum > 0
+    idf[covered] = np.log(n / mu_sum[covered])
+    np.maximum(idf, 0.0, out=idf)
+    return idf
+
+
+def reference_representation(counts, entries, idf):
+    """(TF x similarity) scaled by IDF through scipy's product and multiply."""
+    spread = (counts.astype(np.float64) @ entries.tocsr()).tocsr()
+    values = spread.multiply(idf[None, :]).tocsr()
+    values.eliminate_zeros()
+    values.sort_indices()
+    if values.nnz and values.data.min() < 0:
+        raise InvariantError("document representation has a negative entry")
+    return values
+
+
+def random_corpus(rng, n, m, empty=2):
+    """n documents over m terms; `empty` of them have no tokens and a few
+    terms appear in no document."""
+    absent = set(rng.choice(m, size=min(3, m - 1), replace=False).tolist())
+    pool = [t for t in range(m) if t not in absent]
+    docs = []
+    for i in range(n):
+        size = 0 if i < empty else int(rng.integers(1, 3 * m))
+        docs.append(Document(id=f"d{i}", tokens=[pool[j] for j in rng.integers(0, len(pool), size)]))
+    rng.shuffle(docs)
+    return Corpus(documents=docs, vocabulary=Vocabulary(terms=[f"t{j:03d}" for j in range(m)]))
+
+
+def random_similarity(rng, m, density, stored_zeros=3):
+    """A canonical scipy similarity matrix with a unit diagonal and some
+    explicitly stored zeros."""
+    ms = sparse.random(m, m, density=density, random_state=int(rng.integers(1 << 31)), format="csr")
+    ms.setdiag(1.0)
+    ms.sort_indices()
+    for k in rng.choice(ms.nnz, size=min(stored_zeros, ms.nnz), replace=False):
+        ms.data[k] = 0.0
+    return ms
+
+
+def assert_bitwise_csr(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def assert_matches_reference(corpus, ms):
+    """`ms` is a scipy matrix or a TermSimilarityMatrix."""
+    tf = build_tf(corpus)
+    counts = reference_tf(corpus)
+    assert_bitwise_csr(tf.counts, counts)
+    entries = ms.entries.tocsr() if hasattr(ms, "entries") else ms
+    idf = compute_idf(tf, ms)
+    want_idf = reference_idf(counts, entries)
+    assert idf.tobytes() == want_idf.tobytes()
+    rep = build_document_representation(tf, ms, idf)
+    assert_bitwise_csr(rep.values, reference_representation(counts, entries, want_idf))
+    # A library caller's scipy TF takes the same path.
+    scipy_tf = TermFrequencyMatrix(counts=counts, doc_ids=tf.doc_ids)
+    assert compute_idf(scipy_tf, ms).tobytes() == idf.tobytes()
+    assert_bitwise_csr(build_document_representation(scipy_tf, ms, idf).values, rep.values)
+    return idf
+
+
+class TestMatchesScipyReference:
+    """TF, IDF and A0 are bitwise those of the scipy builders, whatever
+    the row blocks: one row per block, one block for everything, and a
+    budget that a heavy row exceeds on its own."""
+
+    @pytest.fixture(params=[1, 40, 1 << 40], ids=["budget-1", "budget-40", "budget-huge"])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "_BLOCK_WORK", request.param)
+        return request.param
+
+    def test_random_sparse_inputs(self, budget):
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            n, m = int(rng.integers(3, 40)), int(rng.integers(4, 30))
+            corpus = random_corpus(rng, n, m)
+            ms = random_similarity(rng, m, rng.uniform(0.05, 0.6))
+            # A term in no document and similar to no other term: its
+            # off-diagonal entries become stored zeros and its IDF is 0.
+            used = {t for d in corpus.documents for t in d.tokens}
+            lone = min(set(range(m)) - used)
+            row = slice(ms.indptr[lone], ms.indptr[lone + 1])
+            ms.data[row][ms.indices[row] != lone] = 0.0
+            idf = assert_matches_reference(corpus, ms)
+            assert idf[lone] == 0.0
+
+    def test_similarity_from_embeddings_at_alpha_0_and_1(self, budget, tmp_path):
+        rng = np.random.default_rng(43)
+        for space in ("hyperbolic", "euclidean"):
+            for alpha in (0.0, 0.1, 1.0):
+                m = 24
+                corpus = random_corpus(rng, 30, m)
+                terms = corpus.vocabulary.terms
+                covered = terms[3:]  # three terms without a vector: unit rows only
+                points = rng.normal(size=(len(covered), 3)) * 0.2
+                path = write_embedding_file(tmp_path / "emb.txt", list(zip(covered, points)))
+                table = load_embeddings(path, corpus.vocabulary, space)
+                ms = build_similarity_matrix(table, 9, alpha)
+                assert_matches_reference(corpus, ms.entries.tocsr())
+                assert_matches_reference(corpus, ms)
+
+    def test_heavy_row_over_the_budget(self, monkeypatch):
+        # With a budget of 40, the long document's row is a block of its own
+        # while the short ones share blocks.
+        monkeypatch.setattr(corpus_mod, "_BLOCK_WORK", 40)
+        rng = np.random.default_rng(47)
+        m = 12
+        corpus = random_corpus(rng, 20, m, empty=1)
+        corpus.documents[5].tokens = list(range(m)) * 3
+        assert_matches_reference(corpus, random_similarity(rng, m, 0.5, stored_zeros=0))
+
+    def test_negative_similarity_fails_like_the_reference(self):
+        corpus = make_corpus([["a", "b"], ["b"]], terms=["a", "b"])
+        ms = sparse.csr_matrix(np.array([[1.0, -1.0], [0.0, 1.0]]))
+        counts = reference_tf(corpus)
+        with pytest.raises(InvariantError):
+            reference_idf(counts, ms)
+        with pytest.raises(InvariantError):
+            compute_idf(build_tf(corpus), ms)
+        ms = sparse.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))
+        with pytest.raises(InvariantError):
+            reference_representation(counts, ms, np.ones(2))
+        with pytest.raises(InvariantError):
+            build_document_representation(build_tf(corpus), ms, np.ones(2))

@@ -189,7 +189,7 @@ class TestBuildHierarchy:
     def test_children_confined_to_reweight_support(self, planted_matrices):
         # A term outside a node's expanded term vector cannot enter its
         # children: their input columns and factor weights stay zero there.
-        mh = planted_matrices["mh"].entries
+        mh = planted_matrices["mh"].entries.tocsr()
         tree = build_hierarchy(planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=2))
         checked = 0
         for node in tree.nodes():

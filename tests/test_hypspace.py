@@ -181,8 +181,9 @@ class TestLoadEmbeddings:
         ms = build_similarity_matrix(table, k_s=3, alpha=0.0)
         mh = build_hierarchy_matrix(table, k_h=3)
         cc = vocab3.index["cc"]
-        assert ms.entries[cc].nnz == 1 and ms.entries[cc, cc] == 1.0
-        assert mh.entries[cc].nnz == 1 and mh.entries[cc, cc] == 1.0
+        s, h = ms.entries.tocsr(), mh.entries.tocsr()
+        assert s[cc].nnz == 1 and s[cc, cc] == 1.0
+        assert h[cc].nnz == 1 and h[cc, cc] == 1.0
 
 
 class TestKnn:
@@ -301,10 +302,10 @@ class TestNeighborhoodSimilarity:
 class TestSimilarityMatrix:
     def test_alpha_zero_keeps_raw_values(self, tmp_path):
         table, vocab = three_point_neighborhood(tmp_path)
-        ms = build_similarity_matrix(table, k_s=3, alpha=0.0)
+        entries = build_similarity_matrix(table, k_s=3, alpha=0.0).entries.tocsr()
         w = vocab.index["pw"]
-        assert ms.entries[w, vocab.index["px"]] == pytest.approx(0.6, abs=1e-9)
-        assert ms.entries[w, vocab.index["py"]] == pytest.approx(0.2, abs=1e-9)
+        assert entries[w, vocab.index["px"]] == pytest.approx(0.6, abs=1e-9)
+        assert entries[w, vocab.index["py"]] == pytest.approx(0.2, abs=1e-9)
 
     def test_alpha_one_reduces_to_identity(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -318,7 +319,7 @@ class TestSimilarityMatrix:
         table, vocab = three_point_neighborhood(tmp_path)
         ms = build_similarity_matrix(table, k_s=3, alpha=0.4)
         w = vocab.index["pw"]
-        row = ms.entries[w].toarray().ravel()
+        row = ms.entries.toarray()[w]
         assert row[vocab.index["px"]] == pytest.approx(0.6, abs=1e-9)
         assert row[vocab.index["py"]] == 0.0
         assert row[w] == 1.0
@@ -330,7 +331,7 @@ class TestSimilarityMatrix:
         )
         ms = build_similarity_matrix(table, k_s=7, alpha=0.2)
         assert ms.entries.data.min() >= 0.0 and ms.entries.data.max() <= 1.0
-        assert np.allclose(ms.entries.diagonal(), 1.0)
+        assert np.allclose(ms.entries.toarray().diagonal(), 1.0)
 
     def test_raising_alpha_never_adds_nonzeros(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -349,10 +350,10 @@ class TestSimilarityMatrix:
             tmp_path, [(1.0, 0.0), (-1.0, 0.0), (1.0, 0.05)],
             space="euclidean", terms=["pa", "pb", "pc"],
         )
-        ms = build_similarity_matrix(table, k_s=3, alpha=0.0)
+        entries = build_similarity_matrix(table, k_s=3, alpha=0.0).entries.tocsr()
         pa, pb, pc = vocab.index["pa"], vocab.index["pb"], vocab.index["pc"]
-        assert ms.entries[pa, pb] == 0.0
-        assert ms.entries[pa, pc] == pytest.approx(
+        assert entries[pa, pb] == 0.0
+        assert entries[pa, pc] == pytest.approx(
             euclidean_cosine((1.0, 0.0), (1.0, 0.05)), abs=1e-9
         )
 
@@ -383,10 +384,10 @@ class TestHierarchyMatrix:
         table, vocab = table_from_points(
             tmp_path, [(0.0, 0.0), (0.2, 0.0), (0.8, 0.0)], terms=["pa", "pb", "pc"]
         )
-        mh = build_hierarchy_matrix(table, k_h=2)
+        entries = build_hierarchy_matrix(table, k_h=2).entries.tocsr()
         pa, pb, pc = (vocab.index[t] for t in ("pa", "pb", "pc"))
-        assert set(mh.entries[pa].indices) == {pa, pb}
-        assert set(mh.entries[pc].indices) == {pc, pb}
+        assert set(entries[pa].indices) == {pa, pb}
+        assert set(entries[pc].indices) == {pc, pb}
 
     def test_binary_with_full_diagonal(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -395,7 +396,7 @@ class TestHierarchyMatrix:
         )
         mh = build_hierarchy_matrix(table, k_h=4)
         assert set(np.unique(mh.entries.data)) == {1.0}
-        assert np.allclose(mh.entries.diagonal(), 1.0)
+        assert np.allclose(mh.entries.toarray().diagonal(), 1.0)
 
     def test_raising_k_never_removes_nonzeros(self, tmp_path):
         rng = np.random.default_rng(16)
@@ -647,6 +648,29 @@ class TestSparseIo:
         )
         save_triplets(tmp_path / "m.bin", matrix)
         assert_same_csr_arrays(read_triplets(tmp_path / "m.bin", (2, 3)), matrix)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
+    def test_blocked_writer_matches_whole_matrix_records(self, tmp_path, monkeypatch, block):
+        # The records a writer of the whole matrix at once produced, with
+        # empty rows (first, inner and last) and an uncanonical scipy input.
+        from scipy import sparse
+
+        monkeypatch.setattr(sparse_io, "_BLOCK_RECORDS", block)
+        dense = sparse.random(9, 11, density=0.4, random_state=6).toarray()
+        dense[[0, 4, 8]] = 0.0
+        uncanonical = sparse.csr_matrix(
+            (np.array([1.0, 2.0, 0.5, 3.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4, 4])),
+            shape=(3, 3),
+        )
+        for matrix in (sparse.csr_matrix(dense), uncanonical, sparse.csr_matrix((4, 5))):
+            coo = matrix.tocsr().copy()
+            coo.sum_duplicates()
+            coo = coo.tocoo()
+            want = np.empty(coo.nnz, dtype=TRIPLET_DTYPE)
+            want["row"], want["col"], want["val"] = coo.row, coo.col, coo.data
+            for given in (matrix, sparse_io.csr_arrays(matrix)):
+                save_triplets(tmp_path / "m.bin", given)
+                assert (tmp_path / "m.bin").read_bytes() == want.tobytes()
 
     @pytest.mark.parametrize("damage", ["partial-record", "row-beyond-shape", "col-beyond-shape"])
     def test_damaged_cache_file_is_a_logged_miss(self, tmp_path, caplog, damage):
