@@ -50,13 +50,16 @@ _INPUT_ERRORS = (ConfigurationError, CorpusError, EmbeddingParseError, OSError)
 @dataclass
 class RunConfig:
     """A run's own settings plus the library's preprocessing and training
-    settings; JSON config files use every field of all three as a flat key."""
+    settings; JSON config files use every field of all three as a flat key.
+    An `output_dir` of None means none was given: `preprocess` and `train`
+    then write into the working directory and `evaluate` into the model
+    directory."""
 
     input: str | None = None
     input_format: str = "auto"
     corpus: str | None = None
     embeddings: str | None = None
-    output_dir: str = "."
+    output_dir: str | None = None
     cache_dir: str | None = None
     no_cache: bool = False
     write_factors: bool = True
@@ -134,7 +137,7 @@ def _resolve_cache_dir(config: RunConfig) -> Path | None:
         return Path(env)
     if config.cache_dir:
         return Path(config.cache_dir)
-    return Path(config.output_dir) / "cache"
+    return Path(config.output_dir or ".") / "cache"
 
 
 def _dump_json(payload: dict, path: Path):
@@ -165,7 +168,7 @@ def cmd_preprocess(config: RunConfig) -> int:
         raise CorpusError(f"{path}: no documents")
 
     built = corpus_mod.preprocess(raw, config.preprocess)
-    out_dir = Path(config.output_dir)
+    out_dir = Path(config.output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(built, out_dir / "corpus.bin")
     (out_dir / "vocab.txt").write_text(
@@ -183,8 +186,11 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     matrix, the hierarchy matrix, and the enriched document representation.
 
     Built or read from the cache, each is a `sparse_io.CsrArrays`; neither
-    path loads scipy. Also returns the run's provenance of the matrices:
-    input hashes, embedding coverage (None when nothing was built), the
+    path loads scipy. The embedding file is read only when the similarity
+    or the hierarchy matrix is built; A0 needs only the similarity matrix
+    and TF. Also returns the run's provenance of the matrices: input hashes,
+    embedding coverage (None when the embedding file was not read, which
+    includes a train that rebuilds only A0 from cached S and H), the
     cache status of each artifact, which is `hit`, `miss` (no file),
     `rebuilt` (a damaged file, logged and replaced) or `off` (no cache),
     and the shape, stored entries and density of each matrix.
@@ -224,7 +230,7 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     a0 = load("representation", repr_key, (built.n_docs, m))
 
     coverage = None
-    if sim is None or hier is None or a0 is None:
+    if sim is None or hier is None:
         table = hypspace.load_embeddings(config.embeddings, built.vocabulary, train.space)
         coverage = table.coverage
         if not table.covered:
@@ -240,12 +246,12 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
             if cache:
                 cache.save(hier_key, hier)
         del table  # and its neighbor table, before A0 is built
-        if a0 is None:
-            tf = corpus_mod.build_tf(built)
-            idf = corpus_mod.compute_idf(tf, sim)
-            a0 = corpus_mod.build_document_representation(tf, sim, idf).values
-            if cache:
-                cache.save(repr_key, a0)
+    if a0 is None:
+        tf = corpus_mod.build_tf(built)
+        idf = corpus_mod.compute_idf(tf, sim)
+        a0 = corpus_mod.build_document_representation(tf, sim, idf).values
+        if cache:
+            cache.save(repr_key, a0)
     doc_ids = [d.id for d in built.documents]
     rep = corpus_mod.DocTermRepresentation(values=a0, doc_ids=doc_ids)
     matrices = {
@@ -277,7 +283,7 @@ def cmd_train(config: RunConfig) -> int:
         diagnostic = tree.provenance.get("diagnostic", "no topics were produced")
         raise DegenerateCorpusError(diagnostic)
 
-    out_dir = Path(config.output_dir)
+    out_dir = Path(config.output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab_blob = "".join(t + "\n" for t in built.vocabulary.terms).encode("utf-8")
     payload = hierarchy_mod.tree_to_payload(tree, built.vocabulary.terms)
@@ -324,6 +330,9 @@ def _read_tree(model_dir: Path, read):
 
 
 def _attach_factors(tree: hierarchy_mod.TopicTree, model_dir: Path, m: int):
+    """Term weights from the model's factor files, one per node that has
+    one. A file must hold m finite, nonnegative weights whose sum of
+    squares is finite; otherwise a ContractError names it."""
     factors_dir = model_dir / "factors"
     if not factors_dir.is_dir():
         return
@@ -335,6 +344,16 @@ def _attach_factors(tree: hierarchy_mod.TopicTree, model_dir: Path, m: int):
                 raise ContractError(
                     f"{path}: {weights.shape[0]} weights for a vocabulary of {m}"
                 )
+            bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
+            if bad.size:
+                raise ContractError(
+                    f"{path}: weight {bad[0]} is {weights[bad[0]]}; "
+                    "weights must be finite and nonnegative"
+                )
+            with np.errstate(over="ignore"):
+                overflows = not np.isfinite(weights @ weights)
+            if overflows:
+                raise ContractError(f"{path}: weights too large, their sum of squares overflows")
             node.term_weights = weights
 
 
@@ -349,7 +368,7 @@ def cmd_evaluate(config: RunConfig, model_dir: str) -> int:
     _attach_factors(tree, model, len(built.vocabulary))
 
     report = metrics.evaluate(tree, built)
-    out_dir = Path(config.output_dir) if config.output_dir != "." else model
+    out_dir = model if config.output_dir is None else Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(report.to_dict(), out_dir / "report.json")
     report.write_csv(out_dir / "report.csv")

@@ -7,6 +7,29 @@ parent-term x child-term grid (self-pairs included). Specialization is one
 minus the cosine between a topic's term weights and the corpus-wide term
 distribution, and affinity compares parent topics against child versus
 non-child topics one level down.
+
+`evaluate` scores a whole tree in one pass. It gathers every term grid the
+report reads, the top-10 x top-10 grid of each topic and of each edge (the
+top-5 scores read sub-blocks of them), counts the joint documents of each
+distinct unordered term pair once, in blocks of at most `_PAIR_BLOCK_WORDS`
+presence words, and takes each distinct pair's PMI once. `pmi`, `coherence`
+and `hierarchical_coherence` go through the same grid helper, so PMI has
+one definition.
+
+Every reported value is reproducible to the bit, and these rules keep it so:
+
+- Joint counts are exact integers: popcounts of ANDed 64-bit presence words.
+- The PMI ratio is built elementwise with the scalar formula's IEEE
+  operations in the scalar formula's order, and its logarithm is
+  `math.log` of each value. numpy's vectorised log is another
+  implementation and differs from libm's in the last bit for some inputs.
+- Each mean adds its terms one after another in grid order, coherence with
+  `+=` and hierarchical coherence with builtin `sum` (which compensates
+  float additions from Python 3.12 on), over Python floats. `ndarray.sum`
+  adds pairwise and rounds differently.
+- Affinity takes each node's norm once and one 1-D dot product per
+  parent/level-3 pair. Matrix-vector and matrix-matrix products round
+  differently from the 1-D dot.
 """
 
 from __future__ import annotations
@@ -27,16 +50,34 @@ log = logging.getLogger(__name__)
 
 _JOINT_EPS = 1e-12
 _TOP_NS = (5, 10)
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+# 64-bit presence words per operand in one block of the joint-count pass
+# (1 MB each); a block holds at least one pair.
+_PAIR_BLOCK_WORDS = 1 << 17
+
+_ONE, _TWO, _FOUR, _BYTE_SHIFT = (np.uint64(s) for s in (1, 2, 4, 56))
+_M1, _M2, _M4, _BYTE_SUM = (
+    np.uint64(m) for m in
+    (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def _popcount_rows(words: np.ndarray) -> np.ndarray:
+    """Set bits in each row of a 2-D uint64 array, as int64: the bit-sliced
+    popcount, then one sum per row."""
+    words = words - ((words >> _ONE) & _M1)
+    words = (words & _M2) + ((words >> _TWO) & _M2)
+    words = (words + (words >> _FOUR)) & _M4
+    return ((words * _BYTE_SUM) >> _BYTE_SHIFT).sum(axis=1, dtype=np.int64)
 
 
 @dataclass
 class CooccurrenceStats:
     """Document-presence counts for a set of terms of interest.
 
-    Each term of interest has one packed bit row over the documents, in the
-    bit layout of np.packbits; the joint count of two terms is the popcount
-    of their ANDed rows, so every count is an exact integer.
+    Each term of interest has one row of 64-bit words over the documents,
+    bit d of word d // 64 set when document d holds the term; the joint
+    count of two terms is the popcount of their ANDed rows, so every count
+    is an exact integer.
     """
 
     doc_count: int
@@ -57,16 +98,26 @@ class CooccurrenceStats:
 
     def joint_doc_freqs(self, rows, cols) -> list[list[int]]:
         """Joint counts of every (rows[i], cols[j]) pair, as nested lists."""
-        li = self._presence[self._local_indices(rows)]
-        lj = self._presence[self._local_indices(cols)]
-        both = li[:, None, :] & lj[None, :, :]
-        return _POPCOUNT[both].sum(axis=2, dtype=np.int64).tolist()
+        li, lj = self._local_indices(rows), self._local_indices(cols)
+        counts = self._pair_counts(np.repeat(li, len(lj)), np.tile(lj, len(li)))
+        return counts.reshape(len(li), len(lj)).tolist()
 
     def _local_indices(self, terms) -> np.ndarray:
         try:
             return np.array([self._local[t] for t in terms], dtype=np.int64)
         except KeyError as exc:
             raise ContractError(f"term {exc.args[0]} is not in the statistics") from None
+
+    def _pair_counts(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Joint document counts of the local term pairs (left[k], right[k]),
+        in blocks of at most `_PAIR_BLOCK_WORDS` words per operand."""
+        block = max(1, _PAIR_BLOCK_WORDS // max(1, self._presence.shape[1]))
+        counts = np.empty(len(left), dtype=np.int64)
+        for start in range(0, len(left), block):
+            stop = start + block
+            both = self._presence[left[start:stop]] & self._presence[right[start:stop]]
+            counts[start:stop] = _popcount_rows(both)
+        return counts
 
 
 def _token_arrays(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -94,22 +145,67 @@ def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
     rows = to_local[terms]
     kept = rows >= 0
     rows, docs = rows[kept], docs[kept]
-    presence = np.zeros((len(order), (n + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(presence, (rows, docs >> 3), (0x80 >> (docs & 7)).astype(np.uint8))
+    presence = np.zeros((len(order), (n + 63) // 64), dtype=np.uint64)
+    bits = np.left_shift(_ONE, (docs & 63).astype(np.uint64))
+    np.bitwise_or.at(presence, (rows, docs >> 6), bits)
     return CooccurrenceStats(
         doc_count=n, term_order=order, _local=local,
-        _doc_freq=_POPCOUNT[presence].sum(axis=1, dtype=np.int64), _presence=presence,
+        _doc_freq=_popcount_rows(presence), _presence=presence,
     )
 
 
-def _pmi(stats: CooccurrenceStats, wi: int, wj: int, joint: int) -> float:
-    df_i, df_j = stats.doc_freq(wi), stats.doc_freq(wj)
-    if df_i == 0 or df_j == 0:
-        log.debug("pair (%d, %d) has a zero marginal; PMI set to 0", wi, wj)
-        return 0.0
+def _pmi_values(stats: CooccurrenceStats, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """PMI of the local term pairs (left[k], right[k]); 0 for a pair with a
+    zero marginal. The ratio repeats the scalar formula
+    ln((joint + eps) / n * n * n / (df_i * df_j)) operation for operation."""
+    joint = stats._pair_counts(left, right)
+    marginals = stats._doc_freq[left] * stats._doc_freq[right]
+    scored = np.flatnonzero(marginals)
+    if len(scored) < len(left):
+        log.debug("%d term pairs have a zero marginal; their PMI is set to 0",
+                  len(left) - len(scored))
     n = stats.doc_count
-    p_joint = (joint + _JOINT_EPS) / n
-    return math.log(p_joint * n * n / (df_i * df_j))
+    ratio = (joint[scored] + _JOINT_EPS) / n * n * n / marginals[scored]
+    values = np.zeros(len(left))
+    values[scored] = [math.log(r) for r in ratio.tolist()]
+    return values
+
+
+def _pmi_grids(stats: CooccurrenceStats, grids) -> list:
+    """PMI of every (rows[i], cols[j]) pair of each (rows, cols) term-list
+    grid, as one nested list of floats per grid. Cells past the end of a
+    grid's own lists hold 0.0. Each distinct unordered term pair is counted
+    and scored once, whatever the number of grids it appears in."""
+    width = max((len(t) for grid in grids for t in grid), default=0)
+    rows = np.full((len(grids), width), -1, dtype=np.int64)
+    cols = np.full((len(grids), width), -1, dtype=np.int64)
+    for g, (row_terms, col_terms) in enumerate(grids):
+        rows[g, : len(row_terms)] = stats._local_indices(row_terms)
+        cols[g, : len(col_terms)] = stats._local_indices(col_terms)
+    a, b = rows[:, :, None], cols[:, None, :]
+    used = (a >= 0) & (b >= 0)
+    t = len(stats.term_order)
+    keys = (np.minimum(a, b) * t + np.maximum(a, b))[used]
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    values = np.zeros(used.shape)
+    values[used] = _pmi_values(stats, pairs // t, pairs % t)[inverse.ravel()]
+    return values.tolist()
+
+
+def _upper_mean(grid, k: int) -> float:
+    """Mean of the strict upper triangle of a grid's first k x k cells,
+    added row by row."""
+    total = 0.0
+    for i in range(k):
+        row = grid[i]
+        for j in range(i + 1, k):
+            total += row[j]
+    return total / (k * (k - 1) // 2)
+
+
+def _block_mean(grid, rows: int, cols: int) -> float:
+    """Mean of a grid's first rows x cols cells, added row by row."""
+    return sum(chain.from_iterable(row[:cols] for row in grid[:rows])) / (rows * cols)
 
 
 def pmi(stats: CooccurrenceStats, wi: int, wj: int) -> float:
@@ -120,7 +216,7 @@ def pmi(stats: CooccurrenceStats, wi: int, wj: int) -> float:
     """
     if not (stats.has(wi) and stats.has(wj)):
         raise ContractError("both terms must be present in the statistics")
-    return _pmi(stats, wi, wj, stats.joint_doc_freq(wi, wj))
+    return _pmi_grids(stats, [([wi], [wj])])[0][0][0]
 
 
 def coherence(topic_terms, stats: CooccurrenceStats, n: int) -> float | None:
@@ -133,14 +229,7 @@ def coherence(topic_terms, stats: CooccurrenceStats, n: int) -> float | None:
     terms = list(topic_terms)[:n]
     if len(terms) < 2:
         return None
-    joint = stats.joint_doc_freqs(terms, terms)
-    total = 0.0
-    count = 0
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            total += _pmi(stats, terms[i], terms[j], joint[i][j])
-            count += 1
-    return total / count
+    return _upper_mean(_pmi_grids(stats, [(terms, terms)])[0], len(terms))
 
 
 def hierarchical_coherence(parent_terms, child_terms, stats: CooccurrenceStats, n: int) -> float | None:
@@ -151,13 +240,7 @@ def hierarchical_coherence(parent_terms, child_terms, stats: CooccurrenceStats, 
     children = list(child_terms)[:n]
     if not parents or not children:
         return None
-    joint = stats.joint_doc_freqs(parents, children)
-    total = sum(
-        _pmi(stats, p, c, joint[i][j])
-        for i, p in enumerate(parents)
-        for j, c in enumerate(children)
-    )
-    return total / (len(parents) * len(children))
+    return _block_mean(_pmi_grids(stats, [(parents, children)])[0], len(parents), len(children))
 
 
 def topic_specialization(term_weights: np.ndarray, corpus_vector: np.ndarray) -> float | None:
@@ -185,13 +268,6 @@ def topic_specialization(term_weights: np.ndarray, corpus_vector: np.ndarray) ->
     return min(max(value, 0.0), 1.0)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
-
-
 def hierarchical_affinity(tree: TopicTree) -> tuple[float | None, float | None]:
     """Mean parent-child versus parent-non-child cosine similarity.
 
@@ -199,21 +275,21 @@ def hierarchical_affinity(tree: TopicTree) -> tuple[float | None, float | None]:
     topics: child affinity averages each parent against its own children,
     non-child affinity against every level-3 topic outside its subtree.
     Either value is absent when its pair set is empty or term weights are
-    unavailable.
+    unavailable. A pair with a zero-norm vector has cosine 0.
     """
     parents = [n for n in tree.nodes_at_level(2) if n.term_weights is not None]
     level3 = [n for n in tree.nodes_at_level(3) if n.term_weights is not None]
     if not parents or not level3:
         return None, None
+    others = [(n.node_id, n.term_weights, float(np.linalg.norm(n.term_weights))) for n in level3]
     child_sims, non_child_sims = [], []
     for parent in parents:
+        u = parent.term_weights
+        nu = float(np.linalg.norm(u))
         child_ids = {c.node_id for c in parent.children}
-        for node in level3:
-            sim = _cosine(parent.term_weights, node.term_weights)
-            if node.node_id in child_ids:
-                child_sims.append(sim)
-            else:
-                non_child_sims.append(sim)
+        for node_id, v, nv in others:
+            sim = 0.0 if nu == 0.0 or nv == 0.0 else float(u @ v) / (nu * nv)
+            (child_sims if node_id in child_ids else non_child_sims).append(sim)
     child = sum(child_sims) / len(child_sims) if child_sims else None
     non_child = sum(non_child_sims) / len(non_child_sims) if non_child_sims else None
     return child, non_child
@@ -273,7 +349,8 @@ def _mean_or_none(values):
 
 
 def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
-    """Assemble every metric for a tree over its corpus. Deterministic."""
+    """Assemble every metric for a tree over its corpus, in one pass over
+    its term pairs (see the module docstring). Deterministic."""
     m = len(corpus.vocabulary)
     recorded = tree.config.get("vocab_size")
     if recorded is not None and int(recorded) != m:
@@ -296,14 +373,21 @@ def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
     if norm > 0:
         corpus_vector = corpus_vector / norm
 
-    interest = sorted({j for node in nodes for j, _ in node.top_terms[: max(_TOP_NS)]})
-    stats = build_stats(corpus, interest)
+    top = max(_TOP_NS)
+    terms = [[j for j, _ in node.top_terms[:top]] for node in nodes]
+    stats = build_stats(corpus, sorted({j for node_terms in terms for j in node_terms}))
+    position = {id(node): i for i, node in enumerate(nodes)}
+    edge_index = [
+        (i, position[id(child)]) for i, node in enumerate(nodes) for child in node.children
+    ]
+    grids = _pmi_grids(
+        stats, [(t, t) for t in terms] + [(terms[p], terms[c]) for p, c in edge_index]
+    )
 
     topics = []
-    for node in nodes:
-        terms = [j for j, _ in node.top_terms]
-        c5 = coherence(terms, stats, 5) if len(terms) >= 2 else None
-        c10 = coherence(terms, stats, 10) if len(terms) >= 2 else None
+    for node, node_terms, grid in zip(nodes, terms, grids):
+        k = len(node_terms)
+        c5, c10 = (_upper_mean(grid, min(k, n)) if k >= 2 else None for n in _TOP_NS)
         spec = (
             topic_specialization(node.term_weights, corpus_vector)
             if node.term_weights is not None
@@ -322,21 +406,20 @@ def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
         )
 
     edges = []
-    for node in nodes:
-        parent_terms = [j for j, _ in node.top_terms]
-        for child in node.children:
-            child_terms = [j for j, _ in child.top_terms]
-            h5 = hierarchical_coherence(parent_terms, child_terms, stats, 5)
-            h10 = hierarchical_coherence(parent_terms, child_terms, stats, 10)
-            edges.append(
-                {
-                    "parent": node.node_id,
-                    "child": child.node_id,
-                    "hcoherence_top5": h5,
-                    "hcoherence_top10": h10,
-                    "hcoherence": _mean_or_none([h5, h10]),
-                }
-            )
+    for (p, c), grid in zip(edge_index, grids[len(nodes):]):
+        kp, kc = len(terms[p]), len(terms[c])
+        h5, h10 = (
+            _block_mean(grid, min(kp, n), min(kc, n)) if kp and kc else None for n in _TOP_NS
+        )
+        edges.append(
+            {
+                "parent": nodes[p].node_id,
+                "child": nodes[c].node_id,
+                "hcoherence_top5": h5,
+                "hcoherence_top10": h10,
+                "hcoherence": _mean_or_none([h5, h10]),
+            }
+        )
 
     levels = []
     for level in sorted({n.level for n in nodes}):

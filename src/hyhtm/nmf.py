@@ -81,8 +81,8 @@ def _sq_frobenius(a) -> float:
 def _sq_error(norm_a_sq: float, w, aht, wtw, hht) -> float:
     """||A - WH||^2 without forming WH densely, from A H^T, W^T W and H H^T:
     ||A||^2 - 2*sum(W o (A H^T)) + sum((W^T W) o (H H^T)), clipped at 0."""
-    cross = float(np.sum(w * aht))
-    gram = float(np.sum(wtw * hht))
+    cross = float((w * aht).sum())
+    gram = float((wtw * hht).sum())
     return max(norm_a_sq - 2.0 * cross + gram, 0.0)
 
 

@@ -19,7 +19,7 @@ from hyhtm.cli import (
     build_parser,
     main,
 )
-from hyhtm.sparse_io import TRIPLET_DTYPE, file_sha256
+from hyhtm.sparse_io import TRIPLET_DTYPE, cache_key, file_sha256
 
 from conftest import PLANTED_ALPHA, PLANTED_K
 
@@ -235,6 +235,36 @@ class TestTrainCommand:
                  for run in ("cold", "warm", "mended", "off")}
         assert len(trees) == 1
         assert "cache" not in json.loads(trees.pop())
+
+    def test_cached_similarity_and_hierarchy_skip_the_embedding_file(
+        self, planted_cli, tmp_path, monkeypatch
+    ):
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+        assert main(train_args(corpus_bin, emb, tmp_path / "fill", cache_dir=cache)) == 0
+        train = TrainConfig(alpha=PLANTED_ALPHA, k_s=PLANTED_K)
+        a0_path = cache / (cache_key(
+            "representation", corpus=file_sha256(corpus_bin), embeddings=file_sha256(emb),
+            space=train.space, alpha=train.alpha, k_s=train.k_s,
+        ) + ".bin")
+        intact = a0_path.read_bytes()
+        a0_path.unlink()
+        reads = []
+        real = hypspace.load_embeddings
+        monkeypatch.setattr(
+            hypspace, "load_embeddings", lambda *args: reads.append(args) or real(*args)
+        )
+        out = tmp_path / "a0-only"
+        assert main(train_args(corpus_bin, emb, out, cache_dir=cache)) == 0
+        assert reads == []
+        provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
+        assert provenance["cache"] == {
+            "similarity": "hit", "hierarchy": "hit", "representation": "miss"
+        }
+        assert provenance["embedding_coverage"] is None
+        assert a0_path.read_bytes() == intact
+        assert main(train_args(corpus_bin, emb, tmp_path / "cold") + ["--no-cache"]) == 0
+        assert (out / "tree.json").read_bytes() == (tmp_path / "cold" / "tree.json").read_bytes()
 
     def test_provenance_records_matrix_sizes(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -606,6 +636,38 @@ class TestEvaluateCommand:
         assert main(
             ["evaluate", "--model", str(tmp_path / "ghost"), "--corpus", str(corpus_bin)]
         ) == 2
+
+    @pytest.mark.parametrize("value, named", [
+        (float("nan"), "weight 1 is nan"), (float("inf"), "weight 1 is inf"),
+        (-1.0, "weight 1 is -1.0"), (1e200, "sum of squares overflows"),
+    ])
+    def test_damaged_factor_weights_exit_3_naming_file(self, metric_model, capsys, value, named):
+        corpus_bin, model = metric_model
+        path = model / "factors" / "level1-node0.bin"
+        path.parent.mkdir()
+        np.array([0.5, value, 0.25], dtype="<f8").tofile(path)
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+        assert not (model / "report.json").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_output_dir_dot_is_the_working_directory(
+        self, metric_model, tmp_path, monkeypatch, how
+    ):
+        corpus_bin, model = metric_model
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = ["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]
+        if how == "flag":
+            argv += ["--output-dir", "."]
+        else:
+            (tmp_path / "run.json").write_text('{"output_dir": "."}', encoding="utf-8")
+            argv += ["--config", str(tmp_path / "run.json")]
+        assert main(argv) == 0
+        assert (work / "report.json").exists() and (work / "report.csv").exists()
+        assert not (model / "report.json").exists() and not (model / "report.csv").exists()
 
     def test_planted_end_to_end_evaluate(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli

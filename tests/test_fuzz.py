@@ -2,11 +2,14 @@
 
 Truncated and bit-flipped `corpus.bin` files go through `train` and
 `evaluate`; mutated `tree.json` files go through `evaluate` and both
-`export` formats. Every run must return 0, 2, 3 or 4 from `cli.main`;
-any other exception fails the test.
+`export` formats; truncated and bit-flipped factor files go through
+`evaluate`. Every run must return 0, 2, 3 or 4 from `cli.main`; any other
+exception fails the test. A report that `evaluate` writes must be strict
+JSON, without NaN or infinity.
 """
 
 import json
+import shutil
 import signal
 
 import numpy as np
@@ -196,3 +199,28 @@ def test_damaged_tree_bytes_exit_with_a_documented_code(fuzz_model, data):
     (model / "tree.json").write_bytes(data.draw(damaged_bytes(fuzz_model["tree"])))
     for argv in commands:
         run(argv)
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_damaged_factor_file_exits_with_a_documented_code(fuzz_model, data):
+    root = fuzz_model["root"]
+    model, report = root / "factor-model", root / "factor-report"
+    shutil.rmtree(model, ignore_errors=True)
+    shutil.rmtree(report, ignore_errors=True)
+    shutil.copytree(fuzz_model["model"], model)
+    names = sorted(p.name for p in (model / "factors").iterdir())
+    path = model / "factors" / data.draw(st.sampled_from(names))
+    path.write_bytes(data.draw(damaged_bytes(path.read_bytes())))
+    corpus = root / "corpus.bin"
+    corpus.write_bytes(fuzz_model["corpus"])
+    code = run(["evaluate", "--model", str(model), "--corpus", str(corpus),
+                "--output-dir", str(report)])
+    assert (report / "report.json").exists() == (code == 0)
+    if code == 0:
+        json.loads((report / "report.json").read_text(encoding="utf-8"),
+                   parse_constant=_reject_constant)

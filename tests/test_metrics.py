@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from hyhtm import metrics
 from hyhtm import (
     build_stats,
     coherence,
@@ -423,3 +425,241 @@ class TestEvaluate:
         assert lines[0].startswith("section,")
         sections = {line.split(",")[0] for line in lines[1:]}
         assert {"topic", "edge", "level", "affinity"} <= sections
+
+
+# The per-pair evaluation that the one-pass `evaluate` replaced, kept as an
+# oracle. Its counts come from a dense document x term presence matrix; it
+# scores each pair with a scalar PMI and each pair of topics with its own
+# cosine, and sums exactly as the report's definition says.
+
+
+class ReferenceCounts:
+    def __init__(self, corpus):
+        presence = np.zeros((corpus.n_docs, len(corpus.vocabulary)))
+        for i, doc in enumerate(corpus.documents):
+            presence[i, doc.tokens] = 1.0
+        self.doc_count = corpus.n_docs
+        self.joint = (presence.T @ presence).astype(np.int64)  # exact: sums of 0/1
+
+    def doc_freq(self, t):
+        return int(self.joint[t, t])
+
+
+def reference_pmi(counts, wi, wj):
+    df_i, df_j = counts.doc_freq(wi), counts.doc_freq(wj)
+    if df_i == 0 or df_j == 0:
+        return 0.0
+    n = counts.doc_count
+    p_joint = (int(counts.joint[wi, wj]) + 1e-12) / n
+    return math.log(p_joint * n * n / (df_i * df_j))
+
+
+def reference_coherence(topic_terms, counts, n):
+    terms = list(topic_terms)[:n]
+    if len(terms) < 2:
+        return None
+    total = 0.0
+    count = 0
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            total += reference_pmi(counts, terms[i], terms[j])
+            count += 1
+    return total / count
+
+
+def reference_hierarchical_coherence(parent_terms, child_terms, counts, n):
+    parents = list(parent_terms)[:n]
+    children = list(child_terms)[:n]
+    if not parents or not children:
+        return None
+    total = sum(reference_pmi(counts, p, c) for p in parents for c in children)
+    return total / (len(parents) * len(children))
+
+
+def reference_cosine(u, v):
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v) / (nu * nv)
+
+
+def reference_affinity(tree):
+    parents = [n for n in tree.nodes_at_level(2) if n.term_weights is not None]
+    level3 = [n for n in tree.nodes_at_level(3) if n.term_weights is not None]
+    if not parents or not level3:
+        return None, None
+    child_sims, non_child_sims = [], []
+    for parent in parents:
+        child_ids = {c.node_id for c in parent.children}
+        for node in level3:
+            sim = reference_cosine(parent.term_weights, node.term_weights)
+            (child_sims if node.node_id in child_ids else non_child_sims).append(sim)
+    child = sum(child_sims) / len(child_sims) if child_sims else None
+    non_child = sum(non_child_sims) / len(non_child_sims) if non_child_sims else None
+    return child, non_child
+
+
+def reference_mean(values):
+    values = [v for v in values if v is not None]
+    return sum(values) / len(values) if values else None
+
+
+def reference_report(tree, corpus):
+    """The report dict of the per-pair evaluation."""
+    m = len(corpus.vocabulary)
+    counts = ReferenceCounts(corpus)
+    nodes = list(tree.nodes())
+    corpus_vector = np.bincount(
+        [t for d in corpus.documents for t in d.tokens], minlength=m
+    ).astype(float)
+    norm = np.linalg.norm(corpus_vector)
+    if norm > 0:
+        corpus_vector = corpus_vector / norm
+    topics = []
+    for node in nodes:
+        terms = [j for j, _ in node.top_terms]
+        c5 = reference_coherence(terms, counts, 5) if len(terms) >= 2 else None
+        c10 = reference_coherence(terms, counts, 10) if len(terms) >= 2 else None
+        spec = (topic_specialization(node.term_weights, corpus_vector)
+                if node.term_weights is not None else None)
+        topics.append({"id": node.node_id, "level": node.level, "n_docs": len(node.doc_ids),
+                       "coherence_top5": c5, "coherence_top10": c10,
+                       "coherence": reference_mean([c5, c10]), "specialization": spec})
+    edges = []
+    for node in nodes:
+        parent_terms = [j for j, _ in node.top_terms]
+        for child in node.children:
+            child_terms = [j for j, _ in child.top_terms]
+            h5 = reference_hierarchical_coherence(parent_terms, child_terms, counts, 5)
+            h10 = reference_hierarchical_coherence(parent_terms, child_terms, counts, 10)
+            edges.append({"parent": node.node_id, "child": child.node_id,
+                          "hcoherence_top5": h5, "hcoherence_top10": h10,
+                          "hcoherence": reference_mean([h5, h10])})
+    levels = []
+    for level in sorted({n.level for n in nodes}):
+        at_level = [t for t, n in zip(topics, nodes) if n.level == level]
+        levels.append({"level": level, "n_topics": len(at_level),
+                       "coherence": reference_mean([t["coherence"] for t in at_level]),
+                       "specialization": reference_mean([t["specialization"] for t in at_level])})
+    child_aff, non_child_aff = reference_affinity(tree)
+    return {
+        "summary": {
+            "doc_count": corpus.n_docs, "n_topics": len(topics), "n_edges": len(edges),
+            "mean_coherence": reference_mean([t["coherence"] for t in topics]),
+            "mean_hierarchical_coherence": reference_mean([e["hcoherence"] for e in edges]),
+            "mean_specialization_by_level": {
+                str(row["level"]): row["specialization"] for row in levels
+            },
+            "child_affinity": child_aff, "non_child_affinity": non_child_aff,
+        },
+        "affinity": {"child": child_aff, "non_child": non_child_aff},
+        "levels": levels, "topics": topics, "edges": edges,
+    }
+
+
+def assert_same_report(report, reference):
+    """Equal values, and equal JSON text: every float to the last bit, the
+    sign of a zero included, and every None in place."""
+    assert report.to_dict() == reference
+    assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+def zipf_corpus(rng, m, n_docs, max_len, ghosts):
+    """Documents of 0 to max_len Zipf-drawn tokens; the last `ghosts` of
+    the m terms occur in no document."""
+    p = 1.0 / np.arange(1, m - ghosts + 1)
+    p /= p.sum()
+    terms = [f"t{j}" for j in range(m)]
+    docs = [[terms[j] for j in rng.choice(m - ghosts, size=rng.integers(0, max_len + 1), p=p)]
+            for _ in range(n_docs)]
+    return make_corpus(docs, terms=terms)
+
+
+TERM_LIST_LENGTHS = (0, 1, 2, 5, 7, 12)
+
+
+def random_tree(rng, m, branching, lengths=TERM_LIST_LENGTHS):
+    """A tree with branching[0] roots and branching[d] children per node at
+    depth d. Each node ranks a length drawn from `lengths` of distinct terms
+    (ghost terms included), and has random sparse, all-zero or no term weights."""
+
+    def weights():
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            return None
+        if kind == 1:
+            return np.zeros(m)
+        return rng.random(m) * (rng.random(m) < 0.6)
+
+    def mk(node_id, level):
+        terms = rng.choice(m, size=int(rng.choice(lengths)), replace=False)
+        node = TopicNode(node_id=node_id, level=level, term_weights=weights(),
+                         top_terms=[(int(j), 1.0 - i / 100) for i, j in enumerate(terms)],
+                         doc_ids=[f"d{i}" for i in range(int(rng.integers(0, 4)))])
+        if level < len(branching):
+            node.children = [mk(f"{node_id}.{i}", level + 1) for i in range(branching[level])]
+        return node
+
+    return TopicTree(roots=[mk(str(i), 1) for i in range(branching[0])], config={}, provenance={})
+
+
+class TestMatchesPerPairReference:
+    """`evaluate` and the public PMI functions equal the per-pair oracle
+    bit for bit."""
+
+    @pytest.mark.parametrize("branching", [(5,), (4, 3), (4, 3, 3), (3, 4, 5)])
+    @pytest.mark.parametrize("block", [1, None, 1 << 62])
+    def test_random_trees(self, monkeypatch, branching, block):
+        if block is not None:
+            monkeypatch.setattr(metrics, "_PAIR_BLOCK_WORDS", block)
+        rng = np.random.default_rng(sum(branching))
+        corpus = zipf_corpus(rng, m=60, n_docs=150, max_len=30, ghosts=4)
+        tree = random_tree(rng, 60, branching)
+        assert_same_report(evaluate(tree, corpus), reference_report(tree, corpus))
+
+    def test_many_distinct_pmi_values(self):
+        # About 20,000 pair scores over a corpus whose terms span three
+        # orders of magnitude in document frequency: enough distinct PMI
+        # arguments for a logarithm or a summation order that differs in
+        # the last bit to show.
+        rng = np.random.default_rng(17)
+        corpus = zipf_corpus(rng, m=400, n_docs=2000, max_len=60, ghosts=5)
+        tree = random_tree(rng, 400, (6, 5, 4), lengths=(10, 12))
+        assert_same_report(evaluate(tree, corpus), reference_report(tree, corpus))
+
+    @pytest.mark.parametrize("max_depth", [2, 3])
+    def test_planted_trees(self, planted_matrices, planted_corpus, max_depth):
+        from hyhtm import TrainConfig, build_hierarchy
+        from conftest import PLANTED_ALPHA, PLANTED_K, PLANTED_N_TOPICS
+
+        tree = build_hierarchy(
+            planted_matrices["a0"], planted_matrices["mh"],
+            TrainConfig(n_topics=PLANTED_N_TOPICS, max_depth=max_depth, min_docs=20,
+                        alpha=PLANTED_ALPHA, k_s=PLANTED_K, k_h=PLANTED_K, seed=0),
+        )
+        assert tree.depth == max_depth
+        assert_same_report(evaluate(tree, planted_corpus), reference_report(tree, planted_corpus))
+
+    def test_zero_norm_weights_score_zero_affinity(self):
+        # Every level-3 topic has all-zero weights: each cosine is 0.
+        tree = hand_tree([([1.0, 1.0], [([1.0, 0.0], [([0.0, 0.0], [])]),
+                                         ([0.0, 1.0], [([0.0, 0.0], [])])])])
+        assert hierarchical_affinity(tree) == reference_affinity(tree) == (0.0, 0.0)
+
+    def test_public_functions(self):
+        rng = np.random.default_rng(23)
+        corpus = zipf_corpus(rng, m=50, n_docs=120, max_len=25, ghosts=3)
+        counts = ReferenceCounts(corpus)
+        stats = build_stats(corpus, range(50))
+        for length in TERM_LIST_LENGTHS:
+            for _ in range(4):
+                a = rng.choice(50, size=length, replace=False).tolist()
+                b = rng.choice(50, size=int(rng.choice(TERM_LIST_LENGTHS)), replace=False).tolist()
+                for n in (2, 5, 10, 12):
+                    assert coherence(a, stats, n) == reference_coherence(a, counts, n)
+                for n in (1, 5, 10, 12):
+                    assert (hierarchical_coherence(a, b, stats, n)
+                            == reference_hierarchical_coherence(a, b, counts, n))
+                for wi in a:
+                    for wj in b:
+                        assert pmi(stats, wi, wj) == reference_pmi(counts, wi, wj)
