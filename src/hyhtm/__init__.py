@@ -1,95 +1,46 @@
 """Hierarchical topic trees from recursive nonnegative factorization of
-hyperbolic-embedding-enriched document representations."""
+hyperbolic-embedding-enriched document representations.
 
-from .corpus import (
-    Corpus,
-    DocTermRepresentation,
-    Document,
-    PreprocessConfig,
-    TermFrequencyMatrix,
-    Vocabulary,
-    build_document_representation,
-    build_tf,
-    compute_idf,
-    preprocess,
-)
-from .hierarchy import (
-    TopicNode,
-    TopicTree,
-    TrainConfig,
-    assign_documents,
-    build_hierarchy,
-    parent_child_reweight,
-    top_words,
-)
-from .hypspace import (
-    EmbeddingTable,
-    Neighborhood,
-    TermHierarchyMatrix,
-    TermSimilarityMatrix,
-    build_hierarchy_matrix,
-    build_similarity_matrix,
-    euclidean_cosine,
-    knn,
-    load_embeddings,
-    neighborhood_similarity,
-    poincare_distance,
-)
-from .metrics import (
-    CooccurrenceStats,
-    EvalReport,
-    build_stats,
-    coherence,
-    evaluate,
-    hierarchical_affinity,
-    hierarchical_coherence,
-    pmi,
-    topic_specialization,
-)
-from .nmf import FactorPair, NmfConfig, factorize, reconstruction_error
+Each exported name is imported from its module on first use (PEP 562), so
+`import hyhtm` loads no numpy, and neither does a command that needs none.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Corpus",
-    "CooccurrenceStats",
-    "DocTermRepresentation",
-    "Document",
-    "EmbeddingTable",
-    "EvalReport",
-    "FactorPair",
-    "Neighborhood",
-    "NmfConfig",
-    "PreprocessConfig",
-    "TermFrequencyMatrix",
-    "TermHierarchyMatrix",
-    "TermSimilarityMatrix",
-    "TopicNode",
-    "TopicTree",
-    "TrainConfig",
-    "Vocabulary",
-    "assign_documents",
-    "build_document_representation",
-    "build_hierarchy",
-    "build_hierarchy_matrix",
-    "build_similarity_matrix",
-    "build_stats",
-    "build_tf",
-    "coherence",
-    "compute_idf",
-    "euclidean_cosine",
-    "evaluate",
-    "factorize",
-    "hierarchical_affinity",
-    "hierarchical_coherence",
-    "knn",
-    "load_embeddings",
-    "neighborhood_similarity",
-    "parent_child_reweight",
-    "pmi",
-    "poincare_distance",
-    "preprocess",
-    "reconstruction_error",
-    "top_words",
-    "topic_specialization",
-]
+_EXPORTS = {
+    "corpus": (
+        "Corpus", "DocTermRepresentation", "Document", "PreprocessConfig",
+        "TermFrequencyMatrix", "Vocabulary", "build_document_representation", "build_tf",
+        "compute_idf", "preprocess",
+    ),
+    "hierarchy": (
+        "TopicNode", "TopicTree", "assign_documents", "build_hierarchy",
+        "parent_child_reweight", "top_words",
+    ),
+    "hypspace": (
+        "EmbeddingTable", "Neighborhood", "TermHierarchyMatrix", "TermSimilarityMatrix",
+        "build_hierarchy_matrix", "build_similarity_matrix", "euclidean_cosine", "knn",
+        "load_embeddings", "neighborhood_similarity", "poincare_distance",
+    ),
+    "metrics": (
+        "CooccurrenceStats", "EvalReport", "build_stats", "coherence", "evaluate",
+        "hierarchical_affinity", "hierarchical_coherence", "pmi", "topic_specialization",
+    ),
+    "nmf": ("FactorPair", "NmfConfig", "factorize", "reconstruction_error"),
+    "settings": ("TrainConfig",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+

@@ -6,6 +6,9 @@ inputs, and seed; `train` reruns reproduce tree.json byte for byte. The
 matrix cache is keyed by content hashes of the inputs plus hyperparameters;
 the HYHTM_CACHE_DIR environment variable overrides --cache-dir, and
 --no-cache turns the cache off whatever the variable says.
+
+Only `train` and `evaluate` load numpy and the modules built on it, when
+they run; `preprocess` and `export` load neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import corpus as corpus_mod
-from . import hierarchy as hierarchy_mod
-from . import hypspace, metrics, sparse_io
+from . import settings
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -32,6 +33,9 @@ from .errors import (
     EmbeddingParseError,
     HyhtmError,
 )
+
+if TYPE_CHECKING:
+    from .hierarchy import TopicTree
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +68,7 @@ class RunConfig:
     no_cache: bool = False
     write_factors: bool = True
     preprocess: corpus_mod.PreprocessConfig = field(default_factory=corpus_mod.PreprocessConfig)
-    train: hierarchy_mod.TrainConfig = field(default_factory=hierarchy_mod.TrainConfig)
+    train: settings.TrainConfig = field(default_factory=settings.TrainConfig)
 
 
 def _config_keys(config: RunConfig) -> dict:
@@ -81,10 +85,10 @@ def _config_keys(config: RunConfig) -> dict:
 # a field annotated `... | None` also takes null.
 _VALUE_CHECKS = {
     "str": lambda v: isinstance(v, str),
-    "int": hierarchy_mod._is_int,
-    "float": hierarchy_mod._is_float,
+    "int": settings._is_int,
+    "float": settings._is_float,
     "bool": lambda v: isinstance(v, bool),
-    "list[str]": hierarchy_mod._is_str_list,
+    "list[str]": settings._is_str_list,
 }
 
 
@@ -195,6 +199,8 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     `rebuilt` (a damaged file, logged and replaced) or `off` (no cache),
     and the shape, stored entries and density of each matrix.
     """
+    from . import hypspace, sparse_io
+
     train = config.train
     m = len(built.vocabulary)
     corpus_sha = sparse_io.file_sha256(config.corpus)
@@ -271,6 +277,7 @@ def cmd_train(config: RunConfig) -> int:
         if not Path(path).exists():
             raise CorpusError(f"input file not found: {path}")
     config.train.validate()
+    from . import hierarchy as hierarchy_mod, sparse_io
 
     t_start = time.perf_counter()
     built = corpus_mod.read_corpus(config.corpus)
@@ -329,10 +336,12 @@ def _read_tree(model_dir: Path, read):
         raise ContractError(f"{tree_path}: {exc}") from None
 
 
-def _attach_factors(tree: hierarchy_mod.TopicTree, model_dir: Path, m: int):
+def _attach_factors(tree: TopicTree, model_dir: Path, m: int):
     """Term weights from the model's factor files, one per node that has
     one. A file must hold m finite, nonnegative weights whose sum of
     squares is finite; otherwise a ContractError names it."""
+    import numpy as np
+
     factors_dir = model_dir / "factors"
     if not factors_dir.is_dir():
         return
@@ -362,6 +371,8 @@ def cmd_evaluate(config: RunConfig, model_dir: str) -> int:
         raise ConfigurationError("evaluate requires --corpus")
     if not Path(config.corpus).exists():
         raise CorpusError(f"input file not found: {config.corpus}")
+    from . import hierarchy as hierarchy_mod, metrics
+
     model = Path(model_dir)
     built = corpus_mod.read_corpus(config.corpus)
     tree = _read_tree(model, lambda p: hierarchy_mod.tree_from_payload(p, built.vocabulary))
@@ -384,7 +395,7 @@ def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, 
     if top_k < 1:
         raise ConfigurationError(f"--top-k must be >= 1, got {top_k}")
     model = Path(model_dir)
-    payload = _read_tree(model, hierarchy_mod.check_tree_payload)
+    payload = _read_tree(model, settings.check_tree_payload)
     if fmt == "dot":
         lines = ["digraph topics {", '  node [shape=box];']
         for node in payload["nodes"]:
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--embeddings")
     p.add_argument("--seed", type=int)
-    p.add_argument("--space", choices=hypspace.SPACES)
+    p.add_argument("--space", choices=settings.SPACES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--k-s", dest="k_s", type=int)
     p.add_argument("--k-h", dest="k_h", type=int)

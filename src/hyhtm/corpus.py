@@ -6,7 +6,9 @@ sparse term-frequency matrix, the similarity-aware inverse document
 frequency vector, and the enriched document-term representation that the
 factorization stages consume.
 
-All three are built with numpy alone. The two sparse products run over
+All three are built with numpy alone, which the builders import when they
+run: reading, preprocessing and writing a corpus load no numpy, so
+`preprocess` starts without it. The two sparse products run over
 blocks of rows whose work, products plus dense output cells, stays within
 `_BLOCK_WORK`. Within a block every product is expanded in the order of
 scipy's sparse product (Gustavson's row-wise algorithm): by output row,
@@ -24,8 +26,7 @@ import string
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigurationError,
@@ -34,7 +35,10 @@ from .errors import (
     InvariantError,
     ShapeError,
 )
-from .sparse_io import CsrArrays, csr_arrays, csr_from_triplets, index_dtype, row_positions
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .sparse_io import CsrArrays
 
 log = logging.getLogger(__name__)
 
@@ -252,6 +256,9 @@ def preprocess(raw_documents, config: PreprocessConfig | None = None) -> Corpus:
 
 def build_tf(corpus: Corpus) -> TermFrequencyMatrix:
     """Raw occurrence counts as a sparse matrix, one row per document."""
+    import numpy as np
+    from .sparse_io import csr_from_triplets, index_dtype
+
     if corpus.vocabulary is None:
         raise ContractError("corpus has no vocabulary")
     n, m = corpus.n_docs, len(corpus.vocabulary)
@@ -267,23 +274,27 @@ def build_tf(corpus: Corpus) -> TermFrequencyMatrix:
 
 def _entries_of(ms) -> CsrArrays:
     # Accept either the TermSimilarityMatrix wrapper or a bare sparse matrix.
+    from .sparse_io import csr_arrays
+
     return csr_arrays(getattr(ms, "entries", ms))
 
 
 def _row_blocks(work: np.ndarray):
     """Consecutive [start, stop) row ranges whose summed `work` stays within
     `_BLOCK_WORK`; a row over the budget is a range of its own."""
-    ends = np.cumsum(work)
+    ends = work.cumsum()
     start = 0
     while start < work.size:
         done = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_WORK, side="right")))
+        stop = max(start + 1, int(ends.searchsorted(done + _BLOCK_WORK, side="right")))
         yield start, stop
         start = stop
 
 
 def _products_per_row(left: CsrArrays, right: CsrArrays) -> np.ndarray:
     """How many products each row of `left @ right` expands to."""
+    import numpy as np
+
     ends = np.diff(right.indptr)[left.indices]
     np.cumsum(ends, out=ends)  # products up to and including each entry of left
     totals = np.zeros(left.shape[0] + 1, dtype=np.int64)
@@ -301,6 +312,9 @@ def _product_blocks(left: CsrArrays, right: CsrArrays, pattern: bool = False):
     by j in left's stored order, then by k in right's stored order. With
     `pattern`, every stored value of `right` is read as 1.
     """
+    import numpy as np
+    from .sparse_io import row_positions
+
     n_cols = right.shape[1]
     for start, stop in _row_blocks(_products_per_row(left, right) + n_cols):
         begin, end = left.indptr[start], left.indptr[stop]
@@ -317,6 +331,9 @@ def _product_blocks(left: CsrArrays, right: CsrArrays, pattern: bool = False):
 
 def _drop_zeros(matrix: CsrArrays) -> CsrArrays:
     """`matrix` without its stored zeros."""
+    import numpy as np
+    from .sparse_io import CsrArrays
+
     keep = matrix.data != 0
     if keep.all():
         return matrix
@@ -337,6 +354,9 @@ def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
     `np.add.reduceat` as scipy's `csr_matrix.sum(axis=1)` does, and each
     document's similarity sum adds in row i's stored order.
     """
+    import numpy as np
+    from .sparse_io import CsrArrays, csr_arrays, index_dtype
+
     sim = _drop_zeros(_entries_of(ms))
     counts = csr_arrays(tf.counts)
     n, m = counts.shape
@@ -386,6 +406,9 @@ def build_document_representation(
     Cells whose product sums to exactly zero, or whose scaled value is
     zero, are not stored.
     """
+    import numpy as np
+    from .sparse_io import CsrArrays, csr_arrays, index_dtype
+
     sim = _entries_of(ms)
     counts = csr_arrays(tf.counts)
     n, m = counts.shape
@@ -460,7 +483,7 @@ def write_corpus(corpus: Corpus, path):
             raw = doc.id.encode("utf-8")
             fh.write(struct.pack("<II", len(raw), len(doc.tokens)))
             fh.write(raw)
-            fh.write(np.asarray(doc.tokens, dtype="<u4").tobytes())
+            fh.write(struct.pack(f"<{len(doc.tokens)}I", *doc.tokens))
 
 
 def read_corpus(path) -> Corpus:
@@ -485,15 +508,14 @@ def read_corpus(path) -> Corpus:
             off += 8
             doc_id = blob[off : off + idlen].decode("utf-8")
             off += idlen
-            tokens = np.frombuffer(blob, dtype="<u4", count=ntok, offset=off)
+            tokens = list(struct.unpack_from(f"<{ntok}I", blob, off))
             off += 4 * ntok
-            if ntok and tokens.max() >= n_terms:
+            if ntok and max(tokens) >= n_terms:
                 raise CorpusError(
-                    f"{path}: document {doc_id!r} has term index {int(tokens.max())} "
+                    f"{path}: document {doc_id!r} has term index {max(tokens)} "
                     f"outside the vocabulary of {n_terms} terms"
                 )
-            tokens = tokens.tolist()
             docs.append(Document(id=doc_id, tokens=tokens))
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+    except (struct.error, UnicodeDecodeError) as exc:
         raise CorpusError(f"{path}: corpus file is truncated or corrupt ({exc})") from None
     return Corpus(documents=docs, vocabulary=Vocabulary(terms=terms))

@@ -22,13 +22,10 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import ConfigurationError, ContractError, EmbeddingParseError
+from .settings import EUCLIDEAN, HYPERBOLIC, SPACES  # noqa: F401 (EUCLIDEAN re-exported)
 from .sparse_io import CsrArrays, index_dtype, row_positions
 
 log = logging.getLogger(__name__)
-
-HYPERBOLIC = "hyperbolic"
-EUCLIDEAN = "euclidean"
-SPACES = (HYPERBOLIC, EUCLIDEAN)
 
 # Vectors at or outside the unit sphere are pulled back to this norm.
 _BALL_RADIUS = 1.0 - 1e-5

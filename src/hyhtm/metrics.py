@@ -77,7 +77,8 @@ class CooccurrenceStats:
     Each term of interest has one row of 64-bit words over the documents,
     bit d of word d // 64 set when document d holds the term; the joint
     count of two terms is the popcount of their ANDed rows, so every count
-    is an exact integer.
+    is an exact integer. `_term_counts` holds the occurrences of every
+    vocabulary term, which `evaluate` reads as the corpus vector.
     """
 
     doc_count: int
@@ -85,6 +86,7 @@ class CooccurrenceStats:
     _local: dict[int, int] = field(repr=False)
     _doc_freq: np.ndarray = field(repr=False)
     _presence: np.ndarray = field(repr=False)
+    _term_counts: np.ndarray = field(repr=False)
 
     def has(self, term: int) -> bool:
         return term in self._local
@@ -142,6 +144,7 @@ def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
     to_local = np.full(m, -1, dtype=np.int64)
     to_local[order] = np.arange(len(order))
     docs, terms = _token_arrays(corpus)
+    term_counts = np.bincount(terms, minlength=m)
     rows = to_local[terms]
     kept = rows >= 0
     rows, docs = rows[kept], docs[kept]
@@ -150,7 +153,7 @@ def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
     np.bitwise_or.at(presence, (rows, docs >> 6), bits)
     return CooccurrenceStats(
         doc_count=n, term_order=order, _local=local,
-        _doc_freq=_popcount_rows(presence), _presence=presence,
+        _doc_freq=_popcount_rows(presence), _presence=presence, _term_counts=term_counts,
     )
 
 
@@ -249,16 +252,23 @@ def topic_specialization(term_weights: np.ndarray, corpus_vector: np.ndarray) ->
     Both vectors must be nonnegative. A zero topic vector has no direction,
     so its specialization is reported absent.
     """
-    tw = np.asarray(term_weights, dtype=float).ravel()
     cv = np.asarray(corpus_vector, dtype=float).ravel()
+    if cv.size and cv.min() < 0:
+        raise ContractError("specialization expects nonnegative vectors")
+    return _specialization(term_weights, cv, float(cv @ cv))
+
+
+def _specialization(term_weights, cv: np.ndarray, sq_c: float) -> float | None:
+    """`topic_specialization` against a nonnegative 1-D float corpus vector
+    `cv` whose squared norm is `sq_c`."""
+    tw = np.asarray(term_weights, dtype=float).ravel()
     if tw.shape != cv.shape:
         raise ContractError(
             f"vector lengths differ: {tw.shape[0]} vs {cv.shape[0]}"
         )
-    if tw.min() < 0 or cv.min() < 0:
+    if tw.min() < 0:
         raise ContractError("specialization expects nonnegative vectors")
     sq_t = float(tw @ tw)
-    sq_c = float(cv @ cv)
     if sq_t == 0.0 or sq_c == 0.0:
         return None
     # sqrt(dot^2 / (|u|^2 |v|^2)) equals the cosine for nonnegative vectors
@@ -368,14 +378,15 @@ def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
             if not 0 <= j < m:
                 raise ContractError(f"node {node.node_id} references term index {j}")
 
-    corpus_vector = np.bincount(_token_arrays(corpus)[1], minlength=m).astype(float)
-    norm = np.linalg.norm(corpus_vector)
-    if norm > 0:
-        corpus_vector = corpus_vector / norm
-
     top = max(_TOP_NS)
     terms = [[j for j, _ in node.top_terms[:top]] for node in nodes]
     stats = build_stats(corpus, sorted({j for node_terms in terms for j in node_terms}))
+    # Term counts are nonnegative, so the corpus vector needs no check.
+    corpus_vector = stats._term_counts.astype(float)
+    norm = np.linalg.norm(corpus_vector)
+    if norm > 0:
+        corpus_vector = corpus_vector / norm
+    sq_c = float(corpus_vector @ corpus_vector)
     position = {id(node): i for i, node in enumerate(nodes)}
     edge_index = [
         (i, position[id(child)]) for i, node in enumerate(nodes) for child in node.children
@@ -389,7 +400,7 @@ def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
         k = len(node_terms)
         c5, c10 = (_upper_mean(grid, min(k, n)) if k >= 2 else None for n in _TOP_NS)
         spec = (
-            topic_specialization(node.term_weights, corpus_vector)
+            _specialization(node.term_weights, corpus_vector, sq_c)
             if node.term_weights is not None
             else None
         )

@@ -685,20 +685,24 @@ class TestEvaluateCommand:
 # import and after the commands.
 SCIPY_PROBE = """
 import json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 import hyhtm
+out = {"numpy_import_hyhtm": loaded("numpy")}
 from hyhtm.cli import main
-out = {"import": scipy_modules(), "codes": []}
+out.update({"import": loaded("scipy"), "numpy_import": loaded("numpy"), "codes": [], "numpy": []})
 for argv in json.loads(sys.argv[1]):
     out["codes"].append(main(argv))
-out["commands"] = scipy_modules()
+    out["numpy"].append(loaded("numpy"))
+out["commands"] = loaded("scipy")
 print(json.dumps(out))
 """
 
 
 def run_scipy_probe(commands, timeout=120):
-    """Run CLI commands in a fresh interpreter; what it reports."""
+    """Run CLI commands in a fresh interpreter; what it reports: the scipy
+    modules loaded on import and after every command, and the numpy
+    modules loaded on import and after each command."""
     env = dict(os.environ)
     env.pop("HYHTM_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -765,6 +769,31 @@ class TestScipyStaysUnloaded:
         assert out["codes"] == [0, 0, 0, 0]
         assert out["import"] == []
         assert out["commands"] == []
+        assert (model / "report.json").is_file()
+
+
+class TestNumpyStaysUnloaded:
+    """`preprocess` and `export` need no numpy; loading it costs about
+    0.13 s CPU per process."""
+
+    def test_preprocess_and_export_never_import_numpy(self, planted_inputs, planted_cli, tmp_path):
+        corpus_jsonl, _ = planted_inputs
+        corpus_bin, emb = planted_cli
+        model = tmp_path / "model"
+        assert main(train_args(corpus_bin, emb, model)) == 0
+        commands = [
+            ["preprocess", "--input", str(corpus_jsonl), "--output-dir", str(tmp_path / "prep")],
+            ["export", "--model", str(model), "--format", "json", "--output", str(tmp_path / "t.json")],
+            ["export", "--model", str(model), "--format", "dot", "--output", str(tmp_path / "t.dot")],
+            ["evaluate", "--model", str(model), "--corpus", str(tmp_path / "prep" / "corpus.bin")],
+        ]
+        out = run_scipy_probe(commands)
+        assert out["codes"] == [0, 0, 0, 0]
+        assert out["numpy_import_hyhtm"] == []
+        assert out["numpy_import"] == []
+        assert out["numpy"][:3] == [[], [], []]
+        assert "numpy" in out["numpy"][3]
+        assert (tmp_path / "prep" / "corpus.bin").read_bytes() == corpus_bin.read_bytes()
         assert (model / "report.json").is_file()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from hyhtm import (
     preprocess,
 )
 from hyhtm import corpus as corpus_mod
+from hyhtm.cli import main
 from hyhtm.corpus import (
     _light_stem,
     read_corpus,
@@ -325,6 +327,158 @@ class TestSerialization:
         path = tmp_path / "docs.txt"
         path.write_text("first doc\nsecond doc\n", encoding="utf-8")
         assert read_text_documents(path) == [("doc-1", "first doc"), ("doc-2", "second doc")]
+
+
+# The numpy writer and reader of corpus.bin that the `struct` ones replaced,
+# kept as byte-for-byte references.
+
+
+def reference_write_corpus(corpus, path):
+    with open(path, "wb") as fh:
+        fh.write(b"HYC1")
+        fh.write(struct.pack("<II", len(corpus.vocabulary), corpus.n_docs))
+        for term in corpus.vocabulary.terms:
+            raw = term.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+        for doc in corpus.documents:
+            raw = doc.id.encode("utf-8")
+            fh.write(struct.pack("<II", len(raw), len(doc.tokens)))
+            fh.write(raw)
+            fh.write(np.asarray(doc.tokens, dtype="<u4").tobytes())
+
+
+def reference_read_corpus(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != b"HYC1":
+        raise CorpusError(f"{path}: not a corpus file (bad magic)")
+    try:
+        off = 4
+        n_terms, n_docs = struct.unpack_from("<II", blob, off)
+        off += 8
+        terms = []
+        for _ in range(n_terms):
+            (tlen,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            terms.append(blob[off : off + tlen].decode("utf-8"))
+            off += tlen
+        docs = []
+        for _ in range(n_docs):
+            idlen, ntok = struct.unpack_from("<II", blob, off)
+            off += 8
+            doc_id = blob[off : off + idlen].decode("utf-8")
+            off += idlen
+            tokens = np.frombuffer(blob, dtype="<u4", count=ntok, offset=off)
+            off += 4 * ntok
+            if ntok and tokens.max() >= n_terms:
+                raise CorpusError(
+                    f"{path}: document {doc_id!r} has term index {int(tokens.max())} "
+                    f"outside the vocabulary of {n_terms} terms"
+                )
+            docs.append(Document(id=doc_id, tokens=tokens.tolist()))
+    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+        raise CorpusError(f"{path}: corpus file is truncated or corrupt ({exc})") from None
+    return Corpus(documents=docs, vocabulary=Vocabulary(terms=terms))
+
+
+_ALPHABET = "abcz_-éßж日本語🙂"
+
+
+def random_text(rng, low=1, high=8):
+    return "".join(rng.choice(list(_ALPHABET), size=int(rng.integers(low, high))))
+
+
+def random_corpus_file_input(rng, m, n):
+    """n documents over m terms with non-ASCII terms and ids, some empty
+    documents, and the largest term index m - 1 in one of them."""
+    terms = sorted({random_text(rng) for _ in range(3 * m)})[:m]
+    m = len(terms)
+    docs = []
+    for i in range(n):
+        size = 0 if rng.random() < 0.25 else int(rng.integers(1, 60))
+        docs.append(Document(id=f"{random_text(rng, 0)}-{i}",
+                             tokens=rng.integers(0, m, size).tolist()))
+    docs[int(rng.integers(n))].tokens.append(m - 1)
+    return Corpus(documents=docs, vocabulary=Vocabulary(terms=terms))
+
+
+class TestCorpusFileMatchesNumpyReference:
+    """`write_corpus` and `read_corpus` pack token runs with `struct`; the
+    file and the corpus read back are those of the numpy versions."""
+
+    @staticmethod
+    def assert_matches(corpus, tmp_path):
+        ours, ref = tmp_path / "ours.bin", tmp_path / "ref.bin"
+        write_corpus(corpus, ours)
+        reference_write_corpus(corpus, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        loaded = read_corpus(ours)
+        assert loaded == reference_read_corpus(ref)
+        assert loaded == corpus
+        return ours
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_corpora(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        corpus = random_corpus_file_input(rng, m=int(rng.integers(1, 40)), n=int(rng.integers(1, 30)))
+        self.assert_matches(corpus, tmp_path)
+
+    def test_one_term_vocabulary_and_empty_documents(self, tmp_path):
+        corpus = Corpus(documents=[Document(id="", tokens=[]), Document(id="é", tokens=[0, 0]),
+                                   Document(id="x", tokens=[])],
+                        vocabulary=Vocabulary(terms=["日本"]))
+        self.assert_matches(corpus, tmp_path)
+
+    def test_long_document_and_largest_index(self, tmp_path):
+        rng = np.random.default_rng(11)
+        m = 70_000
+        tokens = rng.integers(0, m, 100_000).tolist()
+        tokens[-1] = m - 1
+        corpus = Corpus(documents=[Document(id="long", tokens=tokens)],
+                        vocabulary=Vocabulary(terms=[f"t{j:05d}" for j in range(m)]))
+        self.assert_matches(corpus, tmp_path)
+
+    def test_every_truncation_fails_like_the_reference(self, tmp_path):
+        corpus = random_corpus_file_input(np.random.default_rng(5), m=6, n=5)
+        blob = self.assert_matches(corpus, tmp_path).read_bytes()
+        path = tmp_path / "cut.bin"
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(CorpusError) as ours:
+                read_corpus(path)
+            with pytest.raises(CorpusError) as ref:
+                reference_read_corpus(path)
+            # The detail in parentheses is the packing library's own message.
+            assert str(ours.value).split(" (")[0] == str(ref.value).split(" (")[0]
+
+    def test_out_of_vocabulary_index_fails_like_the_reference(self, tmp_path):
+        corpus = make_corpus([["a", "b"], ["b"]], terms=["a", "b"])
+        corpus.documents[1].tokens = [1, 7, 2]
+        path = tmp_path / "corpus.bin"
+        write_corpus(corpus, path)
+        with pytest.raises(CorpusError) as ours:
+            read_corpus(path)
+        with pytest.raises(CorpusError) as ref:
+            reference_read_corpus(path)
+        assert str(ours.value) == str(ref.value)
+        assert "document 'd1' has term index 7 outside the vocabulary of 2 terms" in str(ours.value)
+
+    @pytest.mark.parametrize("damage", ["out-of-vocabulary", "truncated"])
+    def test_damaged_corpus_exits_2(self, damage, tmp_path, capsys):
+        corpus = make_corpus([["a", "b"], ["b"]], terms=["a", "b"])
+        path = tmp_path / "corpus.bin"
+        if damage == "out-of-vocabulary":
+            corpus.documents[1].tokens = [2]
+            write_corpus(corpus, path)
+            expected = "document 'd1' has term index 2"
+        else:
+            write_corpus(corpus, path)
+            path.write_bytes(path.read_bytes()[:-2])
+            expected = "corpus file is truncated or corrupt"
+        assert main(["evaluate", "--model", str(tmp_path / "model"), "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and expected in err
 
 
 # The scipy builders that `build_tf`, `compute_idf` and
