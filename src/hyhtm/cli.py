@@ -240,7 +240,9 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
         table = hypspace.load_embeddings(config.embeddings, built.vocabulary, train.space)
         coverage = table.coverage
         if not table.covered:
-            raise ContractError("no vocabulary term has an embedding vector")
+            raise ContractError(
+                f"{config.embeddings}: no vocabulary term has an embedding vector"
+            )
         if sim is None and hier is None:  # one kNN pass: the narrower build slices it
             hypspace._neighbor_table(table, max(train.k_s, train.k_h))
         if sim is None:
@@ -338,8 +340,9 @@ def _read_tree(model_dir: Path, read):
 
 def _attach_factors(tree: TopicTree, model_dir: Path, m: int):
     """Term weights from the model's factor files, one per node that has
-    one. A file must hold m finite, nonnegative weights whose sum of
-    squares is finite; otherwise a ContractError names it."""
+    one. A file must be exactly m little-endian float64 weights, finite
+    and nonnegative, whose sum of squares is finite; otherwise a
+    ContractError names it."""
     import numpy as np
 
     factors_dir = model_dir / "factors"
@@ -348,11 +351,12 @@ def _attach_factors(tree: TopicTree, model_dir: Path, m: int):
     for node in tree.nodes():
         path = factors_dir / f"level{node.level}-node{node.node_id}.bin"
         if path.exists():
-            weights = np.fromfile(path, dtype="<f8")
-            if weights.shape[0] != m:
+            size = path.stat().st_size
+            if size != 8 * m:
                 raise ContractError(
-                    f"{path}: {weights.shape[0]} weights for a vocabulary of {m}"
+                    f"{path}: {size} bytes; a vocabulary of {m} takes {8 * m}, 8 per weight"
                 )
+            weights = np.fromfile(path, dtype="<f8")
             bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
             if bad.size:
                 raise ContractError(

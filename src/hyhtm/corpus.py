@@ -156,16 +156,36 @@ def bundled_stopword_paths() -> tuple[str, str]:
     return (str(base / "stopwords_english.txt"), str(base / "stopwords_smart.txt"))
 
 
+def utf8_lines(path, error: type[Exception]):
+    """(line number, line) for each line of a UTF-8 text file, numbered
+    from 1. A file that is not UTF-8 raises `error` naming the file and its
+    first line that does not decode."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+            return
+        except UnicodeDecodeError:
+            pass
+    # Read again with each undecodable byte as a lone surrogate, which
+    # UTF-8 text never holds, so the first line that fails to encode is the
+    # first bad one; the lines are split exactly as above.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 text at column {exc.start + 1}") from None
+
+
 def load_stopwords(paths) -> set[str]:
     """Union of stopword files: one token per line, '#' starts a comment."""
     words: set[str] = set()
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    entry = line.split("#", 1)[0].strip().lower()
-                    if entry:
-                        words.add(entry)
+            for _, line in utf8_lines(path, ConfigurationError):
+                entry = line.split("#", 1)[0].strip().lower()
+                if entry:
+                    words.add(entry)
         except OSError as exc:
             raise ConfigurationError(f"cannot read stopword file {path}: {exc}") from exc
     return words
@@ -355,7 +375,7 @@ def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
     document's similarity sum adds in row i's stored order.
     """
     import numpy as np
-    from .sparse_io import CsrArrays, csr_arrays, index_dtype
+    from .sparse_io import csr_arrays, csr_from_triplets
 
     sim = _drop_zeros(_entries_of(ms))
     counts = csr_arrays(tf.counts)
@@ -365,14 +385,10 @@ def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
 
     # The documents of each term, ascending: TF's presence pattern transposed.
     present = counts.data != 0
-    terms = counts.indices[present]
-    docs = np.repeat(np.arange(n, dtype=index_dtype(n)), np.diff(counts.indptr))[present]
-    docs = docs[np.argsort(terms, kind="stable")]
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(terms, minlength=m), out=indptr[1:])
-    docs_of = CsrArrays(indptr=indptr, indices=docs, data=np.broadcast_to(1.0, docs.shape),
-                        shape=(m, n))
-    del present, terms, docs
+    docs = np.repeat(np.arange(n), np.diff(counts.indptr))[present]
+    docs_of = csr_from_triplets(np.broadcast_to(1.0, docs.shape), counts.indices[present],
+                                docs, (m, n))
+    del present, docs
 
     mu_sum = np.zeros(m)
     for start, stop, cells, values in _product_blocks(sim, docs_of, pattern=True):
@@ -447,27 +463,24 @@ def build_document_representation(
 def read_jsonl_documents(path) -> list[tuple[str, str]]:
     """Read {"id":…, "text":…} records, one JSON object per line."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-            docs.append((str(record["id"]), str(record["text"])))
+    for lineno, line in utf8_lines(path, CorpusError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict) or "id" not in record or "text" not in record:
+            raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
+        docs.append((str(record["id"]), str(record["text"])))
     return docs
 
 
 def read_text_documents(path) -> list[tuple[str, str]]:
     """Read one document per line; ids are assigned doc-<line#>."""
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            docs.append((f"doc-{lineno}", line.rstrip("\n")))
-    return docs
+    return [
+        (f"doc-{lineno}", line.rstrip("\n")) for lineno, line in utf8_lines(path, CorpusError)
+    ]
 
 
 def write_corpus(corpus: Corpus, path):
@@ -518,4 +531,8 @@ def read_corpus(path) -> Corpus:
             docs.append(Document(id=doc_id, tokens=tokens))
     except (struct.error, UnicodeDecodeError) as exc:
         raise CorpusError(f"{path}: corpus file is truncated or corrupt ({exc})") from None
+    if off > len(blob):  # a corpus without documents that ends inside its last term
+        raise CorpusError(f"{path}: corpus file is truncated or corrupt (it ends in a term)")
+    if off < len(blob):
+        raise CorpusError(f"{path}: {len(blob) - off} trailing bytes after the last document")
     return Corpus(documents=docs, vocabulary=Vocabulary(terms=terms))

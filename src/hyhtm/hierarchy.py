@@ -110,11 +110,9 @@ def assign_documents(w: np.ndarray) -> list[list[int]]:
     w = np.asarray(w)
     if w.size and w.min() < 0:
         raise ContractError("document-topic matrix must be nonnegative")
-    parts: list[list[int]] = [[] for _ in range(w.shape[1])]
     nonzero = w.any(axis=1)
     best = np.argmax(w, axis=1)
-    for i in np.flatnonzero(nonzero):
-        parts[best[i]].append(int(i))
+    parts = [np.flatnonzero(nonzero & (best == t)).tolist() for t in range(w.shape[1])]
     n_dropped = int(w.shape[0] - nonzero.sum())
     if n_dropped:
         log.info("%d documents had all-zero topic rows and were left unassigned", n_dropped)
@@ -235,7 +233,9 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
     }
     root_rows = np.flatnonzero(np.diff(values.indptr) > 0)
     provenance["excluded_empty_rows"] = int(n - root_rows.size)
-    if root_rows.size < config.min_docs:
+    if root_rows.size >= config.min_docs:
+        roots = expand(root_rows, None, 1, "")
+    else:
         log.warning(
             "only %d nonzero document rows (< min_docs=%d); empty tree",
             root_rows.size, config.min_docs,
@@ -243,11 +243,7 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
         provenance["diagnostic"] = (
             f"root has {root_rows.size} nonzero rows, fewer than min_docs={config.min_docs}"
         )
-        provenance["peak_live_matrices"] = gauge.peak
-        provenance["unassigned_docs"] = 0
-        provenance["nmf_by_level"] = []
-        return TopicTree(roots=[], config=asdict(config), provenance=provenance)
-    roots = expand(root_rows, None, 1, "")
+        roots = []
     provenance["peak_live_matrices"] = gauge.peak
     provenance["unassigned_docs"] = counters["unassigned_docs"]
     provenance["nmf_by_level"] = [nmf_levels[level] for level in sorted(nmf_levels)]

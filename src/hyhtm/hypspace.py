@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, utf8_lines
 from .errors import ConfigurationError, ContractError, EmbeddingParseError
 from .settings import EUCLIDEAN, HYPERBOLIC, SPACES  # noqa: F401 (EUCLIDEAN re-exported)
 from .sparse_io import CsrArrays, index_dtype, row_positions
@@ -201,37 +201,36 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
         raise ConfigurationError(f"unknown space {space!r}; expected one of {SPACES}")
     vectors: dict[int, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    continue  # header line
-            if dim is None:
-                dim = len(parts) - 1
-                if dim < 1:
-                    raise EmbeddingParseError("line has no vector components", lineno)
-            if len(parts) != dim + 1:
-                raise EmbeddingParseError(
-                    f"expected {dim} components, found {len(parts) - 1}", lineno
-                )
-            term = parts[0]
-            idx = vocab.index.get(term)
-            if idx is None or idx in vectors:
-                continue
+    for lineno, line in utf8_lines(path, EmbeddingParseError):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array([float(p) for p in parts[1:]], dtype=float)
-            except ValueError as exc:
-                raise EmbeddingParseError(f"bad vector component: {exc}", lineno) from None
-            if not np.isfinite(vec).all():
-                raise EmbeddingParseError("non-finite vector component", lineno)
-            vectors[idx] = vec
+                int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                continue  # header line
+        if dim is None:
+            dim = len(parts) - 1
+            if dim < 1:
+                raise EmbeddingParseError(f"{path}: line has no vector components", lineno)
+        if len(parts) != dim + 1:
+            raise EmbeddingParseError(
+                f"{path}: expected {dim} components, found {len(parts) - 1}", lineno
+            )
+        term = parts[0]
+        idx = vocab.index.get(term)
+        if idx is None or idx in vectors:
+            continue
+        try:
+            vec = np.array([float(p) for p in parts[1:]], dtype=float)
+        except ValueError as exc:
+            raise EmbeddingParseError(f"{path}: bad vector component: {exc}", lineno) from None
+        if not np.isfinite(vec).all():
+            raise EmbeddingParseError(f"{path}: non-finite vector component", lineno)
+        vectors[idx] = vec
 
     if dim is None:
         dim = 0

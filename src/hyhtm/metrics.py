@@ -18,7 +18,8 @@ one definition.
 
 Every reported value is reproducible to the bit, and these rules keep it so:
 
-- Joint counts are exact integers: popcounts of ANDed 64-bit presence words.
+- Joint counts are exact integers: `np.bitwise_count` of ANDed 64-bit
+  presence words, summed per row.
 - The PMI ratio is built elementwise with the scalar formula's IEEE
   operations in the scalar formula's order, and its logarithm is
   `math.log` of each value. numpy's vectorised log is another
@@ -53,21 +54,6 @@ _TOP_NS = (5, 10)
 # 64-bit presence words per operand in one block of the joint-count pass
 # (1 MB each); a block holds at least one pair.
 _PAIR_BLOCK_WORDS = 1 << 17
-
-_ONE, _TWO, _FOUR, _BYTE_SHIFT = (np.uint64(s) for s in (1, 2, 4, 56))
-_M1, _M2, _M4, _BYTE_SUM = (
-    np.uint64(m) for m in
-    (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
-
-
-def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Set bits in each row of a 2-D uint64 array, as int64: the bit-sliced
-    popcount, then one sum per row."""
-    words = words - ((words >> _ONE) & _M1)
-    words = (words & _M2) + ((words >> _TWO) & _M2)
-    words = (words + (words >> _FOUR)) & _M4
-    return ((words * _BYTE_SUM) >> _BYTE_SHIFT).sum(axis=1, dtype=np.int64)
 
 
 @dataclass
@@ -118,7 +104,7 @@ class CooccurrenceStats:
         for start in range(0, len(left), block):
             stop = start + block
             both = self._presence[left[start:stop]] & self._presence[right[start:stop]]
-            counts[start:stop] = _popcount_rows(both)
+            counts[start:stop] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
         return counts
 
 
@@ -149,11 +135,12 @@ def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
     kept = rows >= 0
     rows, docs = rows[kept], docs[kept]
     presence = np.zeros((len(order), (n + 63) // 64), dtype=np.uint64)
-    bits = np.left_shift(_ONE, (docs & 63).astype(np.uint64))
+    bits = np.left_shift(np.uint64(1), (docs & 63).astype(np.uint64))
     np.bitwise_or.at(presence, (rows, docs >> 6), bits)
     return CooccurrenceStats(
         doc_count=n, term_order=order, _local=local,
-        _doc_freq=_popcount_rows(presence), _presence=presence, _term_counts=term_counts,
+        _doc_freq=np.bitwise_count(presence).sum(axis=1, dtype=np.int64),
+        _presence=presence, _term_counts=term_counts,
     )
 
 
@@ -334,12 +321,10 @@ class EvalReport:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns, restval="")
             writer.writeheader()
-            for row in self.topics:
-                writer.writerow({"section": "topic", **{k: _cell(v) for k, v in row.items()}})
-            for row in self.edges:
-                writer.writerow({"section": "edge", **{k: _cell(v) for k, v in row.items()}})
-            for row in self.levels:
-                writer.writerow({"section": "level", **{k: _cell(v) for k, v in row.items()}})
+            for section, rows in (("topic", self.topics), ("edge", self.edges),
+                                  ("level", self.levels)):
+                for row in rows:
+                    writer.writerow({"section": section, **{k: _cell(v) for k, v in row.items()}})
             writer.writerow(
                 {
                     "section": "affinity",

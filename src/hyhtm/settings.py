@@ -16,6 +16,11 @@ from .errors import ConfigurationError, ContractError
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
 SPACES = (HYPERBOLIC, EUCLIDEAN)
+# Deepest tree `train` builds. At this depth the longest factor file name,
+# level32-node<32 topic numbers joined by dots>.bin, stays under the usual
+# 255-byte limit for any n_topics below 10**6, and the recursion stays far
+# from Python's limit.
+MAX_DEPTH = 32
 
 
 @dataclass
@@ -41,8 +46,10 @@ class TrainConfig:
     def validate(self):
         if self.n_topics < 2:
             raise ConfigurationError("n_topics must be >= 2")
-        if self.max_depth < 1:
-            raise ConfigurationError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise ConfigurationError(
+                f"max_depth must be in [1, {MAX_DEPTH}], got {self.max_depth}"
+            )
         if self.min_docs < self.n_topics:
             raise ConfigurationError("min_docs must be >= n_topics")
         if self.top_terms < 1:

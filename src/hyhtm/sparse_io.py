@@ -63,8 +63,6 @@ class CsrArrays:
     data: np.ndarray
     shape: tuple[int, int]
 
-    format = "csr"
-
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])

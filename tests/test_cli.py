@@ -139,6 +139,39 @@ class TestPreprocessCommand:
         assert "docs=2" in capsys.readouterr().out
 
 
+class TestUndecodableText:
+    """One byte that is not UTF-8 in any text input exits 2 naming the file
+    and the line."""
+
+    @pytest.mark.parametrize("reader", ["jsonl", "text", "stopwords", "embeddings"])
+    def test_exits_2_naming_file_and_line(self, fruit_jsonl, tmp_path, capsys, reader):
+        out = tmp_path / "pre"
+        if reader == "embeddings":
+            assert main(["preprocess", "--input", str(fruit_jsonl), "--output-dir", str(out),
+                         "--min-doc-freq", "1"]) == 0
+            bad = tmp_path / "emb.txt"
+            bad.write_bytes(b"apple 0.1 0.0\r\nbanana 0.0 0.1\r\ncherry 0.1 0.1\xff\r\n")
+            argv = ["train", "--corpus", str(out / "corpus.bin"), "--embeddings", str(bad),
+                    "--output-dir", str(tmp_path / "model")]
+        elif reader == "stopwords":
+            bad = tmp_path / "sw.txt"
+            bad.write_bytes(b"# fruit\nthe\n\xffand\n")
+            argv = ["preprocess", "--input", str(fruit_jsonl), "--stopwords", str(bad),
+                    "--output-dir", str(out)]
+        else:
+            bad = tmp_path / f"docs.{'jsonl' if reader == 'jsonl' else 'txt'}"
+            lines = fruit_jsonl.read_bytes().splitlines(keepends=True)
+            if reader == "text":
+                lines = [b"apple banana\n", b"cherry\n", b"apple\n"]
+            lines[2] = lines[2].replace(b"apple", b"app\xffle")
+            bad.write_bytes(b"".join(lines))
+            argv = ["preprocess", "--input", str(bad), "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert f"{bad}:3: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "model" / "tree.json").exists()
+        assert reader == "embeddings" or not out.exists()
+
+
 class TestTrainCommand:
     def test_planted_shape_and_rerun_identical(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -378,7 +411,8 @@ class TestTrainCommand:
             ]
         )
         assert code == 2
-        assert "line 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 3" in err and str(emb) in err
         assert not (tmp_path / "model" / "tree.json").exists()
 
     def test_missing_inputs_exit_2(self, tmp_path):
@@ -486,7 +520,8 @@ class TestTrainCommand:
             assert f.type.partition(" | ")[0] in _VALUE_CHECKS, name
 
     @pytest.mark.parametrize("flags", [["--nmf-tol", "0"], ["--nmf-tol", "nan"],
-                                       ["--nmf-max-iter", "0"], ["--seed", "-1"]])
+                                       ["--nmf-max-iter", "0"], ["--seed", "-1"],
+                                       ["--max-depth", "33"]])
     def test_bad_train_settings_exit_2_before_any_matrix(
         self, planted_cli, tmp_path, capsys, flags
     ):
@@ -496,6 +531,23 @@ class TestTrainCommand:
         assert main(args) == 2
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not cache.exists() and not (tmp_path / "m").exists()
+
+    def test_identical_documents_train_to_the_depth_bound(self, tmp_path, capsys):
+        # Every level hands all 40 documents to one topic, so the tree is
+        # as deep as max_depth allows and its factor file names are longest.
+        docs = tmp_path / "docs.txt"
+        docs.write_text("apple banana cherry\n" * 40, encoding="utf-8")
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--input", str(docs), "--output-dir", str(pre)]) == 0
+        emb = tmp_path / "emb.txt"
+        emb.write_text("apple 0.1 0.0\nbanana 0.0 0.1\ncherry 0.1 0.1\n", encoding="utf-8")
+        model = tmp_path / "model"
+        assert main(["train", "--corpus", str(pre / "corpus.bin"), "--embeddings", str(emb),
+                     "--output-dir", str(model), "--no-cache", "--n-topics", "2",
+                     "--min-docs", "2", "--k-s", "3", "--k-h", "3", "--max-depth", "32"]) == 0
+        assert "depth=32" in capsys.readouterr().out
+        factors = [p.name for p in (model / "factors").iterdir()]
+        assert max(len(name) for name in factors) == len("level32-node" + "0." * 31 + "0.bin")
 
     def test_one_neighbor_table_for_both_widths(self, planted_cli, tmp_path, monkeypatch):
         # k_h > k_s: the hierarchy table is built once at k_h and the
@@ -649,6 +701,21 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
         err = capsys.readouterr().err
         assert str(path) in err and named in err
+        assert not (model / "report.json").exists()
+
+    @pytest.mark.parametrize("cut, extra", [(16, b""), (24, b"\0\0\0"), (24, bytes(8))],
+                             ids=["one-weight-short", "partial-value", "one-weight-over"])
+    def test_factor_file_of_the_wrong_size_exits_3_naming_file(
+        self, metric_model, capsys, cut, extra
+    ):
+        corpus_bin, model = metric_model
+        path = model / "factors" / "level1-node0.bin"
+        path.parent.mkdir()
+        weights = np.array([0.5, 0.25, 0.125], dtype="<f8").tobytes()
+        path.write_bytes(weights[:cut] + extra)
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: {path.stat().st_size} bytes" in err and "takes 24" in err
         assert not (model / "report.json").exists()
 
     @pytest.mark.parametrize("how", ["flag", "config"])

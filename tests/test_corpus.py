@@ -24,6 +24,7 @@ from hyhtm import corpus as corpus_mod
 from hyhtm.cli import main
 from hyhtm.corpus import (
     _light_stem,
+    load_stopwords,
     read_corpus,
     read_jsonl_documents,
     read_text_documents,
@@ -328,6 +329,47 @@ class TestSerialization:
         path.write_text("first doc\nsecond doc\n", encoding="utf-8")
         assert read_text_documents(path) == [("doc-1", "first doc"), ("doc-2", "second doc")]
 
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path):
+        path = tmp_path / "docs.txt"
+        path.write_bytes("first d\u00f6c\r\nsecond doc\r\n".encode("utf-8"))
+        assert read_text_documents(path) == [("doc-1", "first d\u00f6c"), ("doc-2", "second doc")]
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(b'{"id": "x", "text": "alpha"}\r\n\r\n{"id": "y", "text": "beta"}\r\n')
+        assert read_jsonl_documents(path) == [("x", "alpha"), ("y", "beta")]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_undecodable_line_is_named_past_the_first_read_block(self, tmp_path, newline):
+        # 3000 lines of 11 bytes: the bad byte sits well past the first
+        # block the text reader decodes.
+        lines = [b"line %05d" % i for i in range(3000)]
+        lines[2716] = b"line \xc3\xa9 \xff"
+        path = tmp_path / "docs.txt"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(CorpusError, match=r"docs\.txt:2717: not UTF-8 text at column 8$"):
+            read_text_documents(path)
+
+    def test_undecodable_stopword_file_names_the_line(self, tmp_path):
+        sw = tmp_path / "sw.txt"
+        sw.write_bytes(b"alpha\nbeta\xff\n")
+        with pytest.raises(ConfigurationError, match=r"sw\.txt:2: not UTF-8"):
+            load_stopwords([str(sw)])
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        corpus = make_corpus([["a", "b"], ["b"]], terms=["a", "b"])
+        path = tmp_path / "corpus.bin"
+        write_corpus(corpus, path)
+        path.write_bytes(path.read_bytes() + bytes(9))
+        with pytest.raises(CorpusError, match="9 trailing bytes after the last document"):
+            read_corpus(path)
+
+    def test_corpus_without_documents_ending_in_a_term_is_truncated(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        write_corpus(make_corpus([], terms=["a", "bcd"]), path)
+        assert read_corpus(path).vocabulary.terms == ["a", "bcd"]
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CorpusError, match="truncated or corrupt"):
+            read_corpus(path)
+
 
 # The numpy writer and reader of corpus.bin that the `struct` ones replaced,
 # kept as byte-for-byte references.
@@ -464,7 +506,7 @@ class TestCorpusFileMatchesNumpyReference:
         assert str(ours.value) == str(ref.value)
         assert "document 'd1' has term index 7 outside the vocabulary of 2 terms" in str(ours.value)
 
-    @pytest.mark.parametrize("damage", ["out-of-vocabulary", "truncated"])
+    @pytest.mark.parametrize("damage", ["out-of-vocabulary", "truncated", "trailing-bytes"])
     def test_damaged_corpus_exits_2(self, damage, tmp_path, capsys):
         corpus = make_corpus([["a", "b"], ["b"]], terms=["a", "b"])
         path = tmp_path / "corpus.bin"
@@ -472,10 +514,14 @@ class TestCorpusFileMatchesNumpyReference:
             corpus.documents[1].tokens = [2]
             write_corpus(corpus, path)
             expected = "document 'd1' has term index 2"
-        else:
+        elif damage == "truncated":
             write_corpus(corpus, path)
             path.write_bytes(path.read_bytes()[:-2])
             expected = "corpus file is truncated or corrupt"
+        else:
+            write_corpus(corpus, path)
+            path.write_bytes(path.read_bytes() + bytes(9))
+            expected = "9 trailing bytes"
         assert main(["evaluate", "--model", str(tmp_path / "model"), "--corpus", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and expected in err

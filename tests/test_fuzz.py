@@ -3,9 +3,11 @@
 Truncated and bit-flipped `corpus.bin` files go through `train` and
 `evaluate`; mutated `tree.json` files go through `evaluate` and both
 `export` formats; truncated and bit-flipped factor files go through
-`evaluate`. Every run must return 0, 2, 3 or 4 from `cli.main`; any other
-exception fails the test. A report that `evaluate` writes must be strict
-JSON, without NaN or infinity.
+`evaluate`; the four text inputs (JSONL and plain-text documents, a
+stopword list, the embedding file) with bytes that are not ASCII go through
+`preprocess` and `train`. Every run must return 0, 2, 3 or 4 from
+`cli.main`; any other exception fails the test. A report that `evaluate`
+writes must be strict JSON, without NaN or infinity.
 """
 
 import json
@@ -224,3 +226,49 @@ def test_damaged_factor_file_exits_with_a_documented_code(fuzz_model, data):
     if code == 0:
         json.loads((report / "report.json").read_text(encoding="utf-8"),
                    parse_constant=_reject_constant)
+
+
+def high_bytes(blob: bytes):
+    """Strategy: `blob` with one to three of its bytes replaced by bytes
+    0x80-0xFF; in ASCII text most such edits are not UTF-8."""
+    edits = st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0x80, 0xFF)),
+                     min_size=1, max_size=3)
+
+    def apply(edits):
+        out = bytearray(blob)
+        for pos, byte in edits:
+            out[pos] = byte
+        return bytes(out)
+
+    return edits.map(apply)
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_text_inputs_with_high_bytes_exit_with_a_documented_code(fuzz_model, data, capsys):
+    root = fuzz_model["root"]
+    docs = root / "docs.jsonl"
+    corpus = root / "corpus.bin"
+    corpus.write_bytes(fuzz_model["corpus"])
+    texts = "".join(json.loads(line)["text"] + "\n"
+                    for line in docs.read_text(encoding="utf-8").splitlines())
+    originals = {
+        "docs.jsonl": docs.read_bytes(),
+        "docs.txt": texts.encode("utf-8"),
+        "stopwords.txt": b"# fruit we ignore\nkiwi\nlime\n",
+        "emb.txt": fuzz_model["emb"].read_bytes(),
+    }
+    mangled = {name: root / f"mangled-{name}" for name in originals}
+    prep = ["preprocess", "--output-dir", str(root / "mangled-prep"), "--min-doc-freq", "1"]
+    commands = {
+        "docs.jsonl": prep + ["--input", str(mangled["docs.jsonl"])],
+        "docs.txt": prep + ["--input", str(mangled["docs.txt"]), "--input-format", "text"],
+        "stopwords.txt": prep + ["--input", str(docs),
+                                 "--stopwords", str(mangled["stopwords.txt"])],
+        "emb.txt": train_args(corpus, mangled["emb.txt"], root / "mangled-train"),
+    }
+    for name, argv in commands.items():
+        mangled[name].write_bytes(data.draw(high_bytes(originals[name])))
+        capsys.readouterr()
+        if run(argv):
+            assert str(mangled[name]) in capsys.readouterr().err

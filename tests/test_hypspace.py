@@ -16,7 +16,7 @@ from hyhtm import (
     neighborhood_similarity,
     poincare_distance,
 )
-from hyhtm import sparse_io
+from hyhtm import hypspace, sparse_io
 from hyhtm.errors import ConfigurationError, ContractError, EmbeddingParseError
 from hyhtm.hypspace import _neighbor_table, poincare_distances
 from hyhtm.sparse_io import (
@@ -530,6 +530,18 @@ class TestKernelMatchesReference:
         want_s, want_h = reference_builders(table, 6, 0.2, 9)
         assert_same_csr(build_similarity_matrix(table, 6, 0.2).entries, want_s)
         assert_same_csr(build_hierarchy_matrix(table, 9).entries, want_h)
+
+    @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("k", [12, 25])
+    def test_small_blocks_bitwise_equal_reference(self, space, k, monkeypatch):
+        # 64 values per block: member rows are split (5 or 2 rows a chunk),
+        # each block holds one neighborhood, and the neighbor table and the
+        # matrix rows are built over many blocks, as at the default k_s = 500.
+        monkeypatch.setattr(hypspace, "_BLOCK_VALUES", 64)
+        table = random_table(40, n=30, dim=3, space=space)
+        want_s, want_h = reference_builders(table, k, 0.3, k)
+        assert_same_csr(build_similarity_matrix(table, k, 0.3).entries, want_s)
+        assert_same_csr(build_hierarchy_matrix(table, k).entries, want_h)
 
     @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
     def test_sliced_neighbor_table_equals_narrow_table(self, space):
