@@ -143,28 +143,30 @@ class TestUndecodableText:
     """One byte that is not UTF-8 in any text input exits 2 naming the file
     and the line."""
 
-    @pytest.mark.parametrize("reader", ["jsonl", "text", "stopwords", "embeddings"])
+    # The byte is on line 3 of each file.
+    BAD_FILES = {
+        "jsonl": ("docs.jsonl", b'{"id": "a", "text": "apple"}\n{"id": "b", "text": "pear"}\n'
+                                b'{"id": "c", "text": "app\xffle"}\n'),
+        "text": ("docs.txt", b"apple banana\ncherry\napp\xffle\n"),
+        "stopwords": ("sw.txt", b"# fruit\nthe\n\xffand\n"),
+        "embeddings": ("emb.txt", b"apple 0.1 0.0\r\nbanana 0.0 0.1\r\ncherry 0.1 0.1\xff\r\n"),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(BAD_FILES))
     def test_exits_2_naming_file_and_line(self, fruit_jsonl, tmp_path, capsys, reader):
+        name, blob = self.BAD_FILES[reader]
+        bad = tmp_path / name
+        bad.write_bytes(blob)
         out = tmp_path / "pre"
         if reader == "embeddings":
             assert main(["preprocess", "--input", str(fruit_jsonl), "--output-dir", str(out),
                          "--min-doc-freq", "1"]) == 0
-            bad = tmp_path / "emb.txt"
-            bad.write_bytes(b"apple 0.1 0.0\r\nbanana 0.0 0.1\r\ncherry 0.1 0.1\xff\r\n")
             argv = ["train", "--corpus", str(out / "corpus.bin"), "--embeddings", str(bad),
                     "--output-dir", str(tmp_path / "model")]
         elif reader == "stopwords":
-            bad = tmp_path / "sw.txt"
-            bad.write_bytes(b"# fruit\nthe\n\xffand\n")
             argv = ["preprocess", "--input", str(fruit_jsonl), "--stopwords", str(bad),
                     "--output-dir", str(out)]
         else:
-            bad = tmp_path / f"docs.{'jsonl' if reader == 'jsonl' else 'txt'}"
-            lines = fruit_jsonl.read_bytes().splitlines(keepends=True)
-            if reader == "text":
-                lines = [b"apple banana\n", b"cherry\n", b"apple\n"]
-            lines[2] = lines[2].replace(b"apple", b"app\xffle")
-            bad.write_bytes(b"".join(lines))
             argv = ["preprocess", "--input", str(bad), "--output-dir", str(out)]
         assert main(argv) == 2
         assert f"{bad}:3: not UTF-8 text" in capsys.readouterr().err
