@@ -171,7 +171,10 @@ def cmd_preprocess(config: RunConfig) -> int:
     if not raw:
         raise CorpusError(f"{path}: no documents")
 
-    built = corpus_mod.preprocess(raw, config.preprocess)
+    try:
+        built = corpus_mod.preprocess(raw, config.preprocess)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
     out_dir = Path(config.output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(built, out_dir / "corpus.bin")
@@ -199,7 +202,7 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     `rebuilt` (a damaged file, logged and replaced) or `off` (no cache),
     and the shape, stored entries and density of each matrix.
     """
-    from . import hypspace, sparse_io
+    from . import sparse_io
 
     train = config.train
     m = len(built.vocabulary)
@@ -237,6 +240,8 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
 
     coverage = None
     if sim is None or hier is None:
+        from . import hypspace  # only a build needs it; a warm train never loads it
+
         table = hypspace.load_embeddings(config.embeddings, built.vocabulary, train.space)
         coverage = table.coverage
         if not table.covered:

@@ -461,8 +461,10 @@ def build_document_representation(
 
 
 def read_jsonl_documents(path) -> list[tuple[str, str]]:
-    """Read {"id":…, "text":…} records, one JSON object per line."""
+    """Read {"id":…, "text":…} records, one JSON object per line. A
+    repeated id is rejected with the line of its second record."""
     docs = []
+    first_line = {}
     for lineno, line in utf8_lines(path, CorpusError):
         if not line.strip():
             continue
@@ -472,7 +474,14 @@ def read_jsonl_documents(path) -> list[tuple[str, str]]:
             raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-        docs.append((str(record["id"]), str(record["text"])))
+        doc_id = str(record["id"])
+        if doc_id in first_line:
+            raise CorpusError(
+                f"{path}:{lineno}: duplicate document id {doc_id!r} "
+                f"(first on line {first_line[doc_id]})"
+            )
+        first_line[doc_id] = lineno
+        docs.append((doc_id, str(record["text"])))
     return docs
 
 

@@ -13,14 +13,27 @@ dense GEMMs: on planted nodes of 25-42% density, scipy's
 sparse-times-dense dispatch took about twice as long. Sparser nodes stay
 sparse, where the dense products would cost more time and memory.
 
-Each iteration costs two products with A, A·Hᵀ and Aᵀ·W, and four small
-dense GEMMs: W·(H·Hᵀ), WᵀW, (WᵀW)·H and H·Hᵀ. The objective after an
+Each iteration costs two products with A, A·Hᵀ and WᵀA, and four small
+dense products: W·(H·Hᵀ), WᵀW, (WᵀW)·H and H·Hᵀ. The objective after an
 iteration needs A·Hᵀ and H·Hᵀ of the new H, which are exactly what the
 next W update needs, so they are computed once and carried over; WᵀW is
-shared by the H update and the objective; Aᵀ is built once per call. The
-textbook loop recomputes all of these, but every product here receives the
-same operands in the same order, so W, H and the objective history are
-bitwise those of the textbook loop.
+shared by the H update and the objective. Every product runs as
+`np.dot` into a buffer allocated once per call (n×k, k×m or k×k), and
+the clip and the quotient of each update are written into the same
+buffers, so an iteration of a dense node allocates nothing; `np.dot`
+gives the bits of `@` and costs less per call. On nodes of a few hundred
+rows the loop's cost is numpy dispatch, not arithmetic. WᵀA is formed as
+Wᵀ·A, not as (Aᵀ·W)ᵀ, so it is a C-ordered k×m array and the H quotient
+runs over contiguous memory; A·Hᵀ is formed as is, since (H·Aᵀ)ᵀ would
+be F-ordered. A scipy sparse node's two products with A are scipy's and
+return new arrays.
+
+The objective is ||A||² - 2·<W, A·Hᵀ> + <WᵀW, H·Hᵀ>, each inner product
+a BLAS dot (`np.vdot`), and ||A||² of a dense input is `np.vdot(a, a)`,
+so no n×m temporary is made. A dot product sums in another order than
+the elementwise product and `sum` the earlier loop used, so the
+objective, and through the stopping rule W and H, may differ from that
+loop in the last bits; on the benchmark's planted nodes they did not.
 """
 
 from __future__ import annotations
@@ -75,14 +88,24 @@ def _is_sparse(a) -> bool:
 def _sq_frobenius(a) -> float:
     if _is_sparse(a):
         return float(a.data @ a.data) if a.nnz else 0.0
-    return float(np.square(a).sum())
+    return float(np.vdot(a, a))
+
+
+def _dot(x, y, out):
+    """x·y, written into `out` when both are dense arrays. A scipy sparse
+    operand's product takes no buffer and returns a new array. Either way
+    the bits are those of `x @ y`."""
+    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+        return np.dot(x, y, out=out)
+    return x @ y
 
 
 def _sq_error(norm_a_sq: float, w, aht, wtw, hht) -> float:
     """||A - WH||^2 without forming WH densely, from A H^T, W^T W and H H^T:
-    ||A||^2 - 2*sum(W o (A H^T)) + sum((W^T W) o (H H^T)), clipped at 0."""
-    cross = float((w * aht).sum())
-    gram = float((wtw * hht).sum())
+    ||A||^2 - 2*<W, A H^T> + <W^T W, H H^T>, clipped at 0; each inner
+    product is one BLAS dot over the flattened arrays."""
+    cross = float(np.vdot(w, aht))
+    gram = float(np.vdot(wtw, hht))
     return max(norm_a_sq - 2.0 * cross + gram, 0.0)
 
 
@@ -121,19 +144,30 @@ def factorize(a, config: NmfConfig) -> FactorPair:
         pair.converged = True
         return pair
 
-    w, h = _init_random(values, config.n_topics, np.random.default_rng(config.seed))
+    k = config.n_topics
+    w, h = _init_random(values, k, np.random.default_rng(config.seed))
+    wt, ht = w.T, h.T  # views, so they follow the in-place updates
 
     norm_a_sq = _sq_frobenius(values)
-    values_t = values.T
-    aht, hht = values @ h.T, h @ h.T
-    history = [0.5 * _sq_error(norm_a_sq, w, aht, w.T @ w, hht)]
+    # Every product and quotient goes into one of these, allocated once per
+    # call (a sparse A's products make their own arrays; see `_dot`).
+    hht, wtw = np.empty((k, k)), np.empty((k, k))
+    w_step, h_step = np.empty((n, k)), np.empty((k, m))
+    aht, wta = np.empty((n, k)), np.empty((k, m))
+    aht = _dot(values, ht, aht)
+    np.dot(h, ht, out=hht)
+    np.dot(wt, w, out=wtw)
+    history = [0.5 * _sq_error(norm_a_sq, w, aht, wtw, hht)]
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        w *= aht / np.maximum(w @ hht, _EPS)
-        wtw = w.T @ w
-        h *= (values_t @ w).T / np.maximum(wtw @ h, _EPS)
-        aht, hht = values @ h.T, h @ h.T
+        np.maximum(np.dot(w, hht, out=w_step), _EPS, out=w_step)
+        w *= np.divide(aht, w_step, out=w_step)
+        np.dot(wt, w, out=wtw)
+        np.maximum(np.dot(wtw, h, out=h_step), _EPS, out=h_step)
+        h *= np.divide(_dot(wt, values, wta), h_step, out=h_step)
+        aht = _dot(values, ht, aht)
+        np.dot(h, ht, out=hht)
         obj = 0.5 * _sq_error(norm_a_sq, w, aht, wtw, hht)
         history.append(obj)
         prev = history[-2]

@@ -112,6 +112,19 @@ class TestPreprocessCommand:
         err = capsys.readouterr().err
         assert "bad.jsonl:2" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"id": "a", "text": "apple"}\n\n{"id": "a", "text": "pear"}\n',
+         ":3: duplicate document id 'a' (first on line 1)"),
+        ('{"id": "a", "text": "the"}\n', ": all documents empty after filtering"),
+    ], ids=["duplicate-id", "all-empty"])
+    def test_corpus_errors_name_the_input(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "pre"
+        assert main(["preprocess", "--input", str(bad), "--output-dir", str(out)]) == 2
+        assert f"error: {bad}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])
     def test_ratio_threshold_must_be_finite_and_positive(
         self, fruit_jsonl, tmp_path, capsys, threshold
@@ -759,10 +772,12 @@ def loaded(package):
 import hyhtm
 out = {"numpy_import_hyhtm": loaded("numpy")}
 from hyhtm.cli import main
-out.update({"import": loaded("scipy"), "numpy_import": loaded("numpy"), "codes": [], "numpy": []})
+out.update({"import": loaded("scipy"), "numpy_import": loaded("numpy"), "codes": [], "numpy": [],
+            "hyhtm": []})
 for argv in json.loads(sys.argv[1]):
     out["codes"].append(main(argv))
     out["numpy"].append(loaded("numpy"))
+    out["hyhtm"].append(loaded("hyhtm"))
 out["commands"] = loaded("scipy")
 print(json.dumps(out))
 """
@@ -770,8 +785,8 @@ print(json.dumps(out))
 
 def run_scipy_probe(commands, timeout=120):
     """Run CLI commands in a fresh interpreter; what it reports: the scipy
-    modules loaded on import and after every command, and the numpy
-    modules loaded on import and after each command."""
+    modules loaded on import and after every command, and the numpy and
+    hyhtm modules loaded on import and after each command."""
     env = dict(os.environ)
     env.pop("HYHTM_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -839,6 +854,21 @@ class TestScipyStaysUnloaded:
         assert out["import"] == []
         assert out["commands"] == []
         assert (model / "report.json").is_file()
+
+
+class TestHypspaceStaysUnloaded:
+    """The geometry module is needed only to build S or H; a warm train
+    reads both from the cache."""
+
+    def test_only_a_building_train_imports_hypspace(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+        assert main(train_args(corpus_bin, emb, tmp_path / "fill", cache_dir=cache)) == 0
+        warm = run_scipy_probe([train_args(corpus_bin, emb, tmp_path / "warm", cache_dir=cache)])
+        cold = run_scipy_probe([train_args(corpus_bin, emb, tmp_path / "cold") + ["--no-cache"]])
+        assert warm["codes"] == cold["codes"] == [0]
+        assert "hyhtm.hypspace" not in warm["hyhtm"][0]
+        assert "hyhtm.hypspace" in cold["hyhtm"][0]
 
 
 class TestNumpyStaysUnloaded:

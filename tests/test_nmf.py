@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -70,6 +72,17 @@ class TestFactorize:
         pair = factorize(a, NmfConfig(n_topics=2, max_iter=30, seed=0))
         assert pair.W.shape == (10, 2) and pair.H.shape == (2, 12)
 
+    def test_dense_input_makes_no_input_sized_temporary(self):
+        a = np.random.default_rng(25).random((1000, 500))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            factorize(a, NmfConfig(n_topics=4, max_iter=5, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.25 * a.nbytes
+
     def test_convergence_flag_and_history_length(self):
         a = sparse.csr_matrix(np.outer([1.0, 2.0, 3.0], [1.0, 0.5]))
         pair = factorize(a, NmfConfig(n_topics=1, max_iter=500, tol=1e-9, seed=0))
@@ -115,14 +128,15 @@ class TestReconstructionError:
 
 def reference_factorize(a, config: NmfConfig) -> FactorPair:
     """The textbook loop: three sparse products per iteration (A·Hᵀ for the
-    W update, Aᵀ·W for the H update, A·Hᵀ again for the objective), with Aᵀ,
-    H·Hᵀ and WᵀW rebuilt wherever they are used."""
+    W update, WᵀA for the H update, A·Hᵀ again for the objective), with
+    H·Hᵀ and WᵀW rebuilt wherever they are used, and ||A||² computed here
+    rather than by the module under test."""
     w, h = nmf._init_random(a, config.n_topics, np.random.default_rng(config.seed))
-    norm_a_sq = nmf._sq_frobenius(a)
+    norm_a_sq = float(a.data @ a.data) if sparse.issparse(a) else float(np.vdot(a, a))
 
     def objective(w, h):
-        cross = float(np.sum(w * (a @ h.T)))
-        gram = float(np.sum((w.T @ w) * (h @ h.T)))
+        cross = float(np.vdot(w, a @ h.T))
+        gram = float(np.vdot(w.T @ w, h @ h.T))
         return 0.5 * max(norm_a_sq - 2.0 * cross + gram, 0.0)
 
     history = [objective(w, h)]
@@ -130,7 +144,7 @@ def reference_factorize(a, config: NmfConfig) -> FactorPair:
     it = 0
     for it in range(1, config.max_iter + 1):
         w *= (a @ h.T) / np.maximum(w @ (h @ h.T), nmf._EPS)
-        h *= (a.T @ w).T / np.maximum((w.T @ w) @ h, nmf._EPS)
+        h *= (w.T @ a) / np.maximum((w.T @ w) @ h, nmf._EPS)
         obj = objective(w, h)
         history.append(obj)
         prev = history[-2]
