@@ -400,6 +400,11 @@ def cmd_evaluate(config: RunConfig, model_dir: str) -> int:
     return EXIT_OK
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, top_k: int) -> int:
     if top_k < 1:
         raise ConfigurationError(f"--top-k must be >= 1, got {top_k}")
@@ -408,12 +413,11 @@ def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, 
     if fmt == "dot":
         lines = ["digraph topics {", '  node [shape=box];']
         for node in payload["nodes"]:
-            words = " ".join(t["term"] for t in node["top_terms"][:top_k])
-            label = words.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  "{node["id"]}" [label="{label}"];')
+            label = " ".join(t["term"] for t in node["top_terms"][:top_k])
+            lines.append(f'  {_dot_string(node["id"])} [label={_dot_string(label)}];')
         for node in payload["nodes"]:
             for child in node["children"]:
-                lines.append(f'  "{node["id"]}" -> "{child}";')
+                lines.append(f'  {_dot_string(node["id"])} -> {_dot_string(child)};')
         lines.append("}")
         text = "\n".join(lines) + "\n"
         out_path = Path(output) if output else model / "tree.dot"

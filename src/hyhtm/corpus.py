@@ -274,21 +274,31 @@ def preprocess(raw_documents, config: PreprocessConfig | None = None) -> Corpus:
     return Corpus(documents=documents, vocabulary=vocabulary)
 
 
-def build_tf(corpus: Corpus) -> TermFrequencyMatrix:
-    """Raw occurrence counts as a sparse matrix, one row per document."""
+def token_arrays(corpus: Corpus):
+    """Every token occurrence as two parallel arrays: its document row
+    (int64) and its term index (`index_dtype` of the vocabulary size)."""
     import numpy as np
-    from .sparse_io import csr_from_triplets, index_dtype
+    from .sparse_io import index_dtype
 
     if corpus.vocabulary is None:
         raise ContractError("corpus has no vocabulary")
     n, m = corpus.n_docs, len(corpus.vocabulary)
     lengths = np.fromiter((len(d.tokens) for d in corpus.documents), dtype=np.int64, count=n)
-    tokens = np.fromiter(itertools.chain.from_iterable(d.tokens for d in corpus.documents),
-                         dtype=index_dtype(m), count=int(lengths.sum()))
-    if tokens.size and not 0 <= tokens.min() <= tokens.max() < m:
+    terms = np.fromiter(itertools.chain.from_iterable(d.tokens for d in corpus.documents),
+                        dtype=index_dtype(m), count=int(lengths.sum()))
+    if terms.size and not 0 <= terms.min() <= terms.max() < m:
         raise ContractError(f"a document has a term index outside the vocabulary of {m} terms")
-    ones = np.broadcast_to(np.int64(1), tokens.shape)
-    counts = csr_from_triplets(ones, np.repeat(np.arange(n), lengths), tokens, (n, m))
+    return np.repeat(np.arange(n, dtype=np.int64), lengths), terms
+
+
+def build_tf(corpus: Corpus) -> TermFrequencyMatrix:
+    """Raw occurrence counts as a sparse matrix, one row per document."""
+    import numpy as np
+    from .sparse_io import csr_from_triplets
+
+    docs, terms = token_arrays(corpus)
+    ones = np.broadcast_to(np.int64(1), terms.shape)
+    counts = csr_from_triplets(ones, docs, terms, (corpus.n_docs, len(corpus.vocabulary)))
     return TermFrequencyMatrix(counts=counts, doc_ids=[d.id for d in corpus.documents])
 
 

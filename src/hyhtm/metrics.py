@@ -43,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, token_arrays
 from .errors import ContractError
 from .hierarchy import TopicTree
 
@@ -108,16 +108,6 @@ class CooccurrenceStats:
         return counts
 
 
-def _token_arrays(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    """Every token occurrence as two parallel int64 arrays: its document
-    row and its term index."""
-    lengths = np.fromiter((len(d.tokens) for d in corpus.documents), dtype=np.int64,
-                          count=corpus.n_docs)
-    terms = np.fromiter(chain.from_iterable(d.tokens for d in corpus.documents),
-                        dtype=np.int64, count=int(lengths.sum()))
-    return np.repeat(np.arange(corpus.n_docs, dtype=np.int64), lengths), terms
-
-
 def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
     """Per-term and pairwise document-presence counts over the given terms."""
     m = len(corpus.vocabulary)
@@ -129,7 +119,7 @@ def build_stats(corpus: Corpus, terms_of_interest) -> CooccurrenceStats:
     n = corpus.n_docs
     to_local = np.full(m, -1, dtype=np.int64)
     to_local[order] = np.arange(len(order))
-    docs, terms = _token_arrays(corpus)
+    docs, terms = token_arrays(corpus)
     term_counts = np.bincount(terms, minlength=m)
     rows = to_local[terms]
     kept = rows >= 0

@@ -29,11 +29,13 @@ be F-ordered. A scipy sparse node's two products with A are scipy's and
 return new arrays.
 
 The objective is ||A||² - 2·<W, A·Hᵀ> + <WᵀW, H·Hᵀ>, each inner product
-a BLAS dot (`np.vdot`), and ||A||² of a dense input is `np.vdot(a, a)`,
-so no n×m temporary is made. A dot product sums in another order than
-the elementwise product and `sum` the earlier loop used, so the
-objective, and through the stopping rule W and H, may differ from that
-loop in the last bits; on the benchmark's planted nodes they did not.
+a BLAS dot (`np.vdot`). ||A||² is `np.vdot` of the stored values (a
+scipy node's `data`, or the dense array), the view the nonnegativity and
+all-zero checks read too, so no n×m temporary is made. A dot product sums
+in another order than the elementwise product and `sum` the earlier loop
+used, so the objective, and through the stopping rule W and H, may differ
+from that loop in the last bits; on the benchmark's planted nodes they
+did not.
 """
 
 from __future__ import annotations
@@ -86,9 +88,8 @@ def _is_sparse(a) -> bool:
 
 
 def _sq_frobenius(a) -> float:
-    if _is_sparse(a):
-        return float(a.data @ a.data) if a.nnz else 0.0
-    return float(np.vdot(a, a))
+    stored = a.data if _is_sparse(a) else a
+    return float(np.vdot(stored, stored))
 
 
 def _dot(x, y, out):
@@ -127,17 +128,15 @@ def factorize(a, config: NmfConfig) -> FactorPair:
     """
     config.validate()
     values = a.values if hasattr(a, "values") else a
-    if not (_is_sparse(values) or isinstance(values, np.ndarray)):
-        values = np.asarray(values, dtype=float)
+    if _is_sparse(values):  # the checks and ||A||² read the stored values
+        stored = values.data
+    else:
+        values = stored = np.asarray(values, dtype=float)
     n, m = values.shape
-    min_entry = values.data.min() if (_is_sparse(values) and values.nnz) else (
-        values.min() if not _is_sparse(values) and values.size else 0.0
-    )
-    if min_entry < 0:
+    if stored.size and stored.min() < 0:
         raise ContractError("factorization input must be nonnegative")
 
-    nnz = values.nnz if _is_sparse(values) else int(np.count_nonzero(values))
-    if nnz == 0:
+    if not stored.any():
         log.warning("factorization input is all zeros; returning zero factors")
         pair = FactorPair(W=np.zeros((n, config.n_topics)), H=np.zeros((config.n_topics, m)))
         pair.objective_history = [0.0]
@@ -148,7 +147,7 @@ def factorize(a, config: NmfConfig) -> FactorPair:
     w, h = _init_random(values, k, np.random.default_rng(config.seed))
     wt, ht = w.T, h.T  # views, so they follow the in-place updates
 
-    norm_a_sq = _sq_frobenius(values)
+    norm_a_sq = _sq_frobenius(stored)
     # Every product and quotient goes into one of these, allocated once per
     # call (a sparse A's products make their own arrays; see `_dot`).
     hht, wtw = np.empty((k, k)), np.empty((k, k))

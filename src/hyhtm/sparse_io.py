@@ -6,11 +6,13 @@ arrays with the attribute names of a scipy CSR matrix. Functions that
 take a matrix also take a scipy one through `csr_arrays`. Only a sparse
 node matrix needs scipy's arithmetic, through `CsrArrays.tocsr`.
 
-Matrices are stored as a flat sequence of triplet records, little-endian
-u32 row, u32 col, f64 value, in canonical row-major order: rows never
-decrease and columns strictly increase within a row. Cache files are keyed
-by a hash of the inputs and hyperparameters that produced the matrix, so a
-hit is guaranteed to be bitwise identical to a cold rebuild.
+A matrix is stored as a header of three little-endian u64 (rows, cols,
+stored entries), then its canonical `indptr` (i64), `indices`
+(`index_dtype(cols)`) and `data` (f64) as they are. Cache files are keyed
+by a hash of the inputs and hyperparameters that produced the matrix, so
+an intact hit is bitwise identical to a cold rebuild. Any change to a
+file's length or structure is detected on reading and is a logged miss;
+flipped bits in the stored values are not yet detected.
 """
 
 from __future__ import annotations
@@ -33,14 +35,9 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-TRIPLET_DTYPE = np.dtype([("row", "<u4"), ("col", "<u4"), ("val", "<f8")])
-
-# Part of every cache key: bump it when the triplet layout or the math of a
+# Part of every cache key: bump it when the file layout or the math of a
 # cached matrix changes, so old files miss instead of being reused.
-CACHE_FORMAT_VERSION = 1
-
-# Triplet records written per block by `save_triplets` (1 MB).
-_BLOCK_RECORDS = 1 << 16
+CACHE_FORMAT_VERSION = 2
 
 
 def index_dtype(n_cols: int):
@@ -133,62 +130,61 @@ def dense_rows(matrix, rows: np.ndarray, scale: np.ndarray | None = None) -> np.
     return dense
 
 
-def save_triplets(path, matrix):
-    """Write a sparse matrix as little-endian (u32 row, u32 col, f64 value)
-    records in canonical row-major order, `_BLOCK_RECORDS` at a time."""
+def _layout(cols: int):
+    """The little-endian dtypes of a CSR file's indptr, indices and data."""
+    return np.dtype("<i8"), np.dtype(index_dtype(cols)).newbyteorder("<"), np.dtype("<f8")
+
+
+def save_csr(path, matrix):
+    """Write a sparse matrix as a header of three little-endian u64 (rows,
+    cols, stored entries), then its canonical CSR arrays as they are."""
     csr = csr_arrays(matrix)
     with open(path, "wb") as fh:
-        for start in range(0, csr.nnz, _BLOCK_RECORDS):
-            stop = min(start + _BLOCK_RECORDS, csr.nnz)
-            records = np.empty(stop - start, dtype=TRIPLET_DTYPE)
-            first = np.searchsorted(csr.indptr, start, side="right") - 1
-            last = np.searchsorted(csr.indptr, stop - 1, side="right")  # one past the last row
-            bounds = np.clip(csr.indptr[first : last + 1], start, stop)
-            records["row"] = np.repeat(np.arange(first, last), np.diff(bounds))
-            records["col"] = csr.indices[start:stop]
-            records["val"] = csr.data[start:stop]
-            records.tofile(fh)
+        np.array([*csr.shape, csr.nnz], dtype="<u8").tofile(fh)
+        for array, dtype in zip((csr.indptr, csr.indices, csr.data), _layout(csr.shape[1])):
+            np.asarray(array, dtype=dtype).tofile(fh)
 
 
-def read_triplets(path, shape) -> CsrArrays:
-    """Read a triplet file into CSR arrays; shape is supplied by the caller.
+def read_csr(path, shape) -> CsrArrays:
+    """Read a `save_csr` file of the caller's `shape` into CSR arrays.
 
-    A partial trailing record, an index outside `shape` or a record out of
-    canonical row-major order raises ContractError naming the file and the
-    record.
-    """
-    size = os.path.getsize(path)
-    if size % TRIPLET_DTYPE.itemsize:
-        raise ContractError(
-            f"{path}: {size} bytes is not a whole number of "
-            f"{TRIPLET_DTYPE.itemsize}-byte records"
-        )
-    records = np.fromfile(path, dtype=TRIPLET_DTYPE)
-    for axis, limit in zip(("row", "col"), shape):
-        beyond = np.flatnonzero(records[axis] >= limit)
-        if beyond.size:
-            i = int(beyond[0])
-            raise ContractError(
-                f"{path}: record {i} has {axis} {int(records[axis][i])} "
-                f"outside shape {tuple(shape)}"
-            )
-    rows, cols = records["row"], records["col"]
-    disorder = np.flatnonzero(
-        (rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))
-    )
+    Another shape, a size other than the header implies (checked before any
+    array is read), an `indptr` that does not rise from 0 to the stored
+    count, an index outside `shape` or columns that do not strictly
+    increase within a row raise ContractError naming the file and entry."""
+    rows, cols = int(shape[0]), int(shape[1])
+    ptr_t, idx_t, val_t = _layout(cols)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = [int(v) for v in np.fromfile(fh, dtype="<u8", count=3)]
+        if header[:2] != [rows, cols]:
+            raise ContractError(f"{path}: header {header} does not start with shape {rows}, {cols}")
+        nnz = header[2]
+        want = 24 + (rows + 1) * ptr_t.itemsize + nnz * (idx_t.itemsize + val_t.itemsize)
+        if size != want:
+            raise ContractError(f"{path}: {size} bytes, but its header implies {want}")
+        indptr = np.fromfile(fh, dtype=ptr_t, count=rows + 1)
+        indices = np.fromfile(fh, dtype=idx_t, count=nnz)
+        data = np.fromfile(fh, dtype=val_t, count=nnz)
+    fall = np.flatnonzero(np.diff(indptr) < 0)
+    if indptr[0] != 0 or indptr[-1] != nnz or fall.size:
+        where = f" at indptr[{fall[0] + 1}]" if fall.size else ""
+        raise ContractError(f"{path}: indptr does not rise from 0 to {nnz}{where}")
+    beyond = np.flatnonzero((indices < 0) | (indices >= cols))
+    if beyond.size:
+        i = beyond[0]
+        raise ContractError(f"{path}: entry {i} has col {indices[i]} outside shape {rows, cols}")
+    disorder = indices[1:] <= indices[:-1]
+    starts = indptr[1:-1]
+    disorder[starts[(starts > 0) & (starts < nnz)] - 1] = False  # a row's first entry
+    disorder = np.flatnonzero(disorder) + 1
     if disorder.size:
-        i = int(disorder[0]) + 1
+        i = disorder[0]
         raise ContractError(
-            f"{path}: record {i} (row {rows[i]}, col {cols[i]}) is out of "
-            f"row-major order after (row {rows[i - 1]}, col {cols[i - 1]})"
+            f"{path}: entry {i} (row {np.searchsorted(indptr, i, side='right') - 1}, "
+            f"col {indices[i]}) does not follow col {indices[i - 1]} of its row"
         )
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return CsrArrays(
-        indptr=indptr, indices=cols.astype(index_dtype(shape[1])),
-        data=records["val"].astype(np.float64),
-        shape=(int(shape[0]), int(shape[1])),
-    )
+    return CsrArrays(indptr=indptr, indices=indices, data=data, shape=(rows, cols))
 
 
 def file_sha256(path) -> str:
@@ -214,7 +210,7 @@ def cache_key(kind: str, **parts) -> str:
 
 
 class MatrixCache:
-    """Directory of triplet files addressed by cache_key."""
+    """Directory of CSR files addressed by cache_key."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -233,7 +229,7 @@ class MatrixCache:
         if not path.exists():
             return None
         try:
-            return read_triplets(path, shape)
+            return read_csr(path, shape)
         except ContractError as exc:
             log.warning("%s; rebuilding", exc)
             return None
@@ -244,7 +240,7 @@ class MatrixCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
         os.close(fd)
         try:
-            save_triplets(tmp, matrix)
+            save_csr(tmp, matrix)
             os.replace(tmp, self.path_for(key))
         finally:
             if os.path.exists(tmp):

@@ -19,7 +19,7 @@ from hyhtm.cli import (
     build_parser,
     main,
 )
-from hyhtm.sparse_io import TRIPLET_DTYPE, cache_key, file_sha256
+from hyhtm.sparse_io import cache_key, file_sha256, read_csr
 
 from conftest import PLANTED_ALPHA, PLANTED_K
 
@@ -230,7 +230,9 @@ class TestTrainCommand:
         for name in files1:
             assert file_sha256(caches[0] / name) == file_sha256(caches[1] / name)
 
-    @pytest.mark.parametrize("damage", ["partial-record", "index-beyond-shape", "out-of-order"])
+    @pytest.mark.parametrize(
+        "damage", ["partial-record", "index-beyond-shape", "out-of-order", "truncated-by-one-entry"]
+    )
     def test_damaged_cache_is_rebuilt_to_the_no_cache_tree(
         self, planted_cli, tmp_path, caplog, damage
     ):
@@ -241,15 +243,24 @@ class TestTrainCommand:
         assert len(files) == 3
         intact = {p.name: p.read_bytes() for p in files}
         for path in files:
+            blob = intact[path.name]
+            rows, cols, nnz = np.frombuffer(blob, dtype="<u8", count=3).tolist()
+            arrays = read_csr(path, (rows, cols))
+            entry = arrays.indices.itemsize + 8  # an index and its float64 value
+            at = len(blob) - nnz * entry  # the file ends with the indices, then the values
             if damage == "partial-record":
-                path.write_bytes(intact[path.name][:-3])
+                path.write_bytes(blob[:-3])
+            elif damage == "truncated-by-one-entry":
+                path.write_bytes(blob[:-entry])
             else:
-                records = np.fromfile(path, dtype=TRIPLET_DTYPE)
-                if damage == "out-of-order":
-                    records[[0, 1]] = records[[1, 0]]
+                indices = arrays.indices.copy()
+                if damage == "out-of-order":  # swap two columns of one row
+                    first = int(np.flatnonzero(np.diff(arrays.indptr) >= 2)[0])
+                    i = int(arrays.indptr[first])
+                    indices[[i, i + 1]] = indices[[i + 1, i]]
                 else:
-                    records["col"][0] = np.iinfo("<u4").max
-                records.tofile(path)
+                    indices[0] = np.iinfo(indices.dtype).max
+                path.write_bytes(blob[:at] + indices.tobytes() + blob[at + indices.nbytes:])
         warm = tmp_path / "warm"
         cold = tmp_path / "cold"
         with caplog.at_level("WARNING"):
@@ -954,6 +965,29 @@ class TestExportCommand:
         for line in label_lines:
             label = line.split('label="')[1].split('"')[0]
             assert len(label.split()) == 5
+
+    def test_dot_quotes_ids_and_labels(self, tmp_path):
+        model = tmp_path / "quoted-model"
+        model.mkdir()
+        nodes = [
+            {"id": 'a"b', "level": 1, "top_terms": [{"term": 'x"y', "weight": 1.0}],
+             "doc_ids": [], "children": ["c\\d"]},
+            {"id": "c\\d", "level": 2, "top_terms": [{"term": "z\\", "weight": 1.0}],
+             "doc_ids": [], "children": []},
+        ]
+        (model / "tree.json").write_text(json.dumps({"config": {}, "nodes": nodes}),
+                                         encoding="utf-8")
+        out = tmp_path / "tree.dot"
+        assert main(["export", "--model", str(model), "--format", "dot",
+                     "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == (
+            "digraph topics {\n"
+            "  node [shape=box];\n"
+            '  "a\\"b" [label="x\\"y"];\n'
+            '  "c\\\\d" [label="z\\\\"];\n'
+            '  "a\\"b" -> "c\\\\d";\n'
+            "}\n"
+        )
 
     def test_json_round_trip_structure(self, three_node_model, tmp_path):
         out = tmp_path / "tree.export.json"

@@ -7,7 +7,9 @@ Truncated and bit-flipped `corpus.bin` files go through `train` and
 stopword list, the embedding file) with bytes that are not ASCII go through
 `preprocess` and `train`. Every run must return 0, 2, 3 or 4 from
 `cli.main`; any other exception fails the test. A report that `evaluate`
-writes must be strict JSON, without NaN or infinity.
+writes must be strict JSON, without NaN or infinity. Matrix cache files
+cut short or extended must each be rebuilt, so `train` gives the tree of
+a run without the cache.
 """
 
 import json
@@ -61,10 +63,12 @@ def fuzz_model(tmp_path_factory):
             "model": model, "tree": (model / "tree.json").read_bytes()}
 
 
-def train_args(corpus_bin, emb, out):
+def train_args(corpus_bin, emb, out, cache_dir=None):
+    """A small train; without `cache_dir`, one that uses no cache."""
+    cache = ["--cache-dir", str(cache_dir)] if cache_dir else ["--no-cache"]
     return [
         "train", "--corpus", str(corpus_bin), "--embeddings", str(emb),
-        "--output-dir", str(out), "--no-cache", "--k-s", "4", "--k-h", "4",
+        "--output-dir", str(out), *cache, "--k-s", "4", "--k-h", "4",
         "--alpha", "0.1", "--n-topics", "2", "--max-depth", "2", "--min-docs", "4",
         "--seed", "0",
     ]
@@ -117,6 +121,33 @@ def test_damaged_corpus_exits_with_a_documented_code(fuzz_model, data):
     run(train_args(corpus, fuzz_model["emb"], root / "damaged-train"))
     run(["evaluate", "--model", str(fuzz_model["model"]), "--corpus", str(corpus),
          "--output-dir", str(root / "damaged-report")])
+
+
+def resized_bytes(blob: bytes):
+    """Strategy: `blob` cut short, or extended by one to 64 drawn bytes."""
+    truncated = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+    extended = st.binary(min_size=1, max_size=64).map(lambda tail: blob + tail)
+    return st.one_of(truncated, extended)
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_resized_cache_files_are_rebuilt_to_the_no_cache_tree(fuzz_model, data):
+    root = fuzz_model["root"]
+    corpus, cache = root / "corpus.bin", root / "resized-cache"
+    corpus.write_bytes(fuzz_model["corpus"])
+    if not cache.exists():
+        assert run(train_args(corpus, fuzz_model["emb"], root / "fill", cache)) == 0
+    intact = {p: p.read_bytes() for p in sorted(cache.iterdir())}
+    assert len(intact) == 3
+    for path, blob in intact.items():
+        path.write_bytes(data.draw(resized_bytes(blob)))
+    out = root / "resized-train"
+    assert run(train_args(corpus, fuzz_model["emb"], out, cache)) == 0
+    provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
+    assert set(provenance["cache"].values()) == {"rebuilt"}
+    assert (out / "tree.json").read_bytes() == fuzz_model["tree"]
+    assert {p: p.read_bytes() for p in intact} == intact
 
 
 _JSON_LEAVES = st.one_of(

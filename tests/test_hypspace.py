@@ -20,12 +20,11 @@ from hyhtm import hypspace, sparse_io
 from hyhtm.errors import ConfigurationError, ContractError, EmbeddingParseError
 from hyhtm.hypspace import _neighbor_table, poincare_distances
 from hyhtm.sparse_io import (
-    TRIPLET_DTYPE,
     CsrArrays,
     MatrixCache,
     cache_key,
-    read_triplets,
-    save_triplets,
+    read_csr,
+    save_csr,
 )
 
 from conftest import table_from_points, write_embedding_file
@@ -582,17 +581,55 @@ def assert_same_csr_arrays(loaded, matrix):
     assert loaded.data.tobytes() == canonical.data.tobytes()
 
 
+def csr_file_arrays(path, cols):
+    """The header and the indptr, indices and data arrays of a `save_csr`
+    file, as writable arrays to damage and `write_csr_file` back."""
+    blob = path.read_bytes()
+    header = np.frombuffer(blob, dtype="<u8", count=3).copy()
+    rows, nnz = int(header[0]), int(header[2])
+    arrays, offset = [], 24
+    for dtype, count in zip(sparse_io._layout(cols), (rows + 1, nnz, nnz)):
+        arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=offset).copy())
+        offset += arrays[-1].nbytes
+    return header, *arrays
+
+
+def write_csr_file(path, *arrays):
+    path.write_bytes(b"".join(a.tobytes() for a in arrays))
+
+
 class TestSparseIo:
-    def test_triplet_round_trip_is_bitwise(self, tmp_path):
-        rng = np.random.default_rng(17)
+    def test_csr_round_trip_is_bitwise(self, tmp_path):
         from scipy import sparse
 
         matrix = sparse.random(30, 40, density=0.2, random_state=1).tocsr()
         path = tmp_path / "m.bin"
-        save_triplets(path, matrix)
-        loaded = read_triplets(path, (30, 40)).tocsr()
+        save_csr(path, matrix)
+        loaded = read_csr(path, (30, 40)).tocsr()
         assert (loaded != matrix).nnz == 0
         assert np.array_equal(loaded.data, matrix.tocsr().data)
+
+    def test_file_is_the_header_and_the_canonical_csr_arrays(self, tmp_path):
+        # Empty rows (first, inner and last), an uncanonical scipy input and
+        # a matrix with nothing stored, each given as scipy and as CsrArrays.
+        from scipy import sparse
+
+        dense = sparse.random(9, 11, density=0.4, random_state=6).toarray()
+        dense[[0, 4, 8]] = 0.0
+        uncanonical = sparse.csr_matrix(
+            (np.array([1.0, 2.0, 0.5, 3.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4, 4])),
+            shape=(3, 3),
+        )
+        for matrix in (sparse.csr_matrix(dense), uncanonical, sparse.csr_matrix((4, 5))):
+            canonical = matrix.copy()
+            canonical.sum_duplicates()
+            want = b"".join(np.asarray(a, dtype=t).tobytes() for a, t in (
+                ([*canonical.shape, canonical.nnz], "<u8"), (canonical.indptr, "<i8"),
+                (canonical.indices, "<i4"), (canonical.data, "<f8"),
+            ))
+            for given in (matrix, sparse_io.csr_arrays(matrix)):
+                save_csr(tmp_path / "m.bin", given)
+                assert (tmp_path / "m.bin").read_bytes() == want
 
     def test_cache_store_and_hit(self, tmp_path):
         from scipy import sparse
@@ -617,34 +654,42 @@ class TestSparseIo:
         assert sorted(p.name for p in cache.directory.iterdir()) == [f"{key}.bin", f"{key}.tmp"]
 
     @pytest.mark.parametrize(
-        "order, names",
+        "damage, names",
         [
-            ([1, 0, 2], "record 1 (row 0, col 1)"),  # two columns of row 0 swapped
-            ([0, 2, 1], "record 2 (row 0, col 5)"),  # the last entry of row 0 after row 1
-            ([0, 0, 2], "record 1 (row 0, col 1)"),  # one entry stored twice
+            ("columns-swapped", "entry 1 (row 0, col 1) does not follow col 5"),
+            ("column-twice", "entry 1 (row 0, col 1) does not follow col 1"),
+            ("indptr-falls", "indptr does not rise from 0 to 3 at indptr[2]"),
         ],
+        ids=["columns-swapped", "column-twice", "indptr-falls"],
     )
-    def test_records_out_of_row_major_order_are_rejected(self, tmp_path, order, names):
+    def test_entries_out_of_order_are_rejected(self, tmp_path, damage, names):
         from scipy import sparse
 
         matrix = sparse.csr_matrix(np.array([[0, 2.0, 0, 0, 0, 3.0], [4.0, 0, 0, 0, 0, 0]]))
         path = tmp_path / "m.bin"
-        save_triplets(path, matrix)
-        np.fromfile(path, dtype=TRIPLET_DTYPE)[order].tofile(path)
-        with pytest.raises(ContractError, match=f"{path}: {re.escape(names)} is out of row-major"):
-            read_triplets(path, (2, 6))
+        save_csr(path, matrix)
+        header, indptr, indices, data = csr_file_arrays(path, 6)
+        if damage == "columns-swapped":
+            indices[[0, 1]] = indices[[1, 0]]
+        elif damage == "column-twice":
+            indices[1] = indices[0]
+        else:  # row 0 ends past the end of row 1
+            indptr[1] = 4
+        write_csr_file(path, header, indptr, indices, data)
+        with pytest.raises(ContractError, match=f"{path}: {re.escape(names)}"):
+            read_csr(path, (2, 6))
         cache = MatrixCache(tmp_path / "cache")
         cache.path_for("k").write_bytes(path.read_bytes())
         assert cache.load("k", (2, 6)) is None
 
-    def test_read_triplets_returns_the_csr_arrays(self, tmp_path):
+    def test_read_csr_returns_the_csr_arrays(self, tmp_path):
         from scipy import sparse
 
         dense = sparse.random(8, 9, density=0.4, random_state=5).toarray()
         dense[3] = 0.0  # an empty row
         matrix = sparse.csr_matrix(dense)
-        save_triplets(tmp_path / "m.bin", matrix)
-        arrays = read_triplets(tmp_path / "m.bin", (8, 9))
+        save_csr(tmp_path / "m.bin", matrix)
+        arrays = read_csr(tmp_path / "m.bin", (8, 9))
         assert isinstance(arrays, CsrArrays)
         assert arrays.data.size == matrix.nnz
         assert_same_csr_arrays(arrays, matrix)
@@ -658,33 +703,12 @@ class TestSparseIo:
             (np.array([1.0, 2.0, 0.5, 3.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4])),
             shape=(2, 3),
         )
-        save_triplets(tmp_path / "m.bin", matrix)
-        assert_same_csr_arrays(read_triplets(tmp_path / "m.bin", (2, 3)), matrix)
+        save_csr(tmp_path / "m.bin", matrix)
+        assert_same_csr_arrays(read_csr(tmp_path / "m.bin", (2, 3)), matrix)
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
-    def test_blocked_writer_matches_whole_matrix_records(self, tmp_path, monkeypatch, block):
-        # The records a writer of the whole matrix at once produced, with
-        # empty rows (first, inner and last) and an uncanonical scipy input.
-        from scipy import sparse
-
-        monkeypatch.setattr(sparse_io, "_BLOCK_RECORDS", block)
-        dense = sparse.random(9, 11, density=0.4, random_state=6).toarray()
-        dense[[0, 4, 8]] = 0.0
-        uncanonical = sparse.csr_matrix(
-            (np.array([1.0, 2.0, 0.5, 3.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4, 4])),
-            shape=(3, 3),
-        )
-        for matrix in (sparse.csr_matrix(dense), uncanonical, sparse.csr_matrix((4, 5))):
-            coo = matrix.tocsr().copy()
-            coo.sum_duplicates()
-            coo = coo.tocoo()
-            want = np.empty(coo.nnz, dtype=TRIPLET_DTYPE)
-            want["row"], want["col"], want["val"] = coo.row, coo.col, coo.data
-            for given in (matrix, sparse_io.csr_arrays(matrix)):
-                save_triplets(tmp_path / "m.bin", given)
-                assert (tmp_path / "m.bin").read_bytes() == want.tobytes()
-
-    @pytest.mark.parametrize("damage", ["partial-record", "row-beyond-shape", "col-beyond-shape"])
+    @pytest.mark.parametrize(
+        "damage", ["partial-record", "one-byte-short", "row-beyond-shape", "col-beyond-shape"]
+    )
     def test_damaged_cache_file_is_a_logged_miss(self, tmp_path, caplog, damage):
         from scipy import sparse
 
@@ -693,18 +717,37 @@ class TestSparseIo:
         key = cache_key("representation", corpus="abc")
         cache.save(key, matrix)
         path = cache.path_for(key)
-        if damage == "partial-record":
-            path.write_bytes(path.read_bytes() + b"\x00" * 5)
+        if damage == "partial-record":  # one byte more than the header implies
+            path.write_bytes(path.read_bytes() + b"\x00")
+        elif damage == "one-byte-short":
+            path.write_bytes(path.read_bytes()[:-1])
         else:
-            records = np.fromfile(path, dtype=TRIPLET_DTYPE)
-            axis, limit = ("row", 10) if damage == "row-beyond-shape" else ("col", 12)
-            records[axis][-1] = limit
-            records.tofile(path)
+            header, indptr, indices, data = csr_file_arrays(path, 12)
+            if damage == "row-beyond-shape":  # the header claims an eleventh row
+                header[0] = 11
+            else:
+                indices[-1] = 12
+            write_csr_file(path, header, indptr, indices, data)
         with pytest.raises(ContractError, match=str(path)):
-            read_triplets(path, (10, 12))
+            read_csr(path, (10, 12))
         with caplog.at_level("WARNING"):
             assert cache.load(key, (10, 12)) is None
         assert any("rebuilding" in r.message for r in caplog.records)
+
+    def test_a_damaged_header_never_sizes_an_allocation(self, tmp_path, monkeypatch):
+        from scipy import sparse
+
+        path = tmp_path / "m.bin"
+        save_csr(path, sparse.random(4, 5, density=0.5, random_state=9).tocsr())
+        header, *arrays = csr_file_arrays(path, 5)
+        header[2] = 1 << 62  # a stored count no file of this size holds
+        write_csr_file(path, header, *arrays)
+        reads = []
+        real = np.fromfile
+        monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(k) or real(*a, **k))
+        with pytest.raises(ContractError, match="its header implies"):
+            read_csr(path, (4, 5))
+        assert reads == [{"dtype": "<u8", "count": 3}]
 
     def test_cache_key_depends_on_parameters(self):
         k1 = cache_key("similarity", corpus="abc", alpha=0.1)

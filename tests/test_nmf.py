@@ -23,11 +23,16 @@ class TestFactorize:
         assert rel < 1e-4
 
     def test_all_zero_input_returns_zero_factors(self, caplog):
-        a = sparse.csr_matrix((4, 3))
-        with caplog.at_level("WARNING"):
-            pair = factorize(a, NmfConfig(n_topics=2))
-        assert not pair.W.any() and not pair.H.any()
-        assert any("zero" in r.message for r in caplog.records)
+        stored_zeros = sparse.csr_matrix(
+            (np.zeros(2), np.array([0, 2]), np.array([0, 1, 1, 2, 2])), shape=(4, 3)
+        )
+        for a in (sparse.csr_matrix((4, 3)), stored_zeros, np.zeros((4, 3))):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                pair = factorize(a, NmfConfig(n_topics=2))
+            assert not pair.W.any() and not pair.H.any()
+            assert pair.n_iter == 0 and pair.objective_history == [0.0]
+            assert any("zero" in r.message for r in caplog.records)
 
     def test_negative_input_rejected(self):
         a = sparse.csr_matrix(np.array([[1.0, -0.5]]))
