@@ -157,8 +157,8 @@ def read_csr(path, shape) -> CsrArrays:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = [int(v) for v in np.fromfile(fh, dtype="<u8", count=3)]
-        if header[:2] != [rows, cols]:
-            raise ContractError(f"{path}: header {header} does not start with shape {rows}, {cols}")
+        if len(header) < 3 or header[:2] != [rows, cols]:
+            raise ContractError(f"{path}: header {header} is not shape {rows}, {cols} and a count")
         nnz = header[2]
         want = 24 + (rows + 1) * ptr_t.itemsize + nnz * (idx_t.itemsize + val_t.itemsize)
         if size != want:

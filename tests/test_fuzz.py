@@ -124,8 +124,10 @@ def test_damaged_corpus_exits_with_a_documented_code(fuzz_model, data):
 
 
 def resized_bytes(blob: bytes):
-    """Strategy: `blob` cut short, or extended by one to 64 drawn bytes."""
-    truncated = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+    """Strategy: `blob` cut short, often inside its 24-byte header, or
+    extended by one to 64 drawn bytes."""
+    lengths = st.one_of(st.integers(0, min(24, len(blob)) - 1), st.integers(0, len(blob) - 1))
+    truncated = lengths.map(lambda n: blob[:n])
     extended = st.binary(min_size=1, max_size=64).map(lambda tail: blob + tail)
     return st.one_of(truncated, extended)
 

@@ -707,7 +707,8 @@ class TestSparseIo:
         assert_same_csr_arrays(read_csr(tmp_path / "m.bin", (2, 3)), matrix)
 
     @pytest.mark.parametrize(
-        "damage", ["partial-record", "one-byte-short", "row-beyond-shape", "col-beyond-shape"]
+        "damage",
+        ["partial-record", "one-byte-short", "header-cut", "row-beyond-shape", "col-beyond-shape"],
     )
     def test_damaged_cache_file_is_a_logged_miss(self, tmp_path, caplog, damage):
         from scipy import sparse
@@ -721,6 +722,8 @@ class TestSparseIo:
             path.write_bytes(path.read_bytes() + b"\x00")
         elif damage == "one-byte-short":
             path.write_bytes(path.read_bytes()[:-1])
+        elif damage == "header-cut":  # rows and cols intact, the stored count gone
+            path.write_bytes(path.read_bytes()[:16])
         else:
             header, indptr, indices, data = csr_file_arrays(path, 12)
             if damage == "row-beyond-shape":  # the header claims an eleventh row
