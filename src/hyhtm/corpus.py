@@ -35,6 +35,7 @@ from .errors import (
     InvariantError,
     ShapeError,
 )
+from .settings import _is_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -206,27 +207,38 @@ def _light_stem(token: str) -> str:
     return token
 
 
-def tokenize(text: str, stopwords: set[str], config: PreprocessConfig) -> list[str]:
-    """Lowercase and split a text, dropping punctuation, numeric and
-    non-ASCII tokens, stopwords, and tokens below the length floor."""
-    tokens = []
-    for tok in text.lower().translate(_PUNCT_TO_SPACE).split():
-        if not tok.isascii():
-            continue
-        if all(ch.isdigit() for ch in tok):
-            continue
-        if tok in stopwords:
-            continue
-        if config.stem:
-            tok = _light_stem(tok)
-        if len(tok) < config.min_token_length:
-            continue
-        tokens.append(tok)
-    return tokens
+class _TermOf(dict):
+    """Raw token -> the term it becomes, "" when the token is dropped.
+
+    Each distinct token is judged once, on first lookup; the rule is the
+    one `preprocess` documents.
+    """
+
+    def __init__(self, stopwords: set[str], config: PreprocessConfig):
+        super().__init__()
+        self.stopwords = stopwords
+        self.stem = config.stem
+        self.min_length = config.min_token_length
+
+    def __missing__(self, tok: str) -> str:
+        term = ""
+        if tok.isascii() and not tok.isdigit() and tok not in self.stopwords:
+            term = _light_stem(tok) if self.stem else tok
+            if len(term) < self.min_length:
+                term = ""
+        self[tok] = term
+        return term
 
 
 def preprocess(raw_documents, config: PreprocessConfig | None = None) -> Corpus:
     """Turn raw (id, text) pairs into a tokenized corpus with a vocabulary.
+
+    A text is lowercased, each punctuation character becomes a space, and
+    it is split on whitespace. Each token then goes through these steps in
+    order: a token that is not ASCII is dropped, then one made only of
+    digits, then a stopword (checked before stemming); the token is
+    stemmed if `stem` is set; and the result is dropped if shorter than
+    `min_token_length`.
 
     Documents that lose every token are retained with empty token lists so
     row indexing stays stable; they are reported via Corpus.empty_doc_ids.
@@ -244,27 +256,29 @@ def preprocess(raw_documents, config: PreprocessConfig | None = None) -> Corpus:
             raise CorpusError(f"duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
 
-    stopwords = load_stopwords(config.stopwords or bundled_stopword_paths())
-
-    tokenized = [(doc_id, tokenize(text, stopwords, config)) for doc_id, text in raw_documents]
+    term_of = _TermOf(load_stopwords(config.stopwords or bundled_stopword_paths()), config)
+    judge = term_of.__getitem__
+    tokenized = [
+        list(filter(None, map(judge, text.lower().translate(_PUNCT_TO_SPACE).split())))
+        for _, text in raw_documents
+    ]
 
     doc_freq = Counter()
-    total_count = Counter()
-    for _, toks in tokenized:
+    for toks in tokenized:
         doc_freq.update(set(toks))
-        total_count.update(toks)
-
     kept = {t for t, df in doc_freq.items() if df >= config.min_doc_freq}
     if config.ratio_filter:
         # Verbatim rule: drop terms whose occurrences-per-containing-document
         # ratio is below the threshold. The ratio is >= 1, so thresholds
         # below 1 cannot exclude anything; the flag exists for fidelity.
+        total_count = Counter(itertools.chain.from_iterable(tokenized))
         kept = {t for t in kept if total_count[t] / doc_freq[t] >= config.ratio_threshold}
 
     vocabulary = Vocabulary(terms=sorted(kept))
+    index_of = vocabulary.index.get
     documents = [
-        Document(id=doc_id, tokens=[vocabulary.index[t] for t in toks if t in kept])
-        for doc_id, toks in tokenized
+        Document(id=doc_id, tokens=[i for i in map(index_of, toks) if i is not None])
+        for (doc_id, _), toks in zip(raw_documents, tokenized)
     ]
     if all(d.is_empty for d in documents):
         raise CorpusError("all documents empty after filtering")
@@ -471,8 +485,12 @@ def build_document_representation(
 
 
 def read_jsonl_documents(path) -> list[tuple[str, str]]:
-    """Read {"id":…, "text":…} records, one JSON object per line. A
-    repeated id is rejected with the line of its second record."""
+    """Read {"id":…, "text":…} records, one JSON object per line.
+
+    `text` must be a JSON string and `id` a string or an integer (read as
+    its decimal digits). A record that breaks this, or repeats an id, is
+    rejected with its line.
+    """
     docs = []
     first_line = {}
     for lineno, line in utf8_lines(path, CorpusError):
@@ -480,18 +498,24 @@ def read_jsonl_documents(path) -> list[tuple[str, str]]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+            detail = getattr(exc, "msg", exc)
+            raise CorpusError(f"{path}:{lineno}: invalid JSON ({detail})") from None
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-        doc_id = str(record["id"])
+        doc_id, text = record["id"], record["text"]
+        if not isinstance(text, str):
+            raise CorpusError(f"{path}:{lineno}: 'text' must be a JSON string")
+        if not (isinstance(doc_id, str) or _is_int(doc_id)):
+            raise CorpusError(f"{path}:{lineno}: 'id' must be a JSON string or integer")
+        doc_id = str(doc_id)
         if doc_id in first_line:
             raise CorpusError(
                 f"{path}:{lineno}: duplicate document id {doc_id!r} "
                 f"(first on line {first_line[doc_id]})"
             )
         first_line[doc_id] = lineno
-        docs.append((doc_id, str(record["text"])))
+        docs.append((doc_id, text))
     return docs
 
 

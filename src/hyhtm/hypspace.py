@@ -357,7 +357,11 @@ def _term_matrix(table: EmbeddingTable, members: np.ndarray, values: np.ndarray)
     """
     m = table.vocab_size
     terms = table.term_indices
-    missing = np.setdiff1d(np.arange(m), terms)
+    # A mask, not np.setdiff1d: that goes through np.unique, which imports
+    # numpy.ma, and nothing else in a train needs it.
+    covered = np.zeros(m, dtype=bool)
+    covered[terms] = True
+    missing = np.flatnonzero(~covered)
     lengths = np.ones(m, dtype=np.int64)
     lengths[terms] = np.count_nonzero(values, axis=1)
     indptr = np.zeros(m + 1, dtype=np.int64)

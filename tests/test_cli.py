@@ -116,7 +116,18 @@ class TestPreprocessCommand:
         ('{"id": "a", "text": "apple"}\n\n{"id": "a", "text": "pear"}\n',
          ":3: duplicate document id 'a' (first on line 1)"),
         ('{"id": "a", "text": "the"}\n', ": all documents empty after filtering"),
-    ], ids=["duplicate-id", "all-empty"])
+        ('{"id": "a", "text": "apple"}\n{"id": "b", "text": ["alpha", "beta"]}\n',
+         ":2: 'text' must be a JSON string"),
+        ('{"text": {"k": 2}, "id": "a"}\n', ":1: 'text' must be a JSON string"),
+        ('{"id": "a", "text": null}\n', ":1: 'text' must be a JSON string"),
+        ('{"id": "a", "text": 7}\n', ":1: 'text' must be a JSON string"),
+        ('{"id": null, "text": "apple"}\n', ":1: 'id' must be a JSON string or integer"),
+        ('{"id": true, "text": "apple"}\n', ":1: 'id' must be a JSON string or integer"),
+        ('{"id": 1.0, "text": "apple"}\n', ":1: 'id' must be a JSON string or integer"),
+        ('{"id": ["a"], "text": "apple"}\n', ":1: 'id' must be a JSON string or integer"),
+        ('{"id": %s, "text": "apple"}\n' % ("9" * 5000), ":1: invalid JSON ("),
+    ], ids=["duplicate-id", "all-empty", "text-array", "text-object", "text-null", "text-number",
+            "id-null", "id-bool", "id-float", "id-array", "id-over-digit-limit"])
     def test_corpus_errors_name_the_input(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(text, encoding="utf-8")
@@ -869,7 +880,7 @@ class TestScipyStaysUnloaded:
 
 class TestHypspaceStaysUnloaded:
     """The geometry module is needed only to build S or H; a warm train
-    reads both from the cache."""
+    reads both from the cache. Building them loads no `numpy.ma`."""
 
     def test_only_a_building_train_imports_hypspace(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -880,6 +891,7 @@ class TestHypspaceStaysUnloaded:
         assert warm["codes"] == cold["codes"] == [0]
         assert "hyhtm.hypspace" not in warm["hyhtm"][0]
         assert "hyhtm.hypspace" in cold["hyhtm"][0]
+        assert "numpy.ma" not in cold["numpy"][0]
 
 
 class TestNumpyStaysUnloaded:

@@ -1,10 +1,13 @@
 import json
 import math
+import string
 import struct
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from hyhtm import (
@@ -24,6 +27,7 @@ from hyhtm import corpus as corpus_mod
 from hyhtm.cli import main
 from hyhtm.corpus import (
     _light_stem,
+    bundled_stopword_paths,
     load_stopwords,
     read_corpus,
     read_jsonl_documents,
@@ -39,6 +43,100 @@ def cfg(**kwargs):
     defaults = dict(min_doc_freq=1)
     defaults.update(kwargs)
     return PreprocessConfig(**defaults)
+
+
+def reference_tokenize(text, stopwords, config):
+    """The token rule as a plain loop over every token: the reference for
+    `preprocess`, which judges each distinct token once."""
+    tokens = []
+    for tok in text.lower().translate(str.maketrans({c: " " for c in string.punctuation})).split():
+        if not tok.isascii():
+            continue
+        if all(ch.isdigit() for ch in tok):
+            continue
+        if tok in stopwords:
+            continue
+        if config.stem:
+            tok = _light_stem(tok)
+        if len(tok) < config.min_token_length:
+            continue
+        tokens.append(tok)
+    return tokens
+
+
+def reference_preprocess(raw_documents, config):
+    """The vocabulary and each document's terms, through `reference_tokenize`
+    and the document-frequency and ratio filters written out."""
+    stopwords = load_stopwords(config.stopwords or bundled_stopword_paths())
+    tokenized = [(doc_id, reference_tokenize(text, stopwords, config))
+                 for doc_id, text in raw_documents]
+    doc_freq, total_count = Counter(), Counter()
+    for _, toks in tokenized:
+        doc_freq.update(set(toks))
+        total_count.update(toks)
+    kept = {t for t, df in doc_freq.items() if df >= config.min_doc_freq}
+    if config.ratio_filter:
+        kept = {t for t in kept if total_count[t] / doc_freq[t] >= config.ratio_threshold}
+    return sorted(kept), [(doc_id, [t for t in toks if t in kept]) for doc_id, toks in tokenized]
+
+
+# Pieces of generated texts: ASCII letters (upper case too), digits and
+# punctuation, letters and digits that are not ASCII, bundled stopwords,
+# the stemmer's suffixes, and spaces, so tokens form across piece borders.
+_TEXT_PIECES = [
+    *"abcdestuyzAEST0123456789", *"-.,'!_", "é", "ß", "²", "٣", "the", "and", "of", "is",
+    "ies", "sses", "ing", "ed", "s", " ", " ", " ", " ",
+]
+_words = st.lists(st.sampled_from(_TEXT_PIECES), min_size=1, max_size=12).map("".join)
+
+
+@st.composite
+def _documents(draw):
+    """One to six texts, each a few of up to eight drawn words joined by
+    spaces, so a term often recurs within a text and across texts."""
+    words = draw(st.lists(_words, min_size=1, max_size=8))
+    texts = st.lists(st.sampled_from(words), max_size=12).map(" ".join)
+    return draw(st.lists(texts, min_size=1, max_size=6))
+
+
+class TestPreprocessMatchesReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        texts=_documents(),
+        stem=st.booleans(),
+        min_token_length=st.integers(1, 5),
+        min_doc_freq=st.integers(1, 3),
+        # Exact ratios such as 3/2 land on the sampled thresholds.
+        ratio_threshold=st.none() | st.sampled_from([1.5, 2.0, 3.0])
+        | st.floats(1.0, 3.0, exclude_min=True),
+    )
+    def test_generated_texts(self, texts, stem, min_token_length, min_doc_freq,
+                             ratio_threshold):
+        raw = [(f"d{i}", text) for i, text in enumerate(texts)]
+        config = PreprocessConfig(
+            stem=stem, min_token_length=min_token_length, min_doc_freq=min_doc_freq,
+            ratio_filter=ratio_threshold is not None, ratio_threshold=ratio_threshold or 0.8,
+        )
+        terms, docs = reference_preprocess(raw, config)
+        if not any(toks for _, toks in docs):
+            with pytest.raises(CorpusError, match="all documents empty"):
+                preprocess(raw, config)
+            return
+        corpus = preprocess(raw, config)
+        assert corpus.vocabulary.terms == terms
+        assert [(d.id, [terms[i] for i in d.tokens]) for d in corpus.documents] == docs
+
+    def test_hand_example(self):
+        text = "The STUDIES of classes: thes sses, 42 ran-running & wanted café x2 ²3 cats!"
+        config = cfg(stem=True, min_token_length=3)
+        stopwords = load_stopwords(bundled_stopword_paths())
+        # "the" and "of" are stopwords; "thes" is not, and stems to "the".
+        # "sses" stems to "ss", under the floor of 3; "x2" is under it too.
+        # "42" is all digits; "café" and "²3" are not ASCII.
+        expected = ["study", "class", "the", "ran", "runn", "want", "cat"]
+        assert reference_tokenize(text, stopwords, config) == expected
+        corpus = preprocess([("d1", text)], config)
+        assert [corpus.vocabulary.terms[i] for i in corpus.documents[0].tokens] == expected
 
 
 class TestPreprocess:
@@ -311,6 +409,12 @@ class TestSerialization:
             encoding="utf-8",
         )
         assert read_jsonl_documents(path) == [("x", "alpha"), ("y", "beta")]
+
+    def test_jsonl_integer_id_reads_as_its_digits(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": 7, "text": "alpha"}\n{"id": -12, "text": "beta"}\n',
+                        encoding="utf-8")
+        assert read_jsonl_documents(path) == [("7", "alpha"), ("-12", "beta")]
 
     def test_jsonl_reader_reports_line(self, tmp_path):
         path = tmp_path / "docs.jsonl"
