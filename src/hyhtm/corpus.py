@@ -105,7 +105,7 @@ class Corpus:
 @dataclass
 class TermFrequencyMatrix:
     """Sparse n x m raw occurrence counts (int64), rows in document
-    ingestion order. A library caller may pass a scipy matrix instead."""
+    ingestion order; no zero is stored."""
 
     counts: CsrArrays
     doc_ids: list[str]
@@ -113,8 +113,8 @@ class TermFrequencyMatrix:
 
 @dataclass
 class DocTermRepresentation:
-    """Sparse nonnegative n x m document representation. A library caller
-    may pass a scipy matrix instead."""
+    """Sparse nonnegative n x m document representation; no zero is
+    stored."""
 
     values: CsrArrays
     doc_ids: list[str]
@@ -316,13 +316,6 @@ def build_tf(corpus: Corpus) -> TermFrequencyMatrix:
     return TermFrequencyMatrix(counts=counts, doc_ids=[d.id for d in corpus.documents])
 
 
-def _entries_of(ms) -> CsrArrays:
-    # Accept either the TermSimilarityMatrix wrapper or a bare sparse matrix.
-    from .sparse_io import csr_arrays
-
-    return csr_arrays(getattr(ms, "entries", ms))
-
-
 def _row_blocks(work: np.ndarray):
     """Consecutive [start, stop) row ranges whose summed `work` stays within
     `_BLOCK_WORK`; a row over the budget is a range of its own."""
@@ -373,20 +366,7 @@ def _product_blocks(left: CsrArrays, right: CsrArrays, pattern: bool = False):
         yield start, stop, cells, values
 
 
-def _drop_zeros(matrix: CsrArrays) -> CsrArrays:
-    """`matrix` without its stored zeros."""
-    import numpy as np
-    from .sparse_io import CsrArrays
-
-    keep = matrix.data != 0
-    if keep.all():
-        return matrix
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    return CsrArrays(indptr=kept[matrix.indptr], indices=matrix.indices[keep],
-                     data=matrix.data[keep], shape=matrix.shape)
-
-
-def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
+def compute_idf(tf: TermFrequencyMatrix, ms: CsrArrays) -> np.ndarray:
     """Similarity-aware inverse document frequency.
 
     For term i, each document contributes the mean similarity between i and
@@ -396,26 +376,24 @@ def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
 
     The sum for term i runs over the documents in ascending order, through
     `np.add.reduceat` as scipy's `csr_matrix.sum(axis=1)` does, and each
-    document's similarity sum adds in row i's stored order.
+    document's similarity sum adds in row i's stored order. `ms` is the
+    similarity matrix's CSR arrays, which store no zero.
     """
     import numpy as np
-    from .sparse_io import csr_arrays, csr_from_triplets
+    from .sparse_io import csr_from_triplets
 
-    sim = _drop_zeros(_entries_of(ms))
-    counts = csr_arrays(tf.counts)
+    counts = tf.counts
     n, m = counts.shape
-    if sim.shape != (m, m):
-        raise ShapeError(f"similarity matrix is {sim.shape}, expected {(m, m)}")
+    if ms.shape != (m, m):
+        raise ShapeError(f"similarity matrix is {ms.shape}, expected {(m, m)}")
 
-    # The documents of each term, ascending: TF's presence pattern transposed.
-    present = counts.data != 0
-    docs = np.repeat(np.arange(n), np.diff(counts.indptr))[present]
-    docs_of = csr_from_triplets(np.broadcast_to(1.0, docs.shape), counts.indices[present],
-                                docs, (m, n))
-    del present, docs
+    # The documents of each term, ascending: TF's pattern transposed.
+    docs = np.repeat(np.arange(n), np.diff(counts.indptr))
+    docs_of = csr_from_triplets(np.broadcast_to(1.0, docs.shape), counts.indices, docs, (m, n))
+    del docs
 
     mu_sum = np.zeros(m)
-    for start, stop, cells, values in _product_blocks(sim, docs_of, pattern=True):
+    for start, stop, cells, values in _product_blocks(ms, docs_of, pattern=True):
         size = (stop - start) * n
         weight = np.bincount(cells, weights=values, minlength=size)
         count = np.bincount(cells, minlength=size)
@@ -439,7 +417,7 @@ def compute_idf(tf: TermFrequencyMatrix, ms) -> np.ndarray:
 
 
 def build_document_representation(
-    tf: TermFrequencyMatrix, ms, idf: np.ndarray
+    tf: TermFrequencyMatrix, ms: CsrArrays, idf: np.ndarray
 ) -> DocTermRepresentation:
     """Enriched representation: (TF x similarity) scaled columnwise by IDF.
 
@@ -447,24 +425,23 @@ def build_document_representation(
     zero, are not stored.
     """
     import numpy as np
-    from .sparse_io import CsrArrays, csr_arrays, index_dtype
+    from .sparse_io import CsrArrays, index_dtype
 
-    sim = _entries_of(ms)
-    counts = csr_arrays(tf.counts)
+    counts = tf.counts
     n, m = counts.shape
-    if sim.shape != (m, m):
-        raise ShapeError(f"similarity matrix is {sim.shape}, expected {(m, m)}")
+    if ms.shape != (m, m):
+        raise ShapeError(f"similarity matrix is {ms.shape}, expected {(m, m)}")
     if idf.shape != (m,):
         raise ShapeError(f"idf vector has length {idf.shape}, expected {m}")
     # Room for the most entries A0 can store: a row has at most one per
     # product and one per column. Pages are touched only as entries are
     # written, and the unused tail is returned at the end.
-    bound = int(np.minimum(_products_per_row(counts, sim), m).sum())
+    bound = int(np.minimum(_products_per_row(counts, ms), m).sum())
     indices = np.empty(bound, dtype=index_dtype(m))
     data = np.empty(bound)
     indptr = np.zeros(n + 1, dtype=np.int64)
     columns = np.arange(m)
-    for start, stop, cells, values in _product_blocks(counts, sim):
+    for start, stop, cells, values in _product_blocks(counts, ms):
         spread = np.bincount(cells, weights=values, minlength=(stop - start) * m)
         # (bincount returns ints when a block has no products)
         spread = spread.astype(np.float64, copy=False).reshape(stop - start, m)

@@ -12,8 +12,8 @@ else as a sparse matrix. The node matrix is dropped before the node's
 children are built, so at most A0 and one node matrix are alive at once;
 an instrumented gauge follows every node matrix until it is freed and
 records the peak, which the max_depth + 1 bound is checked against. A0
-and the hierarchy matrix are read as `sparse_io.CsrArrays`, so only a
-sparse node needs scipy.
+and the hierarchy matrix are `sparse_io.CsrArrays`, so only a sparse node
+needs scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .corpus import DocTermRepresentation, Vocabulary
 from .errors import ConfigurationError, ContractError, ShapeError
 from .nmf import NmfConfig, factorize
 from .settings import TrainConfig, check_tree_payload
-from .sparse_io import csr_arrays, dense_rows
+from .sparse_io import CsrArrays, dense_rows
 
 log = logging.getLogger(__name__)
 
@@ -119,23 +119,22 @@ def assign_documents(w: np.ndarray) -> list[list[int]]:
     return parts
 
 
-def parent_child_reweight(h: np.ndarray, i: int, mh) -> np.ndarray:
+def parent_child_reweight(h: np.ndarray, i: int, mh: CsrArrays) -> np.ndarray:
     """A topic's term weights expanded through the hierarchy adjacency.
 
     Entry j sums H[i][w] over every term w whose hierarchy neighborhood
     contains j, boosting terms hierarchically related to the topic's own.
     The sum runs over the stored entries in CSR order, which makes it
-    bitwise equal to the sparse product `entries.T @ h[i]`.
+    bitwise equal to the sparse product `mh.T @ h[i]`.
     """
     h = np.atleast_2d(h)
     if not 0 <= i < h.shape[0]:
         raise ShapeError(f"topic index {i} out of range for {h.shape[0]} topics")
-    entries = csr_arrays(getattr(mh, "entries", mh))
     m = h.shape[1]
-    if entries.shape != (m, m):
-        raise ShapeError(f"hierarchy matrix is {entries.shape}, expected {(m, m)}")
-    rows = np.repeat(np.arange(m), np.diff(entries.indptr))
-    return np.bincount(entries.indices, weights=entries.data * h[i][rows], minlength=m)
+    if mh.shape != (m, m):
+        raise ShapeError(f"hierarchy matrix is {mh.shape}, expected {(m, m)}")
+    rows = np.repeat(np.arange(m), np.diff(mh.indptr))
+    return np.bincount(mh.indices, weights=mh.data * h[i][rows], minlength=m)
 
 
 def top_words(h: np.ndarray, i: int, n: int) -> list[tuple[int, float]]:
@@ -150,7 +149,7 @@ def top_words(h: np.ndarray, i: int, n: int) -> list[tuple[int, float]]:
     return [(int(j), float(row[j])) for j in order]
 
 
-def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> TopicTree:
+def build_hierarchy(a0: DocTermRepresentation, mh: CsrArrays, config: TrainConfig) -> TopicTree:
     """Depth-first recursive factorization into a topic tree.
 
     Level 1 factorizes the root representation directly (empty documents
@@ -162,15 +161,14 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
 
     Every node matrix, the root's included, is factorized as a dense
     array gathered from A0's CSR arrays when at least DENSE_MIN_DENSITY of
-    its cells are stored, else as a scipy CSR matrix; `a0.values` and `mh`
-    are `sparse_io.CsrArrays` or scipy matrices.
+    its cells are stored, else as a scipy CSR matrix. `a0.values` and `mh`
+    are the CSR arrays that the builders and the cache return.
     """
     config.validate()
-    values = csr_arrays(a0.values)
+    values = a0.values
     n, m = values.shape
-    hier = csr_arrays(getattr(mh, "entries", mh))
-    if hier.shape != (m, m):
-        raise ShapeError(f"hierarchy matrix is {hier.shape}, expected {(m, m)}")
+    if mh.shape != (m, m):
+        raise ShapeError(f"hierarchy matrix is {mh.shape}, expected {(m, m)}")
     gauge = LiveMatrixGauge()
     gauge.track(values)  # the root representation itself
     sparse_values = None  # A0 as a scipy matrix, made for the first sparse node
@@ -217,7 +215,7 @@ def build_hierarchy(a0: DocTermRepresentation, mh, config: TrainConfig) -> Topic
                 doc_ids=[a0.doc_ids[r] for r in global_rows],
             )
             if level + 1 <= config.max_depth and len(global_rows) >= config.min_docs:
-                m_ti = parent_child_reweight(pair.H, i, hier)
+                m_ti = parent_child_reweight(pair.H, i, mh)
                 if m_ti.any():
                     node.children = expand(global_rows, m_ti, level + 1, node_id + ".")
                 else:

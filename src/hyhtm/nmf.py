@@ -127,11 +127,10 @@ def factorize(a, config: NmfConfig) -> FactorPair:
     circuits to zero factors with a warning instead of failing.
     """
     config.validate()
-    values = a.values if hasattr(a, "values") else a
-    if _is_sparse(values):  # the checks and ||A||² read the stored values
-        stored = values.data
+    if _is_sparse(a):  # the checks and ||A||² read the stored values
+        values, stored = a, a.data
     else:
-        values = stored = np.asarray(values, dtype=float)
+        values = stored = np.asarray(a, dtype=float)
     n, m = values.shape
     if stored.size and stored.min() < 0:
         raise ContractError("factorization input must be nonnegative")
@@ -181,10 +180,7 @@ def factorize(a, config: NmfConfig) -> FactorPair:
 
 def reconstruction_error(a, w, h) -> float:
     """Frobenius norm of (A - WH), computed without materializing WH."""
-    values = a.values if hasattr(a, "values") else a
-    n, m = values.shape
+    n, m = a.shape
     if w.shape[0] != n or h.shape[1] != m or w.shape[1] != h.shape[0]:
-        raise ShapeError(
-            f"inconsistent shapes: A {values.shape}, W {w.shape}, H {h.shape}"
-        )
-    return float(np.sqrt(_sq_error(_sq_frobenius(values), w, values @ h.T, w.T @ w, h @ h.T)))
+        raise ShapeError(f"inconsistent shapes: A {a.shape}, W {w.shape}, H {h.shape}")
+    return float(np.sqrt(_sq_error(_sq_frobenius(a), w, a @ h.T, w.T @ w, h @ h.T)))

@@ -2,17 +2,20 @@
 content-addressed matrix cache.
 
 Every matrix a `train` builds or loads is a `CsrArrays`: plain numpy CSR
-arrays with the attribute names of a scipy CSR matrix. Functions that
-take a matrix also take a scipy one through `csr_arrays`. Only a sparse
-node matrix needs scipy's arithmetic, through `CsrArrays.tocsr`.
+arrays with the attribute names of a scipy CSR matrix, canonical and
+storing no zero. It is the one matrix type the pipeline's functions take;
+the builders make it so and `read_csr` checks it, and no consumer converts
+or repairs its input. Only a sparse node matrix needs scipy's arithmetic,
+through `CsrArrays.tocsr`.
 
 A matrix is stored as a header of three little-endian u64 (rows, cols,
 stored entries), then its canonical `indptr` (i64), `indices`
 (`index_dtype(cols)`) and `data` (f64) as they are. Cache files are keyed
 by a hash of the inputs and hyperparameters that produced the matrix, so
 an intact hit is bitwise identical to a cold rebuild. Any change to a
-file's length or structure is detected on reading and is a logged miss;
-flipped bits in the stored values are not yet detected.
+file's length or structure, and a stored value of zero, is detected on
+reading and is a logged miss; other flipped bits in the stored values are
+not yet detected.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ def index_dtype(n_cols: int):
 class CsrArrays:
     """A matrix in CSR layout as bare numpy arrays, without scipy.
 
-    The attribute names are those of a scipy CSR matrix, so code that reads
-    only `indptr`, `indices`, `data`, `shape` and `nnz` takes either. The
-    arrays are canonical: columns increase strictly within each row.
-    `tocsr` builds the scipy matrix for code that needs sparse arithmetic.
+    The attribute names are those of a scipy CSR matrix. The arrays are
+    canonical, columns increasing strictly within each row, and the pipeline's
+    matrices store no zero. `tocsr` builds the scipy matrix for code that
+    needs sparse arithmetic.
     """
 
     indptr: np.ndarray
@@ -72,19 +75,6 @@ class CsrArrays:
         from scipy import sparse
 
         return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
-
-def csr_arrays(matrix) -> CsrArrays:
-    """`matrix` as canonical CSR arrays: `CsrArrays` as they are, a scipy
-    matrix converted to CSR with its duplicates summed and columns sorted."""
-    if isinstance(matrix, CsrArrays):
-        return matrix
-    csr = matrix.tocsr()
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()  # sorts the indices too
-    return CsrArrays(indptr=csr.indptr, indices=csr.indices, data=csr.data,
-                     shape=(int(csr.shape[0]), int(csr.shape[1])))
 
 
 def csr_from_triplets(vals, rows, cols, shape) -> CsrArrays:
@@ -135,13 +125,13 @@ def _layout(cols: int):
     return np.dtype("<i8"), np.dtype(index_dtype(cols)).newbyteorder("<"), np.dtype("<f8")
 
 
-def save_csr(path, matrix):
-    """Write a sparse matrix as a header of three little-endian u64 (rows,
-    cols, stored entries), then its canonical CSR arrays as they are."""
-    csr = csr_arrays(matrix)
+def save_csr(path, matrix: CsrArrays):
+    """Write CSR arrays as a header of three little-endian u64 (rows, cols,
+    stored entries), then the arrays as they are."""
     with open(path, "wb") as fh:
-        np.array([*csr.shape, csr.nnz], dtype="<u8").tofile(fh)
-        for array, dtype in zip((csr.indptr, csr.indices, csr.data), _layout(csr.shape[1])):
+        np.array([*matrix.shape, matrix.nnz], dtype="<u8").tofile(fh)
+        arrays = (matrix.indptr, matrix.indices, matrix.data)
+        for array, dtype in zip(arrays, _layout(matrix.shape[1])):
             np.asarray(array, dtype=dtype).tofile(fh)
 
 
@@ -150,8 +140,9 @@ def read_csr(path, shape) -> CsrArrays:
 
     Another shape, a size other than the header implies (checked before any
     array is read), an `indptr` that does not rise from 0 to the stored
-    count, an index outside `shape` or columns that do not strictly
-    increase within a row raise ContractError naming the file and entry."""
+    count, an index outside `shape`, columns that do not strictly increase
+    within a row or a stored zero, which no builder writes, raise
+    ContractError naming the file and entry."""
     rows, cols = int(shape[0]), int(shape[1])
     ptr_t, idx_t, val_t = _layout(cols)
     with open(path, "rb") as fh:
@@ -174,16 +165,20 @@ def read_csr(path, shape) -> CsrArrays:
     if beyond.size:
         i = beyond[0]
         raise ContractError(f"{path}: entry {i} has col {indices[i]} outside shape {rows, cols}")
+
+    def entry(i):
+        return f"entry {i} (row {np.searchsorted(indptr, i, side='right') - 1}, col {indices[i]})"
+
     disorder = indices[1:] <= indices[:-1]
     starts = indptr[1:-1]
     disorder[starts[(starts > 0) & (starts < nnz)] - 1] = False  # a row's first entry
     disorder = np.flatnonzero(disorder) + 1
     if disorder.size:
         i = disorder[0]
-        raise ContractError(
-            f"{path}: entry {i} (row {np.searchsorted(indptr, i, side='right') - 1}, "
-            f"col {indices[i]}) does not follow col {indices[i - 1]} of its row"
-        )
+        raise ContractError(f"{path}: {entry(i)} does not follow col {indices[i - 1]} of its row")
+    zero = np.flatnonzero(data == 0)
+    if zero.size:
+        raise ContractError(f"{path}: {entry(zero[0])} stores a zero")
     return CsrArrays(indptr=indptr, indices=indices, data=data, shape=(rows, cols))
 
 

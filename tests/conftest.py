@@ -15,6 +15,7 @@ from hyhtm import (
     load_embeddings,
     preprocess,
 )
+from hyhtm.sparse_io import CsrArrays, index_dtype
 
 from planted import make_fixture
 
@@ -25,6 +26,17 @@ PLANTED_N_TOPICS = 3
 PLANTED_MAX_DEPTH = 2
 PLANTED_MIN_DOCS = 50
 PLANTED_SEEDS = (0, 1, 2)
+
+
+def csr_of(matrix) -> CsrArrays:
+    """A scipy matrix as the CSR arrays the pipeline takes: canonical, with
+    the builders' dtypes and its stored zeros eliminated."""
+    csr = sparse.csr_matrix(matrix, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    return CsrArrays(indptr=csr.indptr.astype(np.int64),
+                     indices=csr.indices.astype(index_dtype(csr.shape[1])),
+                     data=csr.data, shape=(int(csr.shape[0]), int(csr.shape[1])))
 
 
 def make_corpus(token_docs, terms=None):
@@ -70,12 +82,12 @@ def planted_table(planted_inputs, planted_corpus):
 
 @pytest.fixture(scope="session")
 def planted_matrices(planted_table, planted_corpus):
-    ms = build_similarity_matrix(planted_table, k_s=PLANTED_K, alpha=PLANTED_ALPHA)
-    mh = build_hierarchy_matrix(planted_table, k_h=PLANTED_K)
+    ms = build_similarity_matrix(planted_table, k_s=PLANTED_K, alpha=PLANTED_ALPHA).entries
+    mh = build_hierarchy_matrix(planted_table, k_h=PLANTED_K).entries
     tf = build_tf(planted_corpus)
     idf = compute_idf(tf, ms)
     a0 = build_document_representation(tf, ms, idf)
-    mh_identity = sparse.identity(len(planted_corpus.vocabulary), format="csr")
+    mh_identity = csr_of(sparse.identity(len(planted_corpus.vocabulary)))
     return {"ms": ms, "mh": mh, "mh_identity": mh_identity, "tf": tf, "idf": idf, "a0": a0}
 
 

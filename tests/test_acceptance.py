@@ -44,6 +44,7 @@ from conftest import (
     PLANTED_MIN_DOCS,
     PLANTED_N_TOPICS,
     PLANTED_SEEDS,
+    csr_of,
     make_corpus,
 )
 from planted import purity
@@ -122,7 +123,7 @@ def test_criterion_2_identity_reduction():
         docs.append([terms[j] for j in rng.integers(0, 40, size=length)])
     corpus = make_corpus(docs, terms=terms)
     tf = build_tf(corpus)
-    eye = sparse.identity(40, format="csr")
+    eye = csr_of(sparse.identity(40))
     idf = compute_idf(tf, eye)
     rep = build_document_representation(tf, eye, idf)
 

@@ -242,7 +242,9 @@ class TestTrainCommand:
             assert file_sha256(caches[0] / name) == file_sha256(caches[1] / name)
 
     @pytest.mark.parametrize(
-        "damage", ["partial-record", "index-beyond-shape", "out-of-order", "truncated-by-one-entry"]
+        "damage",
+        ["partial-record", "index-beyond-shape", "out-of-order", "truncated-by-one-entry",
+         "stored-zero"],
     )
     def test_damaged_cache_is_rebuilt_to_the_no_cache_tree(
         self, planted_cli, tmp_path, caplog, damage
@@ -263,6 +265,8 @@ class TestTrainCommand:
                 path.write_bytes(blob[:-3])
             elif damage == "truncated-by-one-entry":
                 path.write_bytes(blob[:-entry])
+            elif damage == "stored-zero":  # the last stored value set to 0.0
+                path.write_bytes(blob[:-8] + bytes(8))
             else:
                 indices = arrays.indices.copy()
                 if damage == "out-of-order":  # swap two columns of one row
@@ -277,6 +281,8 @@ class TestTrainCommand:
         with caplog.at_level("WARNING"):
             assert main(train_args(corpus_bin, emb, warm, cache_dir=cache)) == 0
         assert sum("rebuilding" in r.message for r in caplog.records) == 3
+        provenance = json.loads((warm / "provenance.json").read_text(encoding="utf-8"))
+        assert set(provenance["cache"].values()) == {"rebuilt"}
         assert main(train_args(corpus_bin, emb, cold) + ["--no-cache"]) == 0
         assert file_sha256(warm / "tree.json") == file_sha256(cold / "tree.json")
         assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact

@@ -14,7 +14,6 @@ from hyhtm import (
     Corpus,
     Document,
     PreprocessConfig,
-    TermFrequencyMatrix,
     Vocabulary,
     build_document_representation,
     build_similarity_matrix,
@@ -36,7 +35,7 @@ from hyhtm.corpus import (
 )
 from hyhtm.errors import ConfigurationError, CorpusError, InvariantError, ShapeError
 
-from conftest import make_corpus, write_embedding_file
+from conftest import csr_of, make_corpus, write_embedding_file
 
 
 def cfg(**kwargs):
@@ -262,7 +261,7 @@ class TestIdf:
     def test_identity_similarity_recovers_classic_idf(self):
         corpus = make_corpus([["w"], ["w"], ["x"], ["x"]], terms=["w", "x"])
         tf = build_tf(corpus)
-        idf = compute_idf(tf, sparse.identity(2, format="csr"))
+        idf = compute_idf(tf, csr_of(sparse.identity(2)))
         assert idf[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_similar_to_everything_gives_zero(self):
@@ -270,8 +269,7 @@ class TestIdf:
         # means hits |D| and the log collapses to zero.
         corpus = make_corpus([["a"], ["b"], ["c"]], terms=["a", "b", "c"])
         tf = build_tf(corpus)
-        ms = sparse.csr_matrix(np.ones((3, 3)))
-        idf = compute_idf(tf, ms)
+        idf = compute_idf(tf, csr_of(np.ones((3, 3))))
         assert idf == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
     def test_zero_denominator_policy(self):
@@ -279,7 +277,7 @@ class TestIdf:
         # and appears in no document: IDF must be 0, not infinity.
         corpus = make_corpus([["a"], ["a"]], terms=["a", "b"])
         tf = build_tf(corpus)
-        idf = compute_idf(tf, sparse.identity(2, format="csr"))
+        idf = compute_idf(tf, csr_of(sparse.identity(2)))
         assert idf[1] == 0.0
 
     def test_idf_nonnegative_random(self):
@@ -300,14 +298,14 @@ class TestIdf:
                     terms=[f"t{j:03d}" for j in range(m)],
                 )
             )
-            idf = compute_idf(tf, ms)
+            idf = compute_idf(tf, csr_of(ms))
             assert (idf >= 0).all()
 
     def test_dimension_mismatch(self):
         corpus = make_corpus([["a", "b"]], terms=["a", "b"])
         tf = build_tf(corpus)
         with pytest.raises(ShapeError):
-            compute_idf(tf, sparse.identity(3, format="csr"))
+            compute_idf(tf, csr_of(sparse.identity(3)))
 
 
 class TestDocumentRepresentation:
@@ -320,7 +318,7 @@ class TestDocumentRepresentation:
             token_docs.append(doc)
         corpus = make_corpus(token_docs, terms=terms)
         tf = build_tf(corpus)
-        eye = sparse.identity(12, format="csr")
+        eye = csr_of(sparse.identity(12))
         idf = compute_idf(tf, eye)
         rep = build_document_representation(tf, eye, idf)
 
@@ -333,14 +331,14 @@ class TestDocumentRepresentation:
     def test_hand_product(self):
         corpus = make_corpus([["a"]], terms=["a", "b"])
         tf = build_tf(corpus)
-        ms = sparse.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        ms = csr_of(np.array([[1.0, 0.5], [0.0, 1.0]]))
         rep = build_document_representation(tf, ms, np.ones(2))
         assert rep.values.toarray().tolist() == [[1.0, 0.5]]
 
     def test_zero_idf_annihilates(self):
         corpus = make_corpus([["a", "b"]], terms=["a", "b"])
         tf = build_tf(corpus)
-        rep = build_document_representation(tf, sparse.identity(2, format="csr"), np.zeros(2))
+        rep = build_document_representation(tf, csr_of(sparse.identity(2)), np.zeros(2))
         assert rep.values.nnz == 0
 
     def test_nonnegative_for_random_inputs(self):
@@ -356,6 +354,7 @@ class TestDocumentRepresentation:
             tf = build_tf(corpus)
             ms = sparse.csr_matrix(np.abs(rng.random((m, m))) * (rng.random((m, m)) < 0.4))
             ms.setdiag(1.0)
+            ms = csr_of(ms)
             idf = compute_idf(tf, ms)
             rep = build_document_representation(tf, ms, idf)
             assert rep.values.nnz == 0 or rep.values.data.min() >= 0
@@ -364,9 +363,9 @@ class TestDocumentRepresentation:
         corpus = make_corpus([["a", "b"]], terms=["a", "b"])
         tf = build_tf(corpus)
         with pytest.raises(ShapeError):
-            build_document_representation(tf, sparse.identity(3, format="csr"), np.ones(3))
+            build_document_representation(tf, csr_of(sparse.identity(3)), np.ones(3))
         with pytest.raises(ShapeError):
-            build_document_representation(tf, sparse.identity(2, format="csr"), np.ones(3))
+            build_document_representation(tf, csr_of(sparse.identity(2)), np.ones(3))
 
 
 class TestSerialization:
@@ -724,20 +723,15 @@ def assert_bitwise_csr(got, want):
 
 
 def assert_matches_reference(corpus, ms):
-    """`ms` is a scipy matrix or a TermSimilarityMatrix."""
+    """`ms` is a scipy similarity matrix; the pipeline takes its CSR arrays."""
     tf = build_tf(corpus)
     counts = reference_tf(corpus)
     assert_bitwise_csr(tf.counts, counts)
-    entries = ms.entries.tocsr() if hasattr(ms, "entries") else ms
-    idf = compute_idf(tf, ms)
-    want_idf = reference_idf(counts, entries)
+    idf = compute_idf(tf, csr_of(ms))
+    want_idf = reference_idf(counts, ms)
     assert idf.tobytes() == want_idf.tobytes()
-    rep = build_document_representation(tf, ms, idf)
-    assert_bitwise_csr(rep.values, reference_representation(counts, entries, want_idf))
-    # A library caller's scipy TF takes the same path.
-    scipy_tf = TermFrequencyMatrix(counts=counts, doc_ids=tf.doc_ids)
-    assert compute_idf(scipy_tf, ms).tobytes() == idf.tobytes()
-    assert_bitwise_csr(build_document_representation(scipy_tf, ms, idf).values, rep.values)
+    rep = build_document_representation(tf, csr_of(ms), idf)
+    assert_bitwise_csr(rep.values, reference_representation(counts, ms, want_idf))
     return idf
 
 
@@ -779,7 +773,6 @@ class TestMatchesScipyReference:
                 table = load_embeddings(path, corpus.vocabulary, space)
                 ms = build_similarity_matrix(table, 9, alpha)
                 assert_matches_reference(corpus, ms.entries.tocsr())
-                assert_matches_reference(corpus, ms)
 
     def test_heavy_row_over_the_budget(self, monkeypatch):
         # With a budget of 40, the long document's row is a block of its own
@@ -798,9 +791,9 @@ class TestMatchesScipyReference:
         with pytest.raises(InvariantError):
             reference_idf(counts, ms)
         with pytest.raises(InvariantError):
-            compute_idf(build_tf(corpus), ms)
+            compute_idf(build_tf(corpus), csr_of(ms))
         ms = sparse.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))
         with pytest.raises(InvariantError):
             reference_representation(counts, ms, np.ones(2))
         with pytest.raises(InvariantError):
-            build_document_representation(build_tf(corpus), ms, np.ones(2))
+            build_document_representation(build_tf(corpus), csr_of(ms), np.ones(2))

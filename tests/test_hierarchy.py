@@ -13,7 +13,7 @@ from hyhtm import (
 from hyhtm.errors import ConfigurationError, ContractError, ShapeError
 from hyhtm import hierarchy
 from hyhtm.hierarchy import tree_from_payload, tree_to_payload
-from hyhtm.sparse_io import CsrArrays
+from hyhtm.sparse_io import read_csr, save_csr
 
 from conftest import (
     PLANTED_ALPHA,
@@ -21,6 +21,7 @@ from conftest import (
     PLANTED_MAX_DEPTH,
     PLANTED_MIN_DOCS,
     PLANTED_N_TOPICS,
+    csr_of,
 )
 from planted import purity
 
@@ -66,22 +67,12 @@ class TestAssignDocuments:
         assert set(seen) == nonzero_rows
 
 
-def as_cache_arrays(matrix):
-    """The CSR arrays a cache hit would return for `matrix`."""
-    csr = matrix.tocsr()
-    return CsrArrays(
-        indptr=csr.indptr.astype(np.int64), indices=csr.indices.astype(np.int32),
-        data=csr.data.astype(np.float64), shape=csr.shape,
-    )
-
-
 class TestParentChildReweight:
     @pytest.mark.parametrize("m", [1, 2, 7, 40])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bitwise_equal_to_sparse_product(self, m, weighted):
         # Random adjacency with empty rows (all of them in the first trial);
-        # the reweight for every topic is bitwise the sparse product, for
-        # scipy CSR and for cache arrays.
+        # the reweight for every topic is bitwise scipy's sparse product.
         rng = np.random.default_rng(1000 * m + weighted)
         for trial in range(20):
             dense = (rng.random((m, m)) < 0.3) * (rng.random((m, m)) if weighted else 1.0)
@@ -90,38 +81,37 @@ class TestParentChildReweight:
             h = rng.random((3, m)) * (rng.random((3, m)) < 0.8)
             for i in range(3):
                 expected = np.asarray(mh.T @ h[i]).ravel()
-                for entries in (mh, as_cache_arrays(mh)):
-                    out = parent_child_reweight(h, i, entries)
-                    assert out.shape == (m,)
-                    assert out.tobytes() == expected.tobytes()
+                out = parent_child_reweight(h, i, csr_of(mh))
+                assert out.shape == (m,)
+                assert out.tobytes() == expected.tobytes()
 
     def test_identity_returns_topic_row(self):
         h = np.array([[0.5, 0.0, 0.2]])
-        out = parent_child_reweight(h, 0, sparse.identity(3, format="csr"))
+        out = parent_child_reweight(h, 0, csr_of(sparse.identity(3)))
         assert np.allclose(out, [0.5, 0.0, 0.2])
 
     def test_hand_product(self):
         h = np.array([[0.5, 0.0, 0.2]])
-        mh = sparse.csr_matrix(np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float))
+        mh = csr_of(np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float))
         out = parent_child_reweight(h, 0, mh)
         assert np.allclose(out, [0.5, 0.5, 0.2])
 
     def test_zero_row_propagates(self):
         h = np.zeros((2, 3))
-        mh = sparse.csr_matrix(np.ones((3, 3)))
+        mh = csr_of(np.ones((3, 3)))
         assert not parent_child_reweight(h, 1, mh).any()
 
     def test_shape_errors(self):
         h = np.array([[0.5, 0.1]])
         with pytest.raises(ShapeError):
-            parent_child_reweight(h, 3, sparse.identity(2, format="csr"))
+            parent_child_reweight(h, 3, csr_of(sparse.identity(2)))
         with pytest.raises(ShapeError):
-            parent_child_reweight(h, 0, sparse.identity(3, format="csr"))
+            parent_child_reweight(h, 0, csr_of(sparse.identity(3)))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(32)
         h = rng.random((3, 10))
-        mh = sparse.csr_matrix((rng.random((10, 10)) < 0.3).astype(float))
+        mh = csr_of((rng.random((10, 10)) < 0.3).astype(float))
         assert parent_child_reweight(h, 1, mh).min() >= 0
 
 
@@ -152,9 +142,9 @@ class TestTopWords:
 
 class TestBuildHierarchy:
     def test_too_few_documents_gives_empty_tree(self):
-        values = sparse.csr_matrix(np.abs(np.random.default_rng(0).random((10, 6))))
+        values = csr_of(np.abs(np.random.default_rng(0).random((10, 6))))
         rep = DocTermRepresentation(values=values, doc_ids=[f"d{i}" for i in range(10)])
-        tree = build_hierarchy(rep, sparse.identity(6, format="csr"), planted_config(min_docs=50, n_topics=2))
+        tree = build_hierarchy(rep, csr_of(sparse.identity(6)), planted_config(min_docs=50, n_topics=2))
         assert tree.roots == []
         assert "diagnostic" in tree.provenance
 
@@ -189,7 +179,7 @@ class TestBuildHierarchy:
     def test_children_confined_to_reweight_support(self, planted_matrices):
         # A term outside a node's expanded term vector cannot enter its
         # children: their input columns and factor weights stay zero there.
-        mh = planted_matrices["mh"].entries.tocsr()
+        mh = planted_matrices["mh"].tocsr()
         tree = build_hierarchy(planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=2))
         checked = 0
         for node in tree.nodes():
@@ -222,50 +212,31 @@ class TestBuildHierarchy:
 
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     @pytest.mark.parametrize("hierarchy_matrix", ["hierarchy", "identity"])
-    def test_cache_arrays_build_the_scipy_tree(
-        self, planted_matrices, planted_corpus, monkeypatch, hierarchy_matrix, layout
+    def test_cache_read_arrays_build_the_builders_tree(
+        self, planted_matrices, planted_corpus, monkeypatch, tmp_path, hierarchy_matrix, layout
     ):
-        # A cache hit hands build_hierarchy numpy CSR arrays; the tree is
-        # identical to the one built from the scipy matrices, with the
-        # planted nodes factorized dense (their own layout) or sparse, under
-        # the planted hierarchy matrix or the identity.
+        # A cache hit hands build_hierarchy the arrays `read_csr` reads back;
+        # the tree is identical to the one built from the builders' arrays,
+        # with the planted nodes factorized dense (their own layout) or
+        # sparse, under the planted hierarchy matrix or the identity.
         if layout == "sparse":
             monkeypatch.setattr(hierarchy, "DENSE_MIN_DENSITY", 1.0)
         a0 = planted_matrices["a0"]
         mh = planted_matrices["mh" if hierarchy_matrix == "hierarchy" else "mh_identity"]
+
+        def cached(matrix):
+            save_csr(tmp_path / "m.bin", matrix)
+            return read_csr(tmp_path / "m.bin", matrix.shape)
+
         config = planted_config(seed=4)
-        from_scipy = build_hierarchy(a0, mh, config)
-        from_arrays = build_hierarchy(
-            DocTermRepresentation(values=as_cache_arrays(a0.values), doc_ids=a0.doc_ids),
-            as_cache_arrays(getattr(mh, "entries", mh)),
-            config,
+        built = build_hierarchy(a0, mh, config)
+        from_cache = build_hierarchy(
+            DocTermRepresentation(values=cached(a0.values), doc_ids=a0.doc_ids), cached(mh), config
         )
         terms = planted_corpus.vocabulary.terms
-        assert tree_to_payload(from_arrays, terms) == tree_to_payload(from_scipy, terms)
-        assert from_arrays.provenance == from_scipy.provenance
-        for a, b in zip(from_arrays.nodes(), from_scipy.nodes()):
-            assert a.term_weights.tobytes() == b.term_weights.tobytes()
-
-    def test_duplicate_entries_are_summed(self):
-        # An uncanonical scipy input means the sum of its duplicates, as it
-        # does in sparse arithmetic: each entry is stored as two parts.
-        rng = np.random.default_rng(5)
-        dense = rng.random((60, 8)) + 0.1
-        parts = np.concatenate([dense * 0.25, dense * 0.75], axis=1).ravel()
-        doubled = sparse.csr_matrix(
-            (parts, np.tile(np.arange(8), 120), np.arange(61) * 16), shape=(60, 8)
-        )
-        assert not doubled.has_canonical_format
-        summed = sparse.csr_matrix(doubled.toarray())
-        ids = [f"d{i}" for i in range(60)]
-        config = planted_config(n_topics=2, max_depth=2, min_docs=10)
-        eye = sparse.identity(8, format="csr")
-        trees = [
-            build_hierarchy(DocTermRepresentation(values=values, doc_ids=ids), eye, config)
-            for values in (doubled, summed)
-        ]
-        assert [n.doc_ids for n in trees[0].nodes()] == [n.doc_ids for n in trees[1].nodes()]
-        for a, b in zip(trees[0].nodes(), trees[1].nodes()):
+        assert tree_to_payload(from_cache, terms) == tree_to_payload(built, terms)
+        assert from_cache.provenance == built.provenance
+        for a, b in zip(from_cache.nodes(), built.nodes()):
             assert a.term_weights.tobytes() == b.term_weights.tobytes()
 
     def test_live_matrix_gauge_bound(self, planted_matrices):
@@ -342,14 +313,13 @@ class TestBuildHierarchy:
         rng = np.random.default_rng(8)
         n, m = 80, 50
         cols = np.concatenate([rng.choice(m, 3, replace=False) for _ in range(n)])
-        values = sparse.csr_matrix(
-            (rng.random(3 * n) + 0.1, cols, np.arange(n + 1) * 3), shape=(n, m)
+        values = csr_of(
+            sparse.csr_matrix((rng.random(3 * n) + 0.1, cols, np.arange(n + 1) * 3), shape=(n, m))
         )
-        values.sort_indices()
         layouts = self.record_layouts(monkeypatch)
         tree = build_hierarchy(
             DocTermRepresentation(values=values, doc_ids=[f"d{i}" for i in range(n)]),
-            sparse.identity(m, format="csr"),
+            csr_of(sparse.identity(m)),
             planted_config(n_topics=2, max_depth=2, min_docs=10),
         )
         assert tree.depth == 2

@@ -27,7 +27,7 @@ from hyhtm.sparse_io import (
     save_csr,
 )
 
-from conftest import table_from_points, write_embedding_file
+from conftest import csr_of, table_from_points, write_embedding_file
 
 # Frozen values from a 50-digit evaluation of the distance formula.
 D_ORIGIN_HALF = 1.0986122886681096913952452369225257046474905578227  # = ln 3
@@ -604,32 +604,22 @@ class TestSparseIo:
 
         matrix = sparse.random(30, 40, density=0.2, random_state=1).tocsr()
         path = tmp_path / "m.bin"
-        save_csr(path, matrix)
+        save_csr(path, csr_of(matrix))
         loaded = read_csr(path, (30, 40)).tocsr()
         assert (loaded != matrix).nnz == 0
         assert np.array_equal(loaded.data, matrix.tocsr().data)
 
     def test_file_is_the_header_and_the_canonical_csr_arrays(self, tmp_path):
-        # Empty rows (first, inner and last), an uncanonical scipy input and
-        # a matrix with nothing stored, each given as scipy and as CsrArrays.
-        from scipy import sparse
-
+        # Empty rows (first, inner and last), and a matrix with nothing stored.
         dense = sparse.random(9, 11, density=0.4, random_state=6).toarray()
         dense[[0, 4, 8]] = 0.0
-        uncanonical = sparse.csr_matrix(
-            (np.array([1.0, 2.0, 0.5, 3.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4, 4])),
-            shape=(3, 3),
-        )
-        for matrix in (sparse.csr_matrix(dense), uncanonical, sparse.csr_matrix((4, 5))):
-            canonical = matrix.copy()
-            canonical.sum_duplicates()
+        for matrix in (sparse.csr_matrix(dense), sparse.csr_matrix((4, 5))):
             want = b"".join(np.asarray(a, dtype=t).tobytes() for a, t in (
-                ([*canonical.shape, canonical.nnz], "<u8"), (canonical.indptr, "<i8"),
-                (canonical.indices, "<i4"), (canonical.data, "<f8"),
+                ([*matrix.shape, matrix.nnz], "<u8"), (matrix.indptr, "<i8"),
+                (matrix.indices, "<i4"), (matrix.data, "<f8"),
             ))
-            for given in (matrix, sparse_io.csr_arrays(matrix)):
-                save_csr(tmp_path / "m.bin", given)
-                assert (tmp_path / "m.bin").read_bytes() == want
+            save_csr(tmp_path / "m.bin", csr_of(matrix))
+            assert (tmp_path / "m.bin").read_bytes() == want
 
     def test_cache_store_and_hit(self, tmp_path):
         from scipy import sparse
@@ -638,7 +628,7 @@ class TestSparseIo:
         matrix = sparse.random(10, 10, density=0.3, random_state=2).tocsr()
         key = cache_key("similarity", corpus="abc", alpha=0.1)
         assert cache.load(key, (10, 10)) is None
-        cache.save(key, matrix)
+        cache.save(key, csr_of(matrix))
         assert_same_csr_arrays(cache.load(key, (10, 10)), matrix)
 
     def test_save_ignores_stale_temporary_path(self, tmp_path):
@@ -649,7 +639,7 @@ class TestSparseIo:
         matrix = sparse.random(10, 10, density=0.3, random_state=3).tocsr()
         key = cache_key("hierarchy", corpus="abc", k_h=5)
         (cache.directory / f"{key}.tmp").mkdir()
-        cache.save(key, matrix)
+        cache.save(key, csr_of(matrix))
         assert_same_csr_arrays(cache.load(key, (10, 10)), matrix)
         assert sorted(p.name for p in cache.directory.iterdir()) == [f"{key}.bin", f"{key}.tmp"]
 
@@ -665,7 +655,7 @@ class TestSparseIo:
     def test_entries_out_of_order_are_rejected(self, tmp_path, damage, names):
         from scipy import sparse
 
-        matrix = sparse.csr_matrix(np.array([[0, 2.0, 0, 0, 0, 3.0], [4.0, 0, 0, 0, 0, 0]]))
+        matrix = csr_of(np.array([[0, 2.0, 0, 0, 0, 3.0], [4.0, 0, 0, 0, 0, 0]]))
         path = tmp_path / "m.bin"
         save_csr(path, matrix)
         header, indptr, indices, data = csr_file_arrays(path, 6)
@@ -688,27 +678,17 @@ class TestSparseIo:
         dense = sparse.random(8, 9, density=0.4, random_state=5).toarray()
         dense[3] = 0.0  # an empty row
         matrix = sparse.csr_matrix(dense)
-        save_csr(tmp_path / "m.bin", matrix)
+        save_csr(tmp_path / "m.bin", csr_of(matrix))
         arrays = read_csr(tmp_path / "m.bin", (8, 9))
         assert isinstance(arrays, CsrArrays)
         assert arrays.data.size == matrix.nnz
         assert_same_csr_arrays(arrays, matrix)
         assert (arrays.tocsr() != matrix).nnz == 0
 
-    def test_save_canonicalizes_uncanonical_matrices(self, tmp_path):
-        from scipy import sparse
-
-        # unsorted columns and a duplicate (0, 1) entry
-        matrix = sparse.csr_matrix(
-            (np.array([1.0, 2.0, 0.5, 3.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4])),
-            shape=(2, 3),
-        )
-        save_csr(tmp_path / "m.bin", matrix)
-        assert_same_csr_arrays(read_csr(tmp_path / "m.bin", (2, 3)), matrix)
-
     @pytest.mark.parametrize(
         "damage",
-        ["partial-record", "one-byte-short", "header-cut", "row-beyond-shape", "col-beyond-shape"],
+        ["partial-record", "one-byte-short", "header-cut", "row-beyond-shape", "col-beyond-shape",
+         "stored-zero"],
     )
     def test_damaged_cache_file_is_a_logged_miss(self, tmp_path, caplog, damage):
         from scipy import sparse
@@ -716,7 +696,7 @@ class TestSparseIo:
         cache = MatrixCache(tmp_path / "cache")
         matrix = sparse.random(10, 12, density=0.3, random_state=4).tocsr()
         key = cache_key("representation", corpus="abc")
-        cache.save(key, matrix)
+        cache.save(key, csr_of(matrix))
         path = cache.path_for(key)
         if damage == "partial-record":  # one byte more than the header implies
             path.write_bytes(path.read_bytes() + b"\x00")
@@ -728,11 +708,15 @@ class TestSparseIo:
             header, indptr, indices, data = csr_file_arrays(path, 12)
             if damage == "row-beyond-shape":  # the header claims an eleventh row
                 header[0] = 11
+            elif damage == "stored-zero":  # a value no builder stores
+                data[5] = 0.0
             else:
                 indices[-1] = 12
             write_csr_file(path, header, indptr, indices, data)
-        with pytest.raises(ContractError, match=str(path)):
+        with pytest.raises(ContractError, match=str(path)) as raised:
             read_csr(path, (10, 12))
+        if damage == "stored-zero":
+            assert re.search(r"entry 5 \(row \d+, col \d+\) stores a zero", str(raised.value))
         with caplog.at_level("WARNING"):
             assert cache.load(key, (10, 12)) is None
         assert any("rebuilding" in r.message for r in caplog.records)
@@ -741,7 +725,7 @@ class TestSparseIo:
         from scipy import sparse
 
         path = tmp_path / "m.bin"
-        save_csr(path, sparse.random(4, 5, density=0.5, random_state=9).tocsr())
+        save_csr(path, csr_of(sparse.random(4, 5, density=0.5, random_state=9)))
         header, *arrays = csr_file_arrays(path, 5)
         header[2] = 1 << 62  # a stored count no file of this size holds
         write_csr_file(path, header, *arrays)
