@@ -178,9 +178,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     out_dir = Path(config.output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(built, out_dir / "corpus.bin")
-    (out_dir / "vocab.txt").write_text(
-        "".join(t + "\n" for t in built.vocabulary.terms), encoding="utf-8"
-    )
+    (out_dir / "vocab.txt").write_text(built.vocabulary.text(), encoding="utf-8")
     print(
         f"docs={built.n_docs} vocab={len(built.vocabulary)} "
         f"avg_len={built.mean_doc_length():.2f}"
@@ -299,10 +297,9 @@ def cmd_train(config: RunConfig) -> int:
 
     out_dir = Path(config.output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    vocab_blob = "".join(t + "\n" for t in built.vocabulary.terms).encode("utf-8")
     payload = hierarchy_mod.tree_to_payload(tree, built.vocabulary.terms)
     payload["config"]["vocab_size"] = len(built.vocabulary)
-    payload["config"]["vocab_sha256"] = sparse_io.bytes_sha256(vocab_blob)
+    payload["config"]["vocab_sha256"] = built.vocabulary.sha256()
     _dump_json(payload, out_dir / "tree.json")
 
     if config.write_factors:
@@ -385,6 +382,14 @@ def cmd_evaluate(config: RunConfig, model_dir: str) -> int:
     model = Path(model_dir)
     built = corpus_mod.read_corpus(config.corpus)
     tree = _read_tree(model, lambda p: hierarchy_mod.tree_from_payload(p, built.vocabulary))
+    digest = tree.config.get("vocab_sha256")
+    if digest is not None and digest != built.vocabulary.sha256():
+        # Factor weights are read by term position, so another order of the
+        # same terms would be scored without any other error.
+        raise ContractError(
+            f"{model / 'tree.json'}: vocab_sha256 is not the digest of the vocabulary of "
+            f"{config.corpus}; the model was trained on another vocabulary"
+        )
     _attach_factors(tree, model, len(built.vocabulary))
 
     report = metrics.evaluate(tree, built)

@@ -80,6 +80,17 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def text(self) -> str:
+        """The terms as `vocab.txt` holds them, one a line."""
+        return "".join(t + "\n" for t in self.terms)
+
+    def sha256(self) -> str:
+        """SHA-256 of `text` in UTF-8: the `vocab_sha256` that `train`
+        records in tree.json and `evaluate` checks against its corpus."""
+        import hashlib
+
+        return hashlib.sha256(self.text().encode("utf-8")).hexdigest()
+
 
 @dataclass
 class Corpus:
@@ -520,7 +531,10 @@ def write_corpus(corpus: Corpus, path):
 
 
 def read_corpus(path) -> Corpus:
-    """Inverse of write_corpus."""
+    """Inverse of write_corpus. A file that is cut short, has bytes past its
+    last document, a term index outside the vocabulary, a vocabulary term
+    that is empty or repeated, or a repeated document id raises CorpusError
+    naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CORPUS_MAGIC:
@@ -536,11 +550,15 @@ def read_corpus(path) -> Corpus:
             terms.append(blob[off : off + tlen].decode("utf-8"))
             off += tlen
         docs = []
+        doc_ids = set()
         for _ in range(n_docs):
             idlen, ntok = struct.unpack_from("<II", blob, off)
             off += 8
             doc_id = blob[off : off + idlen].decode("utf-8")
             off += idlen
+            if doc_id in doc_ids:
+                raise CorpusError(f"{path}: document id {doc_id!r} is repeated")
+            doc_ids.add(doc_id)
             tokens = list(struct.unpack_from(f"<{ntok}I", blob, off))
             off += 4 * ntok
             if ntok and max(tokens) >= n_terms:
@@ -555,4 +573,8 @@ def read_corpus(path) -> Corpus:
         raise CorpusError(f"{path}: corpus file is truncated or corrupt (it ends in a term)")
     if off < len(blob):
         raise CorpusError(f"{path}: {len(blob) - off} trailing bytes after the last document")
-    return Corpus(documents=docs, vocabulary=Vocabulary(terms=terms))
+    try:
+        vocabulary = Vocabulary(terms=terms)
+    except ContractError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+    return Corpus(documents=docs, vocabulary=vocabulary)

@@ -89,9 +89,11 @@ def _is_term_entry(item) -> bool:
 
 def check_tree_payload(payload) -> dict:
     """`payload` once it meets the contract that `tree_from_payload` relies
-    on: unique string ids, int levels >= 1, finite term weights, and every
-    node above level 1 listed as a child by exactly one node one level up,
-    which rules out cycles. A violation raises ContractError naming the node."""
+    on: a config whose `vocab_size`, if any, is an int and `vocab_sha256`,
+    if any, a string; unique string ids, int levels >= 1, finite term
+    weights, and every node above level 1 listed as a child by exactly one
+    node one level up, which rules out cycles. A violation raises
+    ContractError naming the config or the node."""
 
     def fail(where, what):
         raise ContractError(f"{where}: {what}")
@@ -101,6 +103,8 @@ def check_tree_payload(payload) -> dict:
     config = payload.get("config", {})
     if not (isinstance(config, dict) and _is_int(config.get("vocab_size", 0))):
         fail("config", "expected an object whose 'vocab_size', if any, is an int")
+    if not isinstance(config.get("vocab_sha256", ""), str):
+        fail("config", "'vocab_sha256', if any, must be a string")
     nodes = {}
     for pos, node in enumerate(payload["nodes"]):
         if not (isinstance(node, dict) and isinstance(node.get("id"), str)):

@@ -10,7 +10,7 @@ import pytest
 
 import hyhtm
 
-from hyhtm import PreprocessConfig, TrainConfig, hypspace
+from hyhtm import Corpus, Document, PreprocessConfig, TrainConfig, Vocabulary, hypspace
 from hyhtm.cli import (
     _VALUE_CHECKS,
     RunConfig,
@@ -19,6 +19,7 @@ from hyhtm.cli import (
     build_parser,
     main,
 )
+from hyhtm.corpus import read_corpus, write_corpus
 from hyhtm.sparse_io import cache_key, file_sha256, read_csr
 
 from conftest import PLANTED_ALPHA, PLANTED_K
@@ -681,6 +682,26 @@ class TestEvaluateCommand:
         report = json.loads((model / "report.json").read_text(encoding="utf-8"))
         assert report["topics"] == [] and report["summary"]["mean_coherence"] is None
 
+    def test_reordered_vocabulary_exits_3(self, planted_cli, tmp_path, capsys):
+        # The same terms and documents with the vocabulary reversed: factor
+        # weights are read by term position, so only the digest tells.
+        corpus_bin, emb = planted_cli
+        model = tmp_path / "model"
+        assert main(train_args(corpus_bin, emb, model) + ["--no-cache"]) == 0
+        built = read_corpus(corpus_bin)
+        m = len(built.vocabulary)
+        reordered = tmp_path / "reordered.bin"
+        write_corpus(Corpus(
+            documents=[Document(id=d.id, tokens=[m - 1 - t for t in d.tokens])
+                       for d in built.documents],
+            vocabulary=Vocabulary(terms=built.vocabulary.terms[::-1]),
+        ), reordered)
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--corpus", str(reordered)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {model / 'tree.json'}: vocab_sha256" in err and str(reordered) in err
+
     def test_corrupt_tree_exits_3_with_location(self, metric_model, tmp_path, capsys):
         corpus_bin, _ = metric_model
         model = tmp_path / "bad-model"
@@ -1074,6 +1095,7 @@ TREE_MUTATIONS = {
     "nodes-object": (_edit(_set("nodes", {})), "nodes"),
     "config-list": (_edit(_set("config", [])), "config"),
     "vocab-size-text": (_edit(lambda p: p["config"].update(vocab_size="three")), "vocab_size"),
+    "vocab-digest-number": (_edit(lambda p: p["config"].update(vocab_sha256=3)), "vocab_sha256"),
     "node-not-object": (_edit(lambda n: n.clear() or n.update(x=1), 0), "node 0"),
     "missing-id": (_edit(_without("id"), 0), "node 0"),
     "numeric-id": (_edit(_set("id", 0), 0), "node 0"),

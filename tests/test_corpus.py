@@ -629,6 +629,30 @@ class TestCorpusFileMatchesNumpyReference:
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
 
+    @pytest.mark.parametrize("damage", ["repeated-term", "empty-term", "repeated-id"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_corpus_breaking_its_contract_exits_2(self, damage, command, tmp_path, capsys):
+        corpus = make_corpus([["a", "b"], ["b"]], terms=["a", "b"])
+        if damage == "repeated-term":
+            corpus.vocabulary.terms[1] = "a"
+            expected = "vocabulary terms are not unique"
+        elif damage == "empty-term":
+            corpus.vocabulary.terms[1] = ""
+            expected = "vocabulary contains an empty term"
+        else:
+            corpus.documents[1].id = "d0"
+            expected = "document id 'd0' is repeated"
+        path = tmp_path / "corpus.bin"
+        write_corpus(corpus, path)
+        if command == "train":
+            emb = write_embedding_file(tmp_path / "emb.txt", [("a", [0.1, 0.0]), ("b", [0.0, 0.1])])
+            args = ["train", "--corpus", str(path), "--embeddings", str(emb), "--no-cache",
+                    "--output-dir", str(tmp_path / "model")]
+        else:
+            args = ["evaluate", "--model", str(tmp_path / "model"), "--corpus", str(path)]
+        assert main(args) == 2
+        assert f"error: {path}: {expected}" in capsys.readouterr().err
+
 
 # The scipy builders that `build_tf`, `compute_idf` and
 # `build_document_representation` replaced, kept as bitwise references.
