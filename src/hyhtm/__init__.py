@@ -16,8 +16,7 @@ _EXPORTS = {
         "compute_idf", "preprocess",
     ),
     "hierarchy": (
-        "TopicNode", "TopicTree", "assign_documents", "build_hierarchy",
-        "parent_child_reweight", "top_words",
+        "assign_documents", "build_hierarchy", "parent_child_reweight", "top_words",
     ),
     "hypspace": (
         "EmbeddingTable", "Neighborhood", "TermHierarchyMatrix", "TermSimilarityMatrix",
@@ -29,7 +28,7 @@ _EXPORTS = {
         "hierarchical_affinity", "hierarchical_coherence", "pmi", "topic_specialization",
     ),
     "nmf": ("FactorPair", "NmfConfig", "factorize", "reconstruction_error"),
-    "settings": ("TrainConfig",),
+    "settings": ("TopicNode", "TopicTree", "TrainConfig"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

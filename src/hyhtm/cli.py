@@ -21,7 +21,6 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import corpus as corpus_mod
 from . import settings
@@ -33,9 +32,6 @@ from .errors import (
     EmbeddingParseError,
     HyhtmError,
 )
-
-if TYPE_CHECKING:
-    from .hierarchy import TopicTree
 
 log = logging.getLogger(__name__)
 
@@ -92,17 +88,6 @@ _VALUE_CHECKS = {
 }
 
 
-def _read_json(path: Path, error: type[HyhtmError]):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise error(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno} ({exc.msg})"
-        ) from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
-
-
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     """Layer dataclass defaults, then the JSON config file, then CLI flags;
     each key goes to the dataclass that declares it."""
@@ -113,7 +98,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigurationError(f"config file not found: {path}")
-        values = _read_json(path, ConfigurationError)
+        values = settings.read_json(path, ConfigurationError)
         if not isinstance(values, dict):
             raise ConfigurationError(f"{path}: a config file must hold a JSON object")
         unknown = set(values) - set(keys)
@@ -142,13 +127,6 @@ def _resolve_cache_dir(config: RunConfig) -> Path | None:
     if config.cache_dir:
         return Path(config.cache_dir)
     return Path(config.output_dir or ".") / "cache"
-
-
-def _dump_json(payload: dict, path: Path):
-    path.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
 
 
 def cmd_preprocess(config: RunConfig) -> int:
@@ -296,25 +274,12 @@ def cmd_train(config: RunConfig) -> int:
         raise DegenerateCorpusError(diagnostic)
 
     out_dir = Path(config.output_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = hierarchy_mod.tree_to_payload(tree, built.vocabulary.terms)
-    payload["config"]["vocab_size"] = len(built.vocabulary)
-    payload["config"]["vocab_sha256"] = built.vocabulary.sha256()
-    _dump_json(payload, out_dir / "tree.json")
-
-    if config.write_factors:
-        factors_dir = out_dir / "factors"
-        factors_dir.mkdir(exist_ok=True)
-        for node in tree.nodes():
-            if node.term_weights is not None:
-                node.term_weights.astype("<f8").tofile(
-                    factors_dir / f"level{node.level}-node{node.node_id}.bin"
-                )
+    tree_path = settings.write_model(out_dir, tree, built.vocabulary, config.write_factors)
 
     provenance = dict(tree.provenance)
     provenance.update(matrix_provenance)
     provenance["space"] = config.train.space
-    provenance["tree_sha256"] = sparse_io.file_sha256(out_dir / "tree.json")
+    provenance["tree_sha256"] = sparse_io.file_sha256(tree_path)
     provenance["timings"] = {
         "matrices_s": t_matrices - t_start,
         "hierarchy_s": t_tree - t_matrices,
@@ -327,75 +292,21 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _read_tree(model_dir: Path, read):
-    """`read` applied to a model directory's tree.json payload; a contract
-    error from reading or from `read` names the file."""
-    tree_path = model_dir / "tree.json"
-    if not tree_path.exists():
-        raise CorpusError(f"model file not found: {tree_path}")
-    payload = _read_json(tree_path, ContractError)
-    try:
-        return read(payload)
-    except ContractError as exc:
-        raise ContractError(f"{tree_path}: {exc}") from None
-
-
-def _attach_factors(tree: TopicTree, model_dir: Path, m: int):
-    """Term weights from the model's factor files, one per node that has
-    one. A file must be exactly m little-endian float64 weights, finite
-    and nonnegative, whose sum of squares is finite; otherwise a
-    ContractError names it."""
-    import numpy as np
-
-    factors_dir = model_dir / "factors"
-    if not factors_dir.is_dir():
-        return
-    for node in tree.nodes():
-        path = factors_dir / f"level{node.level}-node{node.node_id}.bin"
-        if path.exists():
-            size = path.stat().st_size
-            if size != 8 * m:
-                raise ContractError(
-                    f"{path}: {size} bytes; a vocabulary of {m} takes {8 * m}, 8 per weight"
-                )
-            weights = np.fromfile(path, dtype="<f8")
-            bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
-            if bad.size:
-                raise ContractError(
-                    f"{path}: weight {bad[0]} is {weights[bad[0]]}; "
-                    "weights must be finite and nonnegative"
-                )
-            with np.errstate(over="ignore"):
-                overflows = not np.isfinite(weights @ weights)
-            if overflows:
-                raise ContractError(f"{path}: weights too large, their sum of squares overflows")
-            node.term_weights = weights
-
-
 def cmd_evaluate(config: RunConfig, model_dir: str) -> int:
     if not config.corpus:
         raise ConfigurationError("evaluate requires --corpus")
     if not Path(config.corpus).exists():
         raise CorpusError(f"input file not found: {config.corpus}")
-    from . import hierarchy as hierarchy_mod, metrics
+    from . import metrics
 
     model = Path(model_dir)
     built = corpus_mod.read_corpus(config.corpus)
-    tree = _read_tree(model, lambda p: hierarchy_mod.tree_from_payload(p, built.vocabulary))
-    digest = tree.config.get("vocab_sha256")
-    if digest is not None and digest != built.vocabulary.sha256():
-        # Factor weights are read by term position, so another order of the
-        # same terms would be scored without any other error.
-        raise ContractError(
-            f"{model / 'tree.json'}: vocab_sha256 is not the digest of the vocabulary of "
-            f"{config.corpus}; the model was trained on another vocabulary"
-        )
-    _attach_factors(tree, model, len(built.vocabulary))
+    tree = settings.read_model(model, built.vocabulary, config.corpus)
 
     report = metrics.evaluate(tree, built)
     out_dir = model if config.output_dir is None else Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _dump_json(report.to_dict(), out_dir / "report.json")
+    settings.dump_json(report.to_dict(), out_dir / "report.json")
     report.write_csv(out_dir / "report.csv")
     mean_coh = report.summary["mean_coherence"]
     print(
@@ -414,7 +325,7 @@ def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, 
     if top_k < 1:
         raise ConfigurationError(f"--top-k must be >= 1, got {top_k}")
     model = Path(model_dir)
-    payload = _read_tree(model, settings.check_tree_payload)
+    payload = settings.read_payload(model)
     if fmt == "dot":
         lines = ["digraph topics {", '  node [shape=box];']
         for node in payload["nodes"]:
@@ -431,7 +342,7 @@ def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, 
         for node in payload["nodes"]:
             node["top_terms"] = node["top_terms"][:top_k]
         out_path = Path(output) if output else model / "tree.export.json"
-        _dump_json(payload, out_path)
+        settings.dump_json(payload, out_path)
     else:
         raise ConfigurationError(f"unknown export format {fmt!r}")
     print(f"wrote {out_path}")

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
-from .corpus import DocTermRepresentation, Vocabulary
+from .corpus import DocTermRepresentation
 from .errors import ConfigurationError, ContractError, ShapeError
 from .nmf import NmfConfig, factorize
-from .settings import TrainConfig, check_tree_payload
+from .settings import TopicNode, TopicTree, TrainConfig
 from .sparse_io import CsrArrays, dense_rows
 
 log = logging.getLogger(__name__)
@@ -39,44 +39,6 @@ log = logging.getLogger(__name__)
 # trees whose nodes store 2-16% (m = 4440). Below this share a dense node
 # would also take more than three times the memory of a sparse one.
 DENSE_MIN_DENSITY = 0.2
-
-
-@dataclass
-class TopicNode:
-    """One topic: its term weights, ranked terms, documents, and children."""
-
-    node_id: str
-    level: int
-    term_weights: np.ndarray | None
-    top_terms: list[tuple[int, float]]
-    doc_ids: list[str]
-    children: list["TopicNode"] = field(default_factory=list)
-
-
-@dataclass
-class TopicTree:
-    roots: list[TopicNode]
-    config: dict
-    provenance: dict
-
-    def nodes(self):
-        """All nodes in depth-first preorder."""
-        stack = list(reversed(self.roots))
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def nodes_at_level(self, level: int) -> list[TopicNode]:
-        return [n for n in self.nodes() if n.level == level]
-
-    @property
-    def n_nodes(self) -> int:
-        return sum(1 for _ in self.nodes())
-
-    @property
-    def depth(self) -> int:
-        return max((n.level for n in self.nodes()), default=0)
 
 
 class LiveMatrixGauge:
@@ -246,51 +208,3 @@ def build_hierarchy(a0: DocTermRepresentation, mh: CsrArrays, config: TrainConfi
     provenance["unassigned_docs"] = counters["unassigned_docs"]
     provenance["nmf_by_level"] = [nmf_levels[level] for level in sorted(nmf_levels)]
     return TopicTree(roots=roots, config=asdict(config), provenance=provenance)
-
-
-def tree_to_payload(tree: TopicTree, terms: list[str]) -> dict:
-    """The serializable tree structure: config plus a flat preorder node list."""
-    nodes = []
-    for node in tree.nodes():
-        nodes.append(
-            {
-                "id": node.node_id,
-                "level": node.level,
-                "top_terms": [
-                    {"term": terms[j], "weight": w} for j, w in node.top_terms
-                ],
-                "doc_ids": list(node.doc_ids),
-                "children": [c.node_id for c in node.children],
-            }
-        )
-    return {"config": dict(tree.config), "nodes": nodes}
-
-
-def tree_from_payload(payload: dict, vocabulary: Vocabulary) -> TopicTree:
-    """Rebuild a TopicTree from a payload, after `check_tree_payload`;
-    term weights stay unset unless factor dumps are attached separately."""
-    check_tree_payload(payload)
-    by_id: dict[str, TopicNode] = {}
-    for entry in payload["nodes"]:
-        top_terms = []
-        for item in entry["top_terms"]:
-            idx = vocabulary.index.get(item["term"])
-            if idx is None:
-                raise ContractError(
-                    f"tree term {item['term']!r} is not in the corpus vocabulary"
-                )
-            top_terms.append((idx, float(item["weight"])))
-        by_id[entry["id"]] = TopicNode(
-            node_id=entry["id"],
-            level=int(entry["level"]),
-            term_weights=None,
-            top_terms=top_terms,
-            doc_ids=list(entry["doc_ids"]),
-        )
-    roots = []
-    for entry in payload["nodes"]:
-        node = by_id[entry["id"]]
-        node.children = [by_id[cid] for cid in entry["children"]]
-        if node.level == 1:
-            roots.append(node)
-    return TopicTree(roots=roots, config=dict(payload.get("config", {})), provenance={})

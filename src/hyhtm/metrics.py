@@ -45,7 +45,7 @@ import numpy as np
 
 from .corpus import Corpus, token_arrays
 from .errors import ContractError
-from .hierarchy import TopicTree
+from .settings import TopicTree
 
 log = logging.getLogger(__name__)
 

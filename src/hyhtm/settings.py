@@ -1,17 +1,25 @@
-"""Training settings and the tree.json contract, without numpy.
+"""Training settings and the model directory, without numpy.
 
-The command line reads these to parse flags and config files and to check
-a model before exporting it, so `preprocess` and `export` start without
-loading numpy. `hierarchy` and `hypspace` import the names back.
+The command line parses flags and config files with these, and reads and
+writes a model directory (tree.json and factors/) only here, so
+`preprocess` and `export` start without numpy and `evaluate` without the
+tree builder. `hierarchy`, `hypspace` and `metrics` import names back.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, CorpusError, HyhtmError
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .corpus import Vocabulary
 
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
@@ -66,6 +74,44 @@ class TrainConfig:
             raise ConfigurationError(f"nmf_tol must be finite and > 0, got {self.nmf_tol}")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
+
+
+@dataclass
+class TopicNode:
+    """One topic: its term weights, ranked terms, documents, and children."""
+
+    node_id: str
+    level: int
+    term_weights: np.ndarray | None
+    top_terms: list[tuple[int, float]]
+    doc_ids: list[str]
+    children: list["TopicNode"] = field(default_factory=list)
+
+
+@dataclass
+class TopicTree:
+    roots: list[TopicNode]
+    config: dict
+    provenance: dict
+
+    def nodes(self):
+        """All nodes in depth-first preorder."""
+        stack = list(reversed(self.roots))
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def nodes_at_level(self, level: int) -> list[TopicNode]:
+        return [n for n in self.nodes() if n.level == level]
+
+    @property
+    def n_nodes(self) -> int:
+        return sum(1 for _ in self.nodes())
+
+    @property
+    def depth(self) -> int:
+        return max((n.level for n in self.nodes()), default=0)
 
 
 def _is_int(value) -> bool:
@@ -133,3 +179,131 @@ def check_tree_payload(payload) -> dict:
         if node["level"] > 1 and node_id not in parent_of:
             fail(f"node {node_id!r}", f"at level {node['level']} has no parent")
     return payload
+
+
+def tree_to_payload(tree: TopicTree, vocabulary: Vocabulary) -> dict:
+    """The serializable tree: config, with the size and digest of the
+    vocabulary its term indices refer to, and a flat preorder node list."""
+    nodes = [
+        {"id": node.node_id, "level": node.level,
+         "top_terms": [{"term": vocabulary.terms[j], "weight": w} for j, w in node.top_terms],
+         "doc_ids": list(node.doc_ids), "children": [c.node_id for c in node.children]}
+        for node in tree.nodes()
+    ]
+    config = {**tree.config, "vocab_size": len(vocabulary), "vocab_sha256": vocabulary.sha256()}
+    return {"config": config, "nodes": nodes}
+
+
+def tree_from_payload(payload: dict, vocabulary: Vocabulary, corpus="the corpus") -> TopicTree:
+    """A TopicTree over `vocabulary`, that of `corpus`, from a payload that
+    passes `check_tree_payload`, without term weights. A term outside the
+    vocabulary, or another vocabulary's `vocab_sha256`, is a ContractError."""
+    check_tree_payload(payload)
+    by_id: dict[str, TopicNode] = {}
+    for entry in payload["nodes"]:
+        top_terms = []
+        for item in entry["top_terms"]:
+            idx = vocabulary.index.get(item["term"])
+            if idx is None:
+                raise ContractError(f"tree term {item['term']!r} is not in the corpus vocabulary")
+            top_terms.append((idx, float(item["weight"])))
+        by_id[entry["id"]] = TopicNode(node_id=entry["id"], level=entry["level"], term_weights=None,
+                                       top_terms=top_terms, doc_ids=list(entry["doc_ids"]))
+    config = dict(payload.get("config", {}))
+    digest = config.get("vocab_sha256")
+    if digest is not None and digest != vocabulary.sha256():
+        # Factor weights are read by term position, so another order of the
+        # same terms would be scored without any other error.
+        raise ContractError(f"vocab_sha256 is not the digest of the vocabulary of {corpus}; "
+                            "the model was trained on another vocabulary")
+    for entry in payload["nodes"]:
+        by_id[entry["id"]].children = [by_id[child] for child in entry["children"]]
+    roots = [node for node in by_id.values() if node.level == 1]
+    return TopicTree(roots=roots, config=config, provenance={})
+
+
+def read_json(path: Path, error: type[HyhtmError]):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno} column {exc.colno}"
+        raise error(f"{path}: invalid JSON at {where} ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise error(f"{path}: invalid JSON ({exc})") from None
+
+
+def dump_json(payload: dict, path: Path):
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+_FACTOR_NAME = "level{level}-node{node_id}.bin"
+
+
+def _factor_path(model_dir: Path, node: TopicNode) -> Path:
+    return model_dir / "factors" / _FACTOR_NAME.format(level=node.level, node_id=node.node_id)
+
+
+def write_model(model_dir: Path, tree: TopicTree, vocabulary: Vocabulary,
+                write_factors: bool) -> Path:
+    """Write tree.json and, with `write_factors`, a factor file per node into
+    `model_dir`; return the tree.json path. Every factor file of an earlier
+    model goes first (other files in factors/ stay), so not even a run cut
+    short leaves an earlier model's weights beside the new tree."""
+    model_dir.mkdir(parents=True, exist_ok=True)
+    for path in list(model_dir.glob("factors/" + _FACTOR_NAME.format(level="*", node_id="*"))):
+        path.unlink()
+    dump_json(tree_to_payload(tree, vocabulary), model_dir / "tree.json")
+    if write_factors:
+        (model_dir / "factors").mkdir(exist_ok=True)
+        for node in tree.nodes():
+            if node.term_weights is not None:
+                node.term_weights.astype("<f8").tofile(_factor_path(model_dir, node))
+    return model_dir / "tree.json"
+
+
+def read_payload(model_dir: Path, read=check_tree_payload):
+    """`read` applied to a model directory's tree.json payload, by default
+    `check_tree_payload`; a contract error from either names the file."""
+    tree_path = model_dir / "tree.json"
+    if not tree_path.exists():
+        raise CorpusError(f"model file not found: {tree_path}")
+    payload = read_json(tree_path, ContractError)
+    try:
+        return read(payload)
+    except ContractError as exc:
+        raise ContractError(f"{tree_path}: {exc}") from None
+
+
+def read_model(model_dir: Path, vocabulary: Vocabulary, corpus: str) -> TopicTree:
+    """The tree of a model directory over `vocabulary`, that of the corpus
+    file `corpus`, with the term weights of its factor files. Each must be
+    m little-endian float64 weights, finite, nonnegative and with a finite
+    sum of squares; otherwise a ContractError names it."""
+    import numpy as np
+
+    tree = read_payload(model_dir, lambda payload: tree_from_payload(payload, vocabulary, corpus))
+    m = len(vocabulary)
+    for node in tree.nodes():
+        path = _factor_path(model_dir, node)
+        if path.exists():
+            size = path.stat().st_size
+            if size != 8 * m:
+                raise ContractError(
+                    f"{path}: {size} bytes; a vocabulary of {m} takes {8 * m}, 8 per weight"
+                )
+            weights = np.fromfile(path, dtype="<f8")
+            bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
+            if bad.size:
+                raise ContractError(
+                    f"{path}: weight {bad[0]} is {weights[bad[0]]}; "
+                    "weights must be finite and nonnegative"
+                )
+            with np.errstate(over="ignore"):
+                overflows = not np.isfinite(weights @ weights)
+            if overflows:
+                raise ContractError(f"{path}: weights too large, their sum of squares overflows")
+            node.term_weights = weights
+    return tree

@@ -9,13 +9,13 @@ or repairs its input. Only a sparse node matrix needs scipy's arithmetic,
 through `CsrArrays.tocsr`.
 
 A matrix is stored as a header of three little-endian u64 (rows, cols,
-stored entries), then its canonical `indptr` (i64), `indices`
-(`index_dtype(cols)`) and `data` (f64) as they are. Cache files are keyed
-by a hash of the inputs and hyperparameters that produced the matrix, so
-an intact hit is bitwise identical to a cold rebuild. Any change to a
-file's length or structure, and a stored value of zero, is detected on
-reading and is a logged miss; other flipped bits in the stored values are
-not yet detected.
+stored entries) and the 32-byte sha256 of the payload, then the payload:
+its canonical `indptr` (i64), `indices` (`index_dtype(cols)`) and `data`
+(f64) as they are. Cache files are keyed by a hash of the inputs and
+hyperparameters that produced the matrix, so an intact hit is bitwise
+identical to a cold rebuild. Any change to a file's length, header or
+payload, and a structure or a stored zero that no builder writes, is
+detected on reading and is a logged miss.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ log = logging.getLogger(__name__)
 
 # Part of every cache key: bump it when the file layout or the math of a
 # cached matrix changes, so old files miss instead of being reused.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 # Output cells per row block of `dense_rows` (0.5 MB of float64).
 _BLOCK_CELLS = 1 << 16
 
@@ -136,22 +136,30 @@ def _layout(cols: int):
 
 def save_csr(path, matrix: CsrArrays):
     """Write CSR arrays as a header of three little-endian u64 (rows, cols,
-    stored entries), then the arrays as they are."""
+    stored entries) and the sha256 of the payload, then the payload: the
+    arrays as they are."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
         np.array([*matrix.shape, matrix.nnz], dtype="<u8").tofile(fh)
+        fh.write(bytes(digest.digest_size))  # the digest, once the payload is written
         arrays = (matrix.indptr, matrix.indices, matrix.data)
         for array, dtype in zip(arrays, _layout(matrix.shape[1])):
-            np.asarray(array, dtype=dtype).tofile(fh)
+            array = np.ascontiguousarray(array, dtype=dtype)
+            digest.update(array)
+            array.tofile(fh)
+        fh.seek(24)
+        fh.write(digest.digest())
 
 
 def read_csr(path, shape) -> CsrArrays:
     """Read a `save_csr` file of the caller's `shape` into CSR arrays.
 
     Another shape, a size other than the header implies (checked before any
-    array is read), an `indptr` that does not rise from 0 to the stored
-    count, an index outside `shape`, columns that do not strictly increase
-    within a row or a stored zero, which no builder writes, raise
-    ContractError naming the file and entry."""
+    array is read), a payload whose sha256 is not the header's, an `indptr`
+    that does not rise from 0 to the stored count, an index outside
+    `shape`, columns that do not strictly increase within a row or a
+    stored zero, which no builder writes, raise ContractError naming the
+    file and entry."""
     rows, cols = int(shape[0]), int(shape[1])
     ptr_t, idx_t, val_t = _layout(cols)
     with open(path, "rb") as fh:
@@ -160,12 +168,18 @@ def read_csr(path, shape) -> CsrArrays:
         if len(header) < 3 or header[:2] != [rows, cols]:
             raise ContractError(f"{path}: header {header} is not shape {rows}, {cols} and a count")
         nnz = header[2]
-        want = 24 + (rows + 1) * ptr_t.itemsize + nnz * (idx_t.itemsize + val_t.itemsize)
+        recorded = fh.read(32)
+        want = 56 + (rows + 1) * ptr_t.itemsize + nnz * (idx_t.itemsize + val_t.itemsize)
         if size != want:
             raise ContractError(f"{path}: {size} bytes, but its header implies {want}")
         indptr = np.fromfile(fh, dtype=ptr_t, count=rows + 1)
         indices = np.fromfile(fh, dtype=idx_t, count=nnz)
         data = np.fromfile(fh, dtype=val_t, count=nnz)
+    digest = hashlib.sha256()
+    for array in (indptr, indices, data):
+        digest.update(array)
+    if digest.digest() != recorded:
+        raise ContractError(f"{path}: the payload's sha256 is not the one in its header")
     fall = np.flatnonzero(np.diff(indptr) < 0)
     if indptr[0] != 0 or indptr[-1] != nnz or fall.size:
         where = f" at indptr[{fall[0] + 1}]" if fall.size else ""

@@ -245,7 +245,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "damage",
         ["partial-record", "index-beyond-shape", "out-of-order", "truncated-by-one-entry",
-         "stored-zero"],
+         "stored-zero", "flipped-value-bit"],
     )
     def test_damaged_cache_is_rebuilt_to_the_no_cache_tree(
         self, planted_cli, tmp_path, caplog, damage
@@ -268,6 +268,8 @@ class TestTrainCommand:
                 path.write_bytes(blob[:-entry])
             elif damage == "stored-zero":  # the last stored value set to 0.0
                 path.write_bytes(blob[:-8] + bytes(8))
+            elif damage == "flipped-value-bit":  # the last stored value, still nonzero
+                path.write_bytes(blob[:-3] + bytes([blob[-3] ^ 0x10]) + blob[-2:])
             else:
                 indices = arrays.indices.copy()
                 if damage == "out-of-order":  # swap two columns of one row
@@ -800,6 +802,24 @@ class TestEvaluateCommand:
         assert (work / "report.json").exists() and (work / "report.csv").exists()
         assert not (model / "report.json").exists() and not (model / "report.csv").exists()
 
+    def test_retrain_leaves_only_the_new_trees_factor_files(self, planted_cli, tmp_path, capsys):
+        # An earlier model's factor files would be attached to the new tree's
+        # nodes of the same ids; files that are not factor files stay.
+        corpus_bin, emb = planted_cli
+        model = tmp_path / "model"
+        assert main(train_args(corpus_bin, emb, model)) == 0
+        (model / "factors" / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(train_args(corpus_bin, emb, model, max_depth=1)) == 0
+        nodes = json.loads((model / "tree.json").read_text(encoding="utf-8"))["nodes"]
+        assert sorted(p.name for p in (model / "factors").iterdir()) == sorted(
+            [f"level1-node{n['id']}.bin" for n in nodes] + ["notes.txt"]
+        )
+        assert main(train_args(corpus_bin, emb, model, seed=1) + ["--no-write-factors"]) == 0
+        assert [p.name for p in (model / "factors").iterdir()] == ["notes.txt"]
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 0
+        report = json.loads((model / "report.json").read_text(encoding="utf-8"))
+        assert [row["specialization"] for row in report["levels"]] == [None, None]
+
     def test_planted_end_to_end_evaluate(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
         model = tmp_path / "model"
@@ -919,6 +939,22 @@ class TestHypspaceStaysUnloaded:
         assert "hyhtm.hypspace" not in warm["hyhtm"][0]
         assert "hyhtm.hypspace" in cold["hyhtm"][0]
         assert "numpy.ma" not in cold["numpy"][0]
+
+
+class TestTreeBuilderStaysUnloaded:
+    """`evaluate` reads the model directory through `settings`, so it loads
+    neither the tree builder nor NMF."""
+
+    def test_evaluate_never_imports_hierarchy_or_nmf(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        model = tmp_path / "model"
+        assert main(train_args(corpus_bin, emb, model)) == 0
+        out = run_scipy_probe([["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]])
+        assert out["codes"] == [0]
+        assert "hyhtm.metrics" in out["hyhtm"][0]
+        assert not {"hyhtm.hierarchy", "hyhtm.nmf"} & set(out["hyhtm"][0])
+        report = json.loads((model / "report.json").read_text(encoding="utf-8"))
+        assert report["summary"]["mean_specialization_by_level"]
 
 
 class TestNumpyStaysUnloaded:
@@ -1157,6 +1193,20 @@ def reader_commands(corpus_bin, model, out):
 
 
 class TestTreeContract:
+    def test_integer_past_the_digit_limit_exits_naming_the_file(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer of more than 4300 digits.
+        big = "9" * 5000
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "tree.json").write_text('{"config": {"seed": ' + big + '}, "nodes": []}',
+                                         encoding="utf-8")
+        assert main(["export", "--model", str(model)]) == 3
+        assert f"error: {model / 'tree.json'}: invalid JSON" in capsys.readouterr().err
+        (tmp_path / "run.json").write_text('{"seed": ' + big + '}', encoding="utf-8")
+        assert main(["train", "--config", str(tmp_path / "run.json")]) == 2
+        assert f"error: {tmp_path / 'run.json'}: invalid JSON" in capsys.readouterr().err
+
     def test_valid_tree_is_read_by_every_command(self, contract_model, tmp_path):
         corpus_bin, model, _ = contract_model
         for argv in reader_commands(corpus_bin, model, tmp_path):

@@ -8,8 +8,8 @@ stopword list, the embedding file) with bytes that are not ASCII go through
 `preprocess` and `train`. Every run must return 0, 2, 3 or 4 from
 `cli.main`; any other exception fails the test. A report that `evaluate`
 writes must be strict JSON, without NaN or infinity. Matrix cache files
-cut short or extended must each be rebuilt, so `train` gives the tree of
-a run without the cache.
+cut short, extended or with bits flipped must each be rebuilt, so `train`
+gives the tree of a run without the cache.
 """
 
 import json
@@ -74,18 +74,23 @@ def train_args(corpus_bin, emb, out, cache_dir=None):
     ]
 
 
-def damaged_bytes(blob: bytes):
-    """Strategy: `blob` cut short, or with one to three bits flipped."""
-    truncated = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
-    flips = st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3)
+def flipped_bits(blob: bytes):
+    """Strategy: `blob` with one to three distinct bits flipped."""
+    bits = st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3, unique=True)
 
-    def flip(bits):
+    def flip(chosen):
         out = bytearray(blob)
-        for bit in bits:
+        for bit in chosen:
             out[bit // 8] ^= 1 << (bit % 8)
         return bytes(out)
 
-    return st.one_of(truncated, flips.map(flip))
+    return bits.map(flip)
+
+
+def damaged_bytes(blob: bytes):
+    """Strategy: `blob` cut short, or with one to three bits flipped."""
+    truncated = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+    return st.one_of(truncated, flipped_bits(blob))
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +128,10 @@ def test_damaged_corpus_exits_with_a_documented_code(fuzz_model, data):
          "--output-dir", str(root / "damaged-report")])
 
 
+# The cache tests below draw every damage before writing any: an example
+# that stops inside a draw then leaves the cache intact for the next one.
+
+
 def resized_bytes(blob: bytes):
     """Strategy: `blob` cut short, often inside its 24-byte header, or
     extended by one to 64 drawn bytes."""
@@ -142,9 +151,31 @@ def test_resized_cache_files_are_rebuilt_to_the_no_cache_tree(fuzz_model, data):
         assert run(train_args(corpus, fuzz_model["emb"], root / "fill", cache)) == 0
     intact = {p: p.read_bytes() for p in sorted(cache.iterdir())}
     assert len(intact) == 3
-    for path, blob in intact.items():
-        path.write_bytes(data.draw(resized_bytes(blob)))
+    damaged = {path: data.draw(resized_bytes(blob)) for path, blob in intact.items()}
+    for path, blob in damaged.items():
+        path.write_bytes(blob)
     out = root / "resized-train"
+    assert run(train_args(corpus, fuzz_model["emb"], out, cache)) == 0
+    provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
+    assert set(provenance["cache"].values()) == {"rebuilt"}
+    assert (out / "tree.json").read_bytes() == fuzz_model["tree"]
+    assert {p: p.read_bytes() for p in intact} == intact
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_bit_flipped_cache_files_are_rebuilt_to_the_no_cache_tree(fuzz_model, data):
+    root = fuzz_model["root"]
+    corpus, cache = root / "corpus.bin", root / "flipped-cache"
+    corpus.write_bytes(fuzz_model["corpus"])
+    if not cache.exists():
+        assert run(train_args(corpus, fuzz_model["emb"], root / "fill", cache)) == 0
+    intact = {p: p.read_bytes() for p in sorted(cache.iterdir())}
+    assert len(intact) == 3
+    damaged = {path: data.draw(flipped_bits(blob)) for path, blob in intact.items()}
+    for path, blob in damaged.items():
+        path.write_bytes(blob)
+    out = root / "flipped-train"
     assert run(train_args(corpus, fuzz_model["emb"], out, cache)) == 0
     provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
     assert set(provenance["cache"].values()) == {"rebuilt"}

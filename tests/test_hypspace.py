@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -588,15 +589,18 @@ def csr_file_arrays(path, cols):
     blob = path.read_bytes()
     header = np.frombuffer(blob, dtype="<u8", count=3).copy()
     rows, nnz = int(header[0]), int(header[2])
-    arrays, offset = [], 24
+    arrays, offset = [], 56  # past the three counts and the payload digest
     for dtype, count in zip(sparse_io._layout(cols), (rows + 1, nnz, nnz)):
         arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=offset).copy())
         offset += arrays[-1].nbytes
     return header, *arrays
 
 
-def write_csr_file(path, *arrays):
-    path.write_bytes(b"".join(a.tobytes() for a in arrays))
+def write_csr_file(path, header, *arrays):
+    """A `save_csr` file of `header` and `arrays`, with the digest of these
+    arrays, as a writer that broke the arrays' structure would leave it."""
+    payload = b"".join(a.tobytes() for a in arrays)
+    path.write_bytes(header.tobytes() + hashlib.sha256(payload).digest() + payload)
 
 
 class TestSparseIo:
@@ -615,11 +619,12 @@ class TestSparseIo:
         dense = sparse.random(9, 11, density=0.4, random_state=6).toarray()
         dense[[0, 4, 8]] = 0.0
         for matrix in (sparse.csr_matrix(dense), sparse.csr_matrix((4, 5))):
-            want = b"".join(np.asarray(a, dtype=t).tobytes() for a, t in (
-                ([*matrix.shape, matrix.nnz], "<u8"), (matrix.indptr, "<i8"),
-                (matrix.indices, "<i4"), (matrix.data, "<f8"),
+            payload = b"".join(np.asarray(a, dtype=t).tobytes() for a, t in (
+                (matrix.indptr, "<i8"), (matrix.indices, "<i4"), (matrix.data, "<f8"),
             ))
+            header = np.array([*matrix.shape, matrix.nnz], dtype="<u8").tobytes()
             save_csr(tmp_path / "m.bin", csr_of(matrix))
+            want = header + hashlib.sha256(payload).digest() + payload
             assert (tmp_path / "m.bin").read_bytes() == want
 
     def test_cache_store_and_hit(self, tmp_path):
@@ -707,7 +712,7 @@ class TestSparseIo:
     @pytest.mark.parametrize(
         "damage",
         ["partial-record", "one-byte-short", "header-cut", "row-beyond-shape", "col-beyond-shape",
-         "stored-zero"],
+         "stored-zero", "flipped-value-bit"],
     )
     def test_damaged_cache_file_is_a_logged_miss(self, tmp_path, caplog, damage):
         from scipy import sparse
@@ -723,6 +728,10 @@ class TestSparseIo:
             path.write_bytes(path.read_bytes()[:-1])
         elif damage == "header-cut":  # rows and cols intact, the stored count gone
             path.write_bytes(path.read_bytes()[:16])
+        elif damage == "flipped-value-bit":  # a value still nonzero, finite and in place
+            blob = bytearray(path.read_bytes())
+            blob[-3] ^= 0x10
+            path.write_bytes(bytes(blob))
         else:
             header, indptr, indices, data = csr_file_arrays(path, 12)
             if damage == "row-beyond-shape":  # the header claims an eleventh row
@@ -736,6 +745,8 @@ class TestSparseIo:
             read_csr(path, (10, 12))
         if damage == "stored-zero":
             assert re.search(r"entry 5 \(row \d+, col \d+\) stores a zero", str(raised.value))
+        if damage == "flipped-value-bit":
+            assert "payload's sha256 is not the one in its header" in str(raised.value)
         with caplog.at_level("WARNING"):
             assert cache.load(key, (10, 12)) is None
         assert any("rebuilding" in r.message for r in caplog.records)

@@ -15,7 +15,7 @@ from hyhtm import (
     topic_specialization,
 )
 from hyhtm.errors import ContractError
-from hyhtm.hierarchy import TopicNode, TopicTree
+from hyhtm.settings import TopicNode, TopicTree
 
 from conftest import make_corpus
 

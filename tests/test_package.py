@@ -15,8 +15,7 @@ EXPORTS = {
         "compute_idf", "preprocess",
     ],
     "hierarchy": [
-        "TopicNode", "TopicTree", "TrainConfig", "assign_documents", "build_hierarchy",
-        "parent_child_reweight", "top_words",
+        "TrainConfig", "assign_documents", "build_hierarchy", "parent_child_reweight", "top_words",
     ],
     "hypspace": [
         "EmbeddingTable", "Neighborhood", "TermHierarchyMatrix", "TermSimilarityMatrix",
@@ -28,6 +27,7 @@ EXPORTS = {
         "hierarchical_affinity", "hierarchical_coherence", "pmi", "topic_specialization",
     ],
     "nmf": ["FactorPair", "NmfConfig", "factorize", "reconstruction_error"],
+    "settings": ["TopicNode", "TopicTree"],
 }
 
 
@@ -62,7 +62,6 @@ def test_unknown_name_raises_attribute_error():
 
 def test_settings_are_imported_back_by_their_old_modules():
     assert hierarchy.TrainConfig is settings.TrainConfig
-    assert hierarchy.check_tree_payload is settings.check_tree_payload
     assert hypspace.SPACES is settings.SPACES
     assert hypspace.HYPERBOLIC is settings.HYPERBOLIC
     assert hypspace.EUCLIDEAN is settings.EUCLIDEAN
