@@ -802,7 +802,7 @@ class TestEvaluateCommand:
         assert (work / "report.json").exists() and (work / "report.csv").exists()
         assert not (model / "report.json").exists() and not (model / "report.csv").exists()
 
-    def test_retrain_leaves_only_the_new_trees_factor_files(self, planted_cli, tmp_path, capsys):
+    def test_retrain_leaves_only_the_new_trees_factor_files(self, planted_cli, tmp_path):
         # An earlier model's factor files would be attached to the new tree's
         # nodes of the same ids; files that are not factor files stay.
         corpus_bin, emb = planted_cli

@@ -133,8 +133,8 @@ def test_damaged_corpus_exits_with_a_documented_code(fuzz_model, data):
 
 
 def resized_bytes(blob: bytes):
-    """Strategy: `blob` cut short, often inside its 24-byte header, or
-    extended by one to 64 drawn bytes."""
+    """Strategy: `blob` cut short, often inside the three counts that open
+    its header, or extended by one to 64 drawn bytes."""
     lengths = st.one_of(st.integers(0, min(24, len(blob)) - 1), st.integers(0, len(blob) - 1))
     truncated = lengths.map(lambda n: blob[:n])
     extended = st.binary(min_size=1, max_size=64).map(lambda tail: blob + tail)
