@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 user or input error, 3 data-contract error,
 4 degenerate-corpus stop. Every command is deterministic given its config,
 inputs, and seed; `train` reruns reproduce tree.json byte for byte. The
-matrix cache is keyed by content hashes of the inputs plus hyperparameters;
-the HYHTM_CACHE_DIR environment variable overrides --cache-dir, and
---no-cache turns the cache off whatever the variable says.
+matrix cache is keyed by content hashes of the inputs plus hyperparameters.
+Each setting is a field of `RunConfig` or of one of its two sections, read
+from the field's default, then the JSON config file (`--config`), then its
+flag: the field's name with dashes, and `--x/--no-x` for a boolean.
 
 Only `train` and `evaluate` load numpy and the modules built on it, when
 they run; `preprocess` and `export` load neither numpy nor scipy.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -40,8 +40,6 @@ EXIT_INPUT = 2
 EXIT_CONTRACT = 3
 EXIT_DEGENERATE = 4
 
-CACHE_ENV_VAR = "HYHTM_CACHE_DIR"
-
 # Errors that exit EXIT_INPUT; every other package error but a degenerate
 # corpus (shapes, contracts, invariants) exits EXIT_CONTRACT.
 _INPUT_ERRORS = (ConfigurationError, CorpusError, EmbeddingParseError, OSError)
@@ -61,7 +59,7 @@ class RunConfig:
     embeddings: str | None = None
     output_dir: str | None = None
     cache_dir: str | None = None
-    no_cache: bool = False
+    cache: bool = True
     write_factors: bool = True
     preprocess: corpus_mod.PreprocessConfig = field(default_factory=corpus_mod.PreprocessConfig)
     train: settings.TrainConfig = field(default_factory=settings.TrainConfig)
@@ -77,14 +75,15 @@ def _config_keys(config: RunConfig) -> dict:
     }
 
 
-# The JSON values a config-file key takes, by the base type of its field;
-# a field annotated `... | None` also takes null.
-_VALUE_CHECKS = {
-    "str": lambda v: isinstance(v, str),
-    "int": settings._is_int,
-    "float": settings._is_float,
-    "bool": lambda v: isinstance(v, bool),
-    "list[str]": settings._is_str_list,
+# By the base type of a setting's field: the check of the JSON values its
+# config-file key takes (a field annotated `... | None` also takes null),
+# and the `add_argument` keywords of its flag.
+_SETTING_TYPES = {
+    "str": (lambda v: isinstance(v, str), {}),
+    "int": (settings._is_int, {"type": int}),
+    "float": (settings._is_float, {"type": float}),
+    "bool": (lambda v: isinstance(v, bool), {"action": argparse.BooleanOptionalAction}),
+    "list[str]": (settings._is_str_list, {"nargs": "+"}),
 }
 
 
@@ -107,7 +106,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         for name, value in values.items():
             annotation = keys[name][1].type
             base, _, optional = annotation.partition(" | ")
-            if not (value is None and optional or _VALUE_CHECKS[base](value)):
+            if not (value is None and optional or _SETTING_TYPES[base][0](value)):
                 raise ConfigurationError(f"{path}: config key {name!r} must be {annotation}")
     for name in keys:
         value = getattr(args, name, None)
@@ -119,14 +118,9 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve_cache_dir(config: RunConfig) -> Path | None:
-    if config.no_cache:
+    if not config.cache:
         return None
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    if config.cache_dir:
-        return Path(config.cache_dir)
-    return Path(config.output_dir or ".") / "cache"
+    return Path(config.cache_dir or Path(config.output_dir or ".") / "cache")
 
 
 def cmd_preprocess(config: RunConfig) -> int:
@@ -145,7 +139,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     elif fmt == "text":
         raw = corpus_mod.read_text_documents(path)
     else:
-        raise ConfigurationError(f"unknown input format {fmt!r}")
+        raise ConfigurationError(f"input_format must be auto, jsonl or text, got {fmt!r}")
     if not raw:
         raise CorpusError(f"{path}: no documents")
 
@@ -349,57 +343,39 @@ def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, 
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, output_dir: bool = True):
-    parser.add_argument("--config", help="JSON config file with flat setting keys")
-    if output_dir:
-        parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--verbose", action="store_true", default=False)
+# Each command's help line, the RunConfig fields it takes as flags, and
+# the section whose every field it takes too, if any.
+_COMMANDS = {
+    "preprocess": ("tokenize a corpus and build its vocabulary",
+                   ("input", "input_format", "output_dir"), "preprocess"),
+    "train": ("build a topic tree from a corpus and embeddings",
+              ("corpus", "embeddings", "output_dir", "cache_dir", "cache", "write_factors"),
+              "train"),
+    "evaluate": ("score a trained tree against its corpus", ("corpus", "output_dir"), None),
+    "export": ("emit a tree as DOT or truncated JSON", (), None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: a setting's flag is `--field-name` with
+    `dest` the field, and parses as `_SETTING_TYPES` says for its type; a
+    flag left out parses as None, so it overrides nothing."""
     parser = argparse.ArgumentParser(prog="hyhtm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="tokenize a corpus and build its vocabulary")
-    _add_common(p)
-    p.add_argument("--input")
-    p.add_argument("--input-format", dest="input_format", choices=("auto", "jsonl", "text"))
-    p.add_argument("--stopwords", nargs="+")
-    p.add_argument("--min-doc-freq", dest="min_doc_freq", type=int)
-    p.add_argument("--min-token-length", dest="min_token_length", type=int)
-    p.add_argument("--ratio-filter", dest="ratio_filter",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--ratio-threshold", dest="ratio_threshold", type=float)
-    p.add_argument("--stem", action=argparse.BooleanOptionalAction, default=None)
-
-    p = sub.add_parser("train", help="build a topic tree from a corpus and embeddings")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--embeddings")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--space", choices=settings.SPACES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k-s", dest="k_s", type=int)
-    p.add_argument("--k-h", dest="k_h", type=int)
-    p.add_argument("--n-topics", dest="n_topics", type=int)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--min-docs", dest="min_docs", type=int)
-    p.add_argument("--top-terms", dest="top_terms", type=int)
-    p.add_argument("--cache-dir", dest="cache_dir")
-    p.add_argument("--no-cache", dest="no_cache", action="store_true", default=None)
-    p.add_argument("--write-factors", dest="write_factors",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--nmf-max-iter", dest="nmf_max_iter", type=int)
-    p.add_argument("--nmf-tol", dest="nmf_tol", type=float)
-
-    p = sub.add_parser("evaluate", help="score a trained tree against its corpus")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus")
-
-    p = sub.add_parser("export", help="emit a tree as DOT or truncated JSON")
-    _add_common(p, output_dir=False)
-    p.add_argument("--model", required=True)
+    run_fields = {f.name: f for f in fields(RunConfig)}
+    for command, (text, names, section) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file with flat setting keys")
+        p.add_argument("--verbose", action="store_true", default=False)
+        if command in ("evaluate", "export"):
+            p.add_argument("--model", required=True)
+        taken = [run_fields[name] for name in names]
+        if section:
+            taken += fields(run_fields[section].default_factory)
+        for f in taken:
+            flag = _SETTING_TYPES[f.type.partition(" | ")[0]][1]
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **flag)
+    p = sub.choices["export"]
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--output")
     p.add_argument("--top-k", dest="top_k", type=int, default=10)

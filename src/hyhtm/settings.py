@@ -197,7 +197,9 @@ def tree_to_payload(tree: TopicTree, vocabulary: Vocabulary) -> dict:
 def tree_from_payload(payload: dict, vocabulary: Vocabulary, corpus="the corpus") -> TopicTree:
     """A TopicTree over `vocabulary`, that of `corpus`, from a payload that
     passes `check_tree_payload`, without term weights. A term outside the
-    vocabulary, or another vocabulary's `vocab_sha256`, is a ContractError."""
+    vocabulary, another vocabulary's `vocab_sha256`, or a node id that is
+    not one topic number per level joined by dots (`0`, `0.3`) is a
+    ContractError."""
     check_tree_payload(payload)
     by_id: dict[str, TopicNode] = {}
     for entry in payload["nodes"]:
@@ -217,6 +219,11 @@ def tree_from_payload(payload: dict, vocabulary: Vocabulary, corpus="the corpus"
         raise ContractError(f"vocab_sha256 is not the digest of the vocabulary of {corpus}; "
                             "the model was trained on another vocabulary")
     for entry in payload["nodes"]:
+        # The id names the node's factor file, so it must not leave factors/.
+        numbers, level = entry["id"].split("."), entry["level"]
+        if not (len(numbers) == level and all(n.isascii() and n.isdigit() for n in numbers)):
+            raise ContractError(f"node {entry['id']!r}: a level-{level} id must be "
+                                f"{level} topic numbers joined by dots")
         by_id[entry["id"]].children = [by_id[child] for child in entry["children"]]
     roots = [node for node in by_id.values() if node.level == 1]
     return TopicTree(roots=roots, config=config, provenance={})
@@ -249,12 +256,15 @@ def _factor_path(model_dir: Path, node: TopicNode) -> Path:
 def write_model(model_dir: Path, tree: TopicTree, vocabulary: Vocabulary,
                 write_factors: bool) -> Path:
     """Write tree.json and, with `write_factors`, a factor file per node into
-    `model_dir`; return the tree.json path. Every factor file of an earlier
-    model goes first (other files in factors/ stay), so not even a run cut
-    short leaves an earlier model's weights beside the new tree."""
+    `model_dir`; return the tree.json path. Every factor file and report of
+    an earlier model goes first (other files in factors/ stay), so not even
+    a run cut short leaves an earlier model's weights or scores beside the
+    new tree."""
     model_dir.mkdir(parents=True, exist_ok=True)
     for path in list(model_dir.glob("factors/" + _FACTOR_NAME.format(level="*", node_id="*"))):
         path.unlink()
+    for name in ("report.json", "report.csv"):  # what `evaluate` writes here by default
+        (model_dir / name).unlink(missing_ok=True)
     dump_json(tree_to_payload(tree, vocabulary), model_dir / "tree.json")
     if write_factors:
         (model_dir / "factors").mkdir(exist_ok=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import hyhtm
 
 from hyhtm import Corpus, Document, PreprocessConfig, TrainConfig, Vocabulary, hypspace
 from hyhtm.cli import (
-    _VALUE_CHECKS,
+    _SETTING_TYPES,
     RunConfig,
     _config_keys,
     _load_run_config,
@@ -146,6 +147,17 @@ class TestPreprocessCommand:
                      "--ratio-filter", f"--ratio-threshold={threshold}"])
         assert code == 2
         assert "ratio_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--input-format", "bogus"], ["--min-doc-freq", "0"],
+                                       ["--min-token-length", "0"]])
+    def test_bad_preprocess_settings_exit_2_before_any_output(
+        self, fruit_jsonl, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "pre"
+        code = main(["preprocess", "--input", str(fruit_jsonl), "--output-dir", str(out), *flags])
+        assert code == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
     def test_plain_text_input(self, tmp_path, capsys):
@@ -394,25 +406,17 @@ class TestTrainCommand:
             assert row["unconverged"] == row["factorizations"]
             assert row["iterations"] == 2 * row["factorizations"]
 
-    def test_cache_env_var_overrides(self, planted_cli, tmp_path, monkeypatch):
+    def test_cache_flags_beat_the_config_file(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
-        env_cache = tmp_path / "env-cache"
-        monkeypatch.setenv("HYHTM_CACHE_DIR", str(env_cache))
-        out = tmp_path / "m"
-        ignored = tmp_path / "flag-cache"
-        assert main(train_args(corpus_bin, emb, out, cache_dir=ignored)) == 0
-        assert env_cache.exists() and any(env_cache.iterdir())
-        assert not ignored.exists()
-
-    def test_no_cache_beats_the_env_var(self, planted_cli, tmp_path, monkeypatch):
-        corpus_bin, emb = planted_cli
-        env_cache = tmp_path / "env-cache"
-        monkeypatch.setenv("HYHTM_CACHE_DIR", str(env_cache))
-        out = tmp_path / "m"
-        assert main(train_args(corpus_bin, emb, out) + ["--no-cache"]) == 0
-        assert not env_cache.exists() and not (out / "cache").exists()
-        provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
-        assert set(provenance["cache"].values()) == {"off"}
+        for key, flag, status in ((False, "--cache", {"miss"}), (True, "--no-cache", {"off"})):
+            cfg_path = tmp_path / f"cache-{key}.json"
+            cfg_path.write_text(json.dumps({"cache": key}), encoding="utf-8")
+            out = tmp_path / flag
+            argv = train_args(corpus_bin, emb, out) + ["--config", str(cfg_path), flag]
+            assert main(argv) == 0
+            provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
+            assert set(provenance["cache"].values()) == status
+            assert (out / "cache").exists() == (flag == "--cache")
 
     def test_euclidean_space_recorded_in_provenance(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -514,7 +518,8 @@ class TestTrainCommand:
             ('{"seed": "x"}', "'seed'"),
             ('{"nmf_tol": "1e-5"}', "'nmf_tol'"),
             ('{"nmf_tol": 1%s}' % ("0" * 400), "'nmf_tol'"),
-            ('{"no_cache": 1}', "'no_cache'"),
+            ('{"cache": 1}', "'cache'"),
+            ('{"no_cache": 1}', "'no_cache'"),  # the key before it was renamed `cache`
             ('{"stopwords": "en"}', "'stopwords'"),
             ('{"stopwords": [1]}', "'stopwords'"),
             ('{"corpus": 7}', "'corpus'"),
@@ -531,7 +536,7 @@ class TestTrainCommand:
     def test_config_file_accepts_its_field_types(self, tmp_path):
         values = {
             "corpus": None, "alpha": 1, "nmf_tol": 1e-4, "k_s": 3,
-            "no_cache": True, "stopwords": ["en"],
+            "cache": False, "stopwords": ["en"],
         }
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(values), encoding="utf-8")
@@ -542,7 +547,7 @@ class TestTrainCommand:
 
     def test_config_file_keys_land_in_their_sections(self, tmp_path):
         values = {
-            "corpus": "c.bin", "no_cache": True,
+            "corpus": "c.bin", "cache": False,
             "stopwords": ["sw.txt"], "ratio_filter": True, "stem": True, "min_doc_freq": 2,
             "alpha": 0.3, "nmf_max_iter": 7,
         }
@@ -551,7 +556,7 @@ class TestTrainCommand:
         args = build_parser().parse_args(["train", "--config", str(cfg_path), "--seed", "3"])
         config = _load_run_config(args)
         assert config == RunConfig(
-            corpus="c.bin", no_cache=True,
+            corpus="c.bin", cache=False,
             preprocess=PreprocessConfig(stopwords=["sw.txt"], ratio_filter=True, stem=True,
                                         min_doc_freq=2),
             train=TrainConfig(alpha=0.3, nmf_max_iter=7, seed=3),
@@ -563,11 +568,11 @@ class TestTrainCommand:
                     for f in fields(cls) if f.name not in ("preprocess", "train")]
         assert len(keys) == len(declared) == 25  # no key is declared twice
         for name, (_, f) in keys.items():
-            assert f.type.partition(" | ")[0] in _VALUE_CHECKS, name
+            assert f.type.partition(" | ")[0] in _SETTING_TYPES, name
 
     @pytest.mark.parametrize("flags", [["--nmf-tol", "0"], ["--nmf-tol", "nan"],
                                        ["--nmf-max-iter", "0"], ["--seed", "-1"],
-                                       ["--max-depth", "33"]])
+                                       ["--max-depth", "33"], ["--space", "bogus"]])
     def test_bad_train_settings_exit_2_before_any_matrix(
         self, planted_cli, tmp_path, capsys, flags
     ):
@@ -741,6 +746,19 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "'0'" in err and "'0.7'" in err
 
+    @pytest.mark.parametrize("node_id", ["a/b", "../0", "0.0", "", "0.", "٣"])
+    def test_id_that_is_no_topic_path_exits_3_naming_node(self, metric_model, capsys, node_id):
+        # A level-1 id is one topic number; any other could name a factor
+        # file outside factors/.
+        corpus_bin, model = metric_model
+        payload = json.loads((model / "tree.json").read_text(encoding="utf-8"))
+        payload["nodes"][0]["id"] = node_id
+        (model / "tree.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
+        err = capsys.readouterr().err
+        assert f"{model / 'tree.json'}: node {node_id!r}: a level-1 id" in err
+        assert not (model / "report.json").exists()
+
     def test_corpus_term_index_outside_vocabulary_exits_2(self, metric_model, capsys):
         corpus_bin, model = metric_model
         blob = bytearray(corpus_bin.read_bytes())
@@ -820,6 +838,15 @@ class TestEvaluateCommand:
         report = json.loads((model / "report.json").read_text(encoding="utf-8"))
         assert [row["specialization"] for row in report["levels"]] == [None, None]
 
+    def test_retrain_removes_the_earlier_models_report(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        model = tmp_path / "model"
+        assert main(train_args(corpus_bin, emb, model, seed=1)) == 0
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 0
+        assert (model / "report.json").exists() and (model / "report.csv").exists()
+        assert main(train_args(corpus_bin, emb, model, seed=2, max_depth=1)) == 0
+        assert not (model / "report.json").exists() and not (model / "report.csv").exists()
+
     def test_planted_end_to_end_evaluate(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
         model = tmp_path / "model"
@@ -852,18 +879,22 @@ print(json.dumps(out))
 """
 
 
+def child_env():
+    """The environment of a child interpreter that imports this hyhtm."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(hyhtm.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def run_scipy_probe(commands, timeout=120):
     """Run CLI commands in a fresh interpreter; what it reports: the scipy
     modules loaded on import and after every command, and the numpy and
     hyhtm modules loaded on import and after each command."""
-    env = dict(os.environ)
-    env.pop("HYHTM_CACHE_DIR", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(hyhtm.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=child_env(), capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
     return {**json.loads(proc.stdout.strip().splitlines()[-1]), "stderr": proc.stderr}
@@ -1263,3 +1294,131 @@ class TestCommandFlags:
         config = _load_run_config(args)
         section = config.train if key == "seed" else config
         assert getattr(section, key) == value
+
+
+# The RunConfig fields each command takes as flags, and the section whose
+# every field it takes too; then each command's flags that are no setting.
+COMMAND_SETTINGS = {
+    "preprocess": (("input", "input_format", "output_dir"), PreprocessConfig),
+    "train": (("corpus", "embeddings", "output_dir", "cache_dir", "cache", "write_factors"),
+              TrainConfig),
+    "evaluate": (("corpus", "output_dir"), None),
+    "export": ((), None),
+}
+OTHER_FLAGS = {
+    "preprocess": {"-h", "--help", "--config", "--verbose"},
+    "train": {"-h", "--help", "--config", "--verbose"},
+    "evaluate": {"-h", "--help", "--config", "--verbose", "--model"},
+    "export": {"-h", "--help", "--config", "--verbose", "--model", "--format", "--output",
+               "--top-k"},
+}
+
+# Every flag spelling the parser took while each flag was declared by hand,
+# with the `dest` and value it parsed to then; `--no-cache` set `no_cache`
+# to True, and sets the renamed `cache` to False.
+FLAG_SPELLINGS = [
+    ("preprocess", ["--input", "d.jsonl"], "input", "d.jsonl"),
+    ("preprocess", ["--input-format", "text"], "input_format", "text"),
+    ("preprocess", ["--output-dir", "x"], "output_dir", "x"),
+    ("preprocess", ["--stopwords", "a.txt", "b.txt"], "stopwords", ["a.txt", "b.txt"]),
+    ("preprocess", ["--min-doc-freq", "3"], "min_doc_freq", 3),
+    ("preprocess", ["--min-token-length", "2"], "min_token_length", 2),
+    ("preprocess", ["--ratio-filter"], "ratio_filter", True),
+    ("preprocess", ["--no-ratio-filter"], "ratio_filter", False),
+    ("preprocess", ["--ratio-threshold", "0.5"], "ratio_threshold", 0.5),
+    ("preprocess", ["--stem"], "stem", True),
+    ("preprocess", ["--no-stem"], "stem", False),
+    ("train", ["--corpus", "c.bin"], "corpus", "c.bin"),
+    ("train", ["--embeddings", "e.txt"], "embeddings", "e.txt"),
+    ("train", ["--output-dir", "x"], "output_dir", "x"),
+    ("train", ["--seed", "7"], "seed", 7),
+    ("train", ["--space", "euclidean"], "space", "euclidean"),
+    ("train", ["--alpha", "0.25"], "alpha", 0.25),
+    ("train", ["--k-s", "30"], "k_s", 30),
+    ("train", ["--k-h", "20"], "k_h", 20),
+    ("train", ["--n-topics", "8"], "n_topics", 8),
+    ("train", ["--max-depth", "2"], "max_depth", 2),
+    ("train", ["--min-docs", "10"], "min_docs", 10),
+    ("train", ["--top-terms", "5"], "top_terms", 5),
+    ("train", ["--cache-dir", "c"], "cache_dir", "c"),
+    ("train", ["--no-cache"], "cache", False),
+    ("train", ["--write-factors"], "write_factors", True),
+    ("train", ["--no-write-factors"], "write_factors", False),
+    ("train", ["--nmf-max-iter", "100"], "nmf_max_iter", 100),
+    ("train", ["--nmf-tol", "1e-4"], "nmf_tol", 1e-4),
+    ("evaluate", ["--corpus", "c.bin"], "corpus", "c.bin"),
+    ("evaluate", ["--output-dir", "x"], "output_dir", "x"),
+    ("export", ["--format", "dot"], "format", "dot"),
+    ("export", ["--output", "t.dot"], "output", "t.dot"),
+    ("export", ["--top-k", "3"], "top_k", 3),
+] + [(command, ["--config", "c.json"], "config", "c.json") for command in COMMAND_SETTINGS] + [
+    (command, ["--verbose"], "verbose", True) for command in COMMAND_SETTINGS
+]
+
+# The benchmark's argument lists, each with what it parses to.
+BENCH_ARGV = [
+    (["preprocess", "--input", "raw.jsonl", "--output-dir", "prep0"],
+     {"input": "raw.jsonl", "output_dir": "prep0"}),
+    (["evaluate", "--model", "model0", "--corpus", "c.bin"],
+     {"model": "model0", "corpus": "c.bin", "output_dir": None}),
+] + [
+    (["train", "--corpus", "c.bin", "--embeddings", "e.txt", "--output-dir", "model0",
+      "--space", space, "--k-s", str(k), "--k-h", str(k), "--n-topics", str(topics),
+      "--max-depth", str(depth), "--min-docs", str(docs), "--alpha", str(alpha), *cache],
+     {"corpus": "c.bin", "embeddings": "e.txt", "output_dir": "model0", "space": space,
+      "k_s": k, "k_h": k, "n_topics": topics, "max_depth": depth, "min_docs": docs,
+      "alpha": alpha, "cache": False if cache == ["--no-cache"] else None,
+      "cache_dir": "cache0" if cache != ["--no-cache"] else None})
+    for space, k, topics, depth, docs, alpha in (("hyperbolic", 30, 8, 2, 10, 0.1),
+                                                 ("hyperbolic", 20, 6, 3, 6, 0.1),
+                                                 ("euclidean", 100, 8, 2, 10, 0.5))
+    for cache in (["--no-cache"], ["--cache-dir", "cache0"])
+]
+
+
+def subparser(command):
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+class TestDerivedFlags:
+    """Each setting's flag comes from its dataclass field, so a new field
+    needs no parser edit."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+    def test_setting_flags_are_the_fields_a_command_takes(self, command):
+        names, section = COMMAND_SETTINGS[command]
+        taken = [f for f in fields(RunConfig) if f.name in names]
+        taken += fields(section) if section else []
+        expected = {flag: "" for flag in OTHER_FLAGS[command]}
+        for f in taken:
+            flag = f.name.replace("_", "-")
+            expected["--" + flag] = f.name
+            if f.type == "bool":
+                expected["--no-" + flag] = f.name
+        actions = subparser(command)._actions
+        flags = {s: a.dest for a in actions for s in a.option_strings}
+        assert flags.keys() == expected.keys()
+        assert all(flags[s] == dest for s, dest in expected.items() if dest)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+    def test_help_exits_0(self, command):
+        proc = subprocess.run([sys.executable, "-m", "hyhtm.cli", command, "--help"],
+                              env=child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"usage: hyhtm {command} ")
+
+    @pytest.mark.parametrize("command, flags, dest, value", FLAG_SPELLINGS,
+                             ids=[f"{c}{f[0]}" for c, f, _, _ in FLAG_SPELLINGS])
+    def test_every_earlier_flag_spelling_parses_as_before(self, command, flags, dest, value):
+        model = ["--model", "m"] if command in ("evaluate", "export") else []
+        args = build_parser().parse_args([command, *model, *flags])
+        assert getattr(args, dest) == value
+        assert type(getattr(args, dest)) is type(value)
+
+    @pytest.mark.parametrize("argv, parsed", BENCH_ARGV,
+                             ids=[f"{a[0]}{i}" for i, (a, _) in enumerate(BENCH_ARGV)])
+    def test_bench_argument_lists_parse_as_before(self, argv, parsed):
+        args = vars(build_parser().parse_args(argv))
+        assert {key: args[key] for key in parsed} == parsed

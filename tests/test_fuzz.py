@@ -5,7 +5,10 @@ Truncated and bit-flipped `corpus.bin` files go through `train` and
 `export` formats; truncated and bit-flipped factor files go through
 `evaluate`; the four text inputs (JSONL and plain-text documents, a
 stopword list, the embedding file) with bytes that are not ASCII go through
-`preprocess` and `train`. Every run must return 0, 2, 3 or 4 from
+`preprocess` and `train`; embedding files with mangled lines (wrong
+component counts, values that are not finite or overflow, vectors on or
+outside the unit sphere, duplicate terms, blank lines, a header alone) go
+through `train` in both spaces. Every run must return 0, 2, 3 or 4 from
 `cli.main`; any other exception fails the test. A report that `evaluate`
 writes must be strict JSON, without NaN or infinity. Matrix cache files
 cut short, extended or with bits flipped must each be rebuilt, so `train`
@@ -336,3 +339,61 @@ def test_text_inputs_with_high_bytes_exit_with_a_documented_code(fuzz_model, dat
         capsys.readouterr()
         if run(argv):
             assert str(mangled[name]) in capsys.readouterr().err
+
+
+# Component values that parse to something other than a plain small number.
+_ODD_COMPONENTS = ["nan", "-nan", "inf", "-Infinity", "1e999", "-1e999", "1e308", "1e-400",
+                   "0", "-0.0", "0x1p3", "1_0", "", "abc"]
+
+
+def mangled_embeddings(text: str):
+    """Strategy: an embedding file with one to three of its lines edited,
+    each edit made on an intact line, or the file cut to its header."""
+    header, *rows = text.splitlines()
+    dim = int(header.split()[1])
+
+    @st.composite
+    def mangle(draw):
+        lines = list(rows)
+        for _ in range(draw(st.integers(1, 3))):
+            pos = draw(st.integers(0, len(lines) - 1))
+            term, *vec = draw(st.sampled_from(rows)).split()
+            edit = draw(st.sampled_from(["count", "component", "scale", "blank", "duplicate",
+                                         "header-only"]))
+            if edit == "count":
+                n = draw(st.integers(0, 2 * dim).filter(lambda n: n != dim))
+                lines[pos] = " ".join([term] + (vec * 2)[:n])
+            elif edit == "component":
+                vec[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(_ODD_COMPONENTS))
+                lines[pos] = " ".join([term, *vec])
+            elif edit == "scale":
+                # Norm 0 is the origin, 1 the unit sphere; the larger norms
+                # lie outside it, the last so far that its square overflows.
+                norm = draw(st.sampled_from([0.0, 1.0, 1.0 + 1e-16, 1.5, 1e10, 1e200]))
+                values = np.array([float(x) for x in vec])
+                scaled = values * (norm / np.sqrt(values @ values))
+                lines[pos] = " ".join([term, *(repr(float(x)) for x in scaled)])
+            elif edit == "blank":
+                lines.insert(pos, draw(st.sampled_from(["", " ", "\t"])))
+            elif edit == "duplicate":
+                lines.insert(pos, " ".join([term, *draw(st.sampled_from([vec, vec[::-1]]))]))
+            else:
+                return header + "\n"
+        return "\n".join([header, *lines]) + "\n"
+
+    return mangle()
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_mangled_embedding_lines_exit_with_a_documented_code(fuzz_model, data, capsys):
+    root = fuzz_model["root"]
+    corpus = root / "corpus.bin"
+    corpus.write_bytes(fuzz_model["corpus"])
+    emb = root / "mangled-lines-emb.txt"
+    emb.write_text(data.draw(mangled_embeddings(fuzz_model["emb"].read_text(encoding="utf-8"))),
+                   encoding="utf-8")
+    space = data.draw(st.sampled_from(["hyperbolic", "euclidean"]))
+    capsys.readouterr()
+    if run(train_args(corpus, emb, root / "mangled-lines-train") + ["--space", space]) == 2:
+        assert str(emb) in capsys.readouterr().err
