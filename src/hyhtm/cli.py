@@ -191,18 +191,12 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
         status[kind] = "hit" if matrix is not None else "rebuilt" if existed else "miss"
         return matrix
 
-    sim_key = sparse_io.cache_key(
-        "similarity", corpus=corpus_sha, embeddings=emb_sha,
-        space=train.space, alpha=train.alpha, k_s=train.k_s,
-    )
-    hier_key = sparse_io.cache_key(
-        "hierarchy", corpus=corpus_sha, embeddings=emb_sha,
-        space=train.space, k_h=train.k_h,
-    )
-    repr_key = sparse_io.cache_key(
-        "representation", corpus=corpus_sha, embeddings=emb_sha,
-        space=train.space, alpha=train.alpha, k_s=train.k_s,
-    )
+    shared = {"corpus": corpus_sha, "embeddings": emb_sha, "space": train.space}
+    sim_inputs = {**shared, "alpha": train.alpha, "k_s": train.k_s}
+    sim_key = sparse_io.cache_key("similarity", **sim_inputs)
+    hier_key = sparse_io.cache_key("hierarchy", **shared, k_h=train.k_h)
+    # A0 is a function of TF and S, so S's inputs key it too.
+    repr_key = sparse_io.cache_key("representation", **sim_inputs)
 
     sim = load("similarity", sim_key, (m, m))
     hier = load("hierarchy", hier_key, (m, m))
@@ -214,7 +208,7 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
 
         table = hypspace.load_embeddings(config.embeddings, built.vocabulary, train.space)
         coverage = table.coverage
-        if not table.covered:
+        if not table.term_indices.size:
             raise ContractError(
                 f"{config.embeddings}: no vocabulary term has an embedding vector"
             )
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_fields = {f.name: f for f in fields(RunConfig)}
     for command, (text, names, section) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file with flat setting keys")
         p.add_argument("--verbose", action="store_true", default=False)
         if command in ("evaluate", "export"):

@@ -7,10 +7,12 @@ thresholded) and a binary hierarchy matrix (k-NN adjacency). A Euclidean
 mode swaps the ball metric for cosine similarity, leaving everything
 downstream unchanged.
 
-Both matrices and `knn` slice one sorted neighbor table per
-`EmbeddingTable`; the similarity normalizer is an exact broadcast over
-blocks of neighborhoods, with the arithmetic of `poincare_distance`. Both
-matrices are numpy CSR arrays filled row by row from that table.
+An `EmbeddingTable` holds the covered terms' ascending vocabulary indices
+and one vector row per index; a term's row is found by binary search over
+the indices. Both matrices and `knn` slice one sorted neighbor table per
+table; the similarity normalizer is an exact broadcast over blocks of
+neighborhoods, with the arithmetic of `poincare_distance`. Both matrices
+are numpy CSR arrays filled row by row from that table.
 """
 
 from __future__ import annotations
@@ -106,13 +108,10 @@ class EmbeddingTable:
     after construction; `_neighbors` memoizes the widest `_neighbor_table`.
     """
 
-    dim: int
     space: str
     vocab_size: int
     term_indices: np.ndarray  # ascending vocabulary indices, one per row
     matrix: np.ndarray  # (n_covered, dim)
-    covered: frozenset[int] = field(repr=False)
-    _row_of: dict[int, int] = field(repr=False)
     _neighbors: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -123,8 +122,8 @@ class EmbeddingTable:
 
     def row(self, term_index: int) -> int:
         """Matrix row of one vocabulary index; raises on uncovered terms."""
-        row = self._row_of.get(term_index)
-        if row is None:
+        row = int(np.searchsorted(self.term_indices, term_index))
+        if row == self.term_indices.size or self.term_indices[row] != term_index:
             raise ContractError(f"term index {term_index} has no embedding")
         return row
 
@@ -173,8 +172,6 @@ class TermSimilarityMatrix:
     """
 
     entries: CsrArrays
-    alpha: float
-    k_s: int
 
 
 @dataclass
@@ -185,7 +182,6 @@ class TermHierarchyMatrix:
     """
 
     entries: CsrArrays
-    k_h: int
 
 
 def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> EmbeddingTable:
@@ -195,11 +191,12 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
     by `dim` decimal values. In hyperbolic mode vectors with norm >= 1 are
     radially projected back inside the ball. Coverage below 10% of the
     vocabulary logs a warning but is not an error. A vocabulary term's
-    vector with a nan or infinite component is a parse error.
+    vector with a nan or infinite component, or whose squared norm
+    overflows float64, is a parse error naming its line.
     """
     if space not in SPACES:
         raise ConfigurationError(f"unknown space {space!r}; expected one of {SPACES}")
-    vectors: dict[int, np.ndarray] = {}
+    vectors: dict[int, tuple[int, np.ndarray]] = {}  # vocabulary index -> (line, vector)
     dim = None
     for lineno, line in utf8_lines(path, EmbeddingParseError):
         parts = line.split()
@@ -230,31 +227,26 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
             raise EmbeddingParseError(f"{path}: bad vector component: {exc}", lineno) from None
         if not np.isfinite(vec).all():
             raise EmbeddingParseError(f"{path}: non-finite vector component", lineno)
-        vectors[idx] = vec
+        vectors[idx] = (lineno, vec)
 
-    if dim is None:
-        dim = 0
     indices = np.array(sorted(vectors), dtype=np.int64)
-    matrix = (
-        np.vstack([vectors[i] for i in indices])
-        if len(indices)
-        else np.zeros((0, max(dim, 1)))
-    )
-    if space == HYPERBOLIC and len(indices):
-        norms = np.sqrt(_sq_norms(matrix))
+    rows = [vectors[i][1] for i in indices]
+    matrix = np.vstack(rows) if rows else np.zeros((0, dim or 1))
+    with np.errstate(over="ignore"):
+        sq_norms = _sq_norms(matrix)
+    overflow = np.isinf(sq_norms)
+    if overflow.any():
+        lineno = min(vectors[i][0] for i in indices[overflow])
+        raise EmbeddingParseError(f"{path}: vector norm overflows float64", lineno)
+    if space == HYPERBOLIC:
+        norms = np.sqrt(sq_norms)
         outside = norms >= 1.0
         if outside.any():
             matrix[outside] *= (_BALL_RADIUS / norms[outside])[:, None]
             log.info("projected %d vectors back inside the unit ball", int(outside.sum()))
 
     table = EmbeddingTable(
-        dim=dim,
-        space=space,
-        vocab_size=len(vocab),
-        term_indices=indices,
-        matrix=matrix,
-        covered=frozenset(int(i) for i in indices),
-        _row_of={int(t): r for r, t in enumerate(indices)},
+        space=space, vocab_size=len(vocab), term_indices=indices, matrix=matrix
     )
     level = logging.WARNING if table.coverage < _LOW_COVERAGE else logging.INFO
     log.log(
@@ -402,7 +394,7 @@ def build_similarity_matrix(table: EmbeddingTable, k_s: int, alpha: float) -> Te
         sims[~(sims > 0.0)] = 0.0
     sims[:, :1] = 1.0  # the diagonal survives every threshold
     sims[~(sims >= alpha)] = 0.0
-    return TermSimilarityMatrix(entries=_term_matrix(table, members, sims), alpha=alpha, k_s=k_s)
+    return TermSimilarityMatrix(entries=_term_matrix(table, members, sims))
 
 
 def build_hierarchy_matrix(table: EmbeddingTable, k_h: int) -> TermHierarchyMatrix:
@@ -410,6 +402,4 @@ def build_hierarchy_matrix(table: EmbeddingTable, k_h: int) -> TermHierarchyMatr
     if k_h < 1:
         raise ConfigurationError("k_h must be >= 1")
     members, _ = _neighbor_table(table, k_h)
-    return TermHierarchyMatrix(
-        entries=_term_matrix(table, members, np.ones(members.shape)), k_h=k_h
-    )
+    return TermHierarchyMatrix(entries=_term_matrix(table, members, np.ones(members.shape)))

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, ShapeError
+from .settings import TrainConfig
 
 log = logging.getLogger(__name__)
 
@@ -55,10 +56,12 @@ _EPS = 1e-12
 
 @dataclass
 class NmfConfig:
+    """One factorization's settings; the defaults are `TrainConfig`'s."""
+
     n_topics: int
-    max_iter: int = 300
-    tol: float = 1e-5
-    seed: int = 42
+    max_iter: int = TrainConfig.nmf_max_iter
+    tol: float = TrainConfig.nmf_tol
+    seed: int = TrainConfig.seed
 
     def validate(self):
         if self.n_topics < 1:

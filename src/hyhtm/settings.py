@@ -3,7 +3,7 @@
 The command line parses flags and config files with these, and reads and
 writes a model directory (tree.json and factors/) only here, so
 `preprocess` and `export` start without numpy and `evaluate` without the
-tree builder. `hierarchy`, `hypspace` and `metrics` import names back.
+tree builder. `hierarchy`, `hypspace`, `metrics` and `nmf` import from it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class TrainConfig:
     k_s: int = 500
     k_h: int = 500
     seed: int = 42
-    space: str = "hyperbolic"
+    space: str = HYPERBOLIC
     top_terms: int = 10
     nmf_max_iter: int = 300
     nmf_tol: float = 1e-5

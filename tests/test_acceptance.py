@@ -174,15 +174,8 @@ def test_criterion_3_neighborhood_similarity_oracle():
     for trial in range(50):
         dim = int(rng.integers(2, 5))
         points = sample_ball_points(rng, 10, dim, max_radius=0.9)
-        table = EmbeddingTable(
-            dim=dim,
-            space="hyperbolic",
-            vocab_size=10,
-            term_indices=np.arange(10, dtype=np.int64),
-            matrix=points,
-            covered=frozenset(range(10)),
-            _row_of={i: i for i in range(10)},
-        )
+        table = EmbeddingTable(space="hyperbolic", vocab_size=10,
+                               term_indices=np.arange(10, dtype=np.int64), matrix=points)
         center = int(rng.integers(0, 10))
         nbhd = knn(table, center, 10)
         got = neighborhood_similarity(nbhd, table)

@@ -228,6 +228,18 @@ class TestTrainCommand:
         assert provenance["peak_live_matrices"] <= 3
         assert provenance["corpus_sha256"] == file_sha256(corpus_bin)
 
+    def test_cold_train_writes_the_pinned_cache_file_names(self, planted_cli, tmp_path):
+        # A cache file's name is its key: a changed key silently orphans
+        # every cache already on disk.
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+        assert main(train_args(corpus_bin, emb, tmp_path / "model", cache_dir=cache, seed=7)) == 0
+        assert sorted(path.name for path in cache.iterdir()) == [
+            "693e22f88949b3588b82a71cbac69bdf2af85e4d.bin",
+            "6cb77bcae285d819a0d7ae68a51265a16b440bc9.bin",
+            "e3426bca2a6881e0ab5eca44ba4a582d3059f5c8.bin",
+        ]
+
     def test_cache_hit_matches_cold_rebuild(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
         cache = tmp_path / "cache"
@@ -464,6 +476,30 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "line 3" in err and str(emb) in err
         assert not (tmp_path / "model" / "tree.json").exists()
+
+    @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
+    def test_overflowing_embedding_norm_exits_2_naming_line(
+        self, planted_cli, tmp_path, capsys, space
+    ):
+        # A squared norm past float64's range would put the vector at the
+        # ball's origin, or make its cosines NaN; 1e10 squares to 1e20.
+        corpus_bin, emb = planted_cli
+        lines = emb.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("core0item00 "))
+        term, x, y = lines[lineno - 1].split()
+        x, y = float(x), float(y)
+        r = (x * x + y * y) ** 0.5
+        for norm, code in ((1e10, 0), (1e155, 2), (1e200, 2), (1e300, 2)):
+            lines[lineno - 1] = f"{term} {x / r * norm!r} {y / r * norm!r}"
+            path = tmp_path / "emb.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out = tmp_path / f"model-{norm:g}"
+            args = train_args(corpus_bin, path, out, space=space) + ["--no-cache"]
+            assert main(args) == code, norm
+            err = capsys.readouterr().err
+            if code:
+                assert f"line {lineno}" in err and str(path) in err and "norm" in err
+            assert (out / "tree.json").exists() == (code == 0)
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(
@@ -1268,7 +1304,15 @@ class TestTreeContract:
 
 class TestCommandFlags:
     """`--output-dir` belongs to the commands that write into a directory
-    and `--seed` to `train`; argparse rejects them elsewhere."""
+    and `--seed` to `train`; argparse rejects them elsewhere, and rejects
+    every prefix of a flag, whose meaning a new flag could change."""
+
+    @pytest.mark.parametrize("prefix", [["--n-top", "3"], ["--cache-d", "x"]])
+    def test_flag_prefix_exits_2(self, prefix, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--corpus", "c", "--embeddings", "e", *prefix])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["export", "--model", "m", "--output-dir", "x"],

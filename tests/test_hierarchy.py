@@ -6,7 +6,14 @@ from hyhtm import (
     DocTermRepresentation,
     TrainConfig,
     assign_documents,
+    build_document_representation,
     build_hierarchy,
+    build_hierarchy_matrix,
+    build_similarity_matrix,
+    build_tf,
+    compute_idf,
+    evaluate,
+    load_embeddings,
     parent_child_reweight,
     top_words,
 )
@@ -175,6 +182,43 @@ class TestBuildHierarchy:
                                    planted_config(seed=seed, n_topics=n_topics))
             cells = [node.doc_ids for node in tree.nodes_at_level(2)]
             assert purity(cells, planted.sub_labels, 900) >= 0.98, seed
+
+    def test_hyperbolic_space_beats_euclidean(self, planted_inputs, planted_corpus, planted):
+        """The paper's central claim, that hyperbolic neighbourhoods make
+        children specialise their parents, on the planted fixture: over 3-5
+        topics and three seeds, hyperbolic level-2 purity is 1.0 and above
+        Euclidean's (which scored 0.76-0.99), and its mean hierarchical
+        coherence is higher in every run (1.09-1.24 against 0.88-1.09).
+
+        Caveat: the planted embeddings put generality in the radius (root
+        words near the origin, subconcept words farther out), which cosine
+        similarity ignores by design. This shows that the implementation
+        carries the paper's mechanism, not that hyperbolic geometry wins on
+        real corpora. S carries the gain: a hyperbolic run with a Euclidean
+        S fails here, one with a Euclidean H does not.
+        """
+        tf = build_tf(planted_corpus)
+        scores = {}
+        for space in ("hyperbolic", "euclidean"):
+            table = load_embeddings(planted_inputs[1], planted_corpus.vocabulary, space)
+            ms = build_similarity_matrix(table, k_s=PLANTED_K, alpha=PLANTED_ALPHA).entries
+            mh = build_hierarchy_matrix(table, k_h=PLANTED_K).entries
+            a0 = build_document_representation(tf, ms, compute_idf(tf, ms))
+            for n_topics in (3, 4, 5):
+                for seed in PLANTED_SEEDS:
+                    config = planted_config(seed=seed, n_topics=n_topics, space=space)
+                    tree = build_hierarchy(a0, mh, config)
+                    cells = [node.doc_ids for node in tree.nodes_at_level(2)]
+                    summary = evaluate(tree, planted_corpus).summary
+                    scores[n_topics, seed, space] = (
+                        purity(cells, planted.sub_labels, 900),
+                        summary["mean_hierarchical_coherence"],
+                    )
+        for n_topics in (3, 4, 5):
+            for seed in PLANTED_SEEDS:
+                hyp, euc = scores[n_topics, seed, "hyperbolic"], scores[n_topics, seed, "euclidean"]
+                assert hyp[0] == 1.0 and hyp[0] > euc[0], (n_topics, seed, hyp, euc)
+                assert hyp[1] > euc[1], (n_topics, seed, hyp, euc)
 
     def test_tree_structure_invariants(self, planted_matrices):
         tree = build_hierarchy(

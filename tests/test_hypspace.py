@@ -112,8 +112,8 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("cat 0.1 0.2\n", encoding="utf-8")
         table = load_embeddings(path, vocab)
-        assert table.dim == 2
-        assert table.covered == {vocab.index["cat"]}
+        assert table.matrix.shape[1] == 2
+        assert table.term_indices.tolist() == [vocab.index["cat"]]
         assert np.allclose(table.vector(vocab.index["cat"]), [0.1, 0.2])
 
     def test_header_line_is_skipped(self, tmp_path):
@@ -121,7 +121,7 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("1 2\ncat 0.1 0.2\n", encoding="utf-8")
         table = load_embeddings(path, vocab)
-        assert table.covered == {0}
+        assert table.term_indices.tolist() == [0]
 
     def test_projection_preserves_direction(self, tmp_path):
         vocab = Vocabulary(terms=["far"])
@@ -213,11 +213,17 @@ class TestKnn:
         assert nbhd.member_indices() == [vocab.index["pa"], lower]
 
     def test_uncovered_center_rejected(self, tmp_path):
-        vocab = Vocabulary(terms=["aa", "bb"])
-        path = write_embedding_file(tmp_path / "e.txt", [("aa", (0.1, 0.0))])
+        vocab = Vocabulary(terms=["aa", "bb", "cc", "dd", "ee"])
+        path = write_embedding_file(
+            tmp_path / "e.txt", [("bb", (0.1, 0.0)), ("dd", (0.0, 0.1))]
+        )
         table = load_embeddings(path, vocab)
-        with pytest.raises(ContractError):
-            knn(table, vocab.index["bb"], 2)
+        assert table.term_indices.tolist() == [1, 3]
+        # Below the first covered index, between two, above the last, and
+        # the two indices just outside the vocabulary.
+        for term_index in (0, 2, 4, -1, len(vocab)):
+            with pytest.raises(ContractError, match=f"term index {term_index} has no"):
+                knn(table, term_index, 2)
 
     def test_distances_nondecreasing(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -495,15 +501,7 @@ def random_table(seed, n, dim, space, uncovered=3, duplicates=2):
         points = points * rng.uniform(0.5, 3.0, size=(n, 1))
     m = n + uncovered
     terms = np.sort(rng.choice(m, size=n, replace=False)).astype(np.int64)
-    return EmbeddingTable(
-        dim=dim,
-        space=space,
-        vocab_size=m,
-        term_indices=terms,
-        matrix=points,
-        covered=frozenset(int(t) for t in terms),
-        _row_of={int(t): r for r, t in enumerate(terms)},
-    )
+    return EmbeddingTable(space=space, vocab_size=m, term_indices=terms, matrix=points)
 
 
 def assert_same_csr(got, want):
