@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "corpus": (
-        "Corpus", "DocTermRepresentation", "Document", "PreprocessConfig",
-        "TermFrequencyMatrix", "Vocabulary", "build_document_representation", "build_tf",
-        "compute_idf", "preprocess",
+        "Corpus", "DocTermRepresentation", "Document", "PreprocessConfig", "Vocabulary",
+        "build_document_representation", "build_tf", "compute_idf", "preprocess",
     ),
     "hierarchy": (
         "assign_documents", "build_hierarchy", "parent_child_reweight", "top_words",

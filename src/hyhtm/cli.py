@@ -160,7 +160,9 @@ def cmd_preprocess(config: RunConfig) -> int:
 
 def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     """The three heavy artifacts, from cache when possible: the similarity
-    matrix, the hierarchy matrix, and the enriched document representation.
+    matrix, the hierarchy matrix, and the enriched document representation
+    A0. Returns A0 and the hierarchy matrix; A0's rows are `built`'s
+    documents in order, so their ids are read from `built`, not the cache.
 
     Built or read from the cache, each is a `sparse_io.CsrArrays`; neither
     path loads scipy. The embedding file is read only when the similarity
@@ -229,8 +231,6 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
         a0 = corpus_mod.build_document_representation(tf, sim, idf).values
         if cache:
             cache.save(repr_key, a0)
-    doc_ids = [d.id for d in built.documents]
-    rep = corpus_mod.DocTermRepresentation(values=a0, doc_ids=doc_ids)
     matrices = {
         kind: {"shape": list(matrix.shape), "nnz": matrix.nnz,
                "density": matrix.nnz / (matrix.shape[0] * matrix.shape[1])}
@@ -238,7 +238,7 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     }
     provenance = {"corpus_sha256": corpus_sha, "embeddings_sha256": emb_sha,
                   "embedding_coverage": coverage, "cache": status, "matrices": matrices}
-    return rep, hier, provenance
+    return a0, hier, provenance
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -252,10 +252,10 @@ def cmd_train(config: RunConfig) -> int:
 
     t_start = time.perf_counter()
     built = corpus_mod.read_corpus(config.corpus)
-    rep, hier, matrix_provenance = _load_or_build_matrices(config, built)
+    a0, hier, matrix_provenance = _load_or_build_matrices(config, built)
     t_matrices = time.perf_counter()
 
-    tree = hierarchy_mod.build_hierarchy(rep, hier, config.train)
+    tree = hierarchy_mod.build_hierarchy(a0, [d.id for d in built.documents], hier, config.train)
     t_tree = time.perf_counter()
     if not tree.roots:
         diagnostic = tree.provenance.get("diagnostic", "no topics were produced")

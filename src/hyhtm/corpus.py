@@ -114,21 +114,11 @@ class Corpus:
 
 
 @dataclass
-class TermFrequencyMatrix:
-    """Sparse n x m raw occurrence counts (int64), rows in document
-    ingestion order; no zero is stored."""
-
-    counts: CsrArrays
-    doc_ids: list[str]
-
-
-@dataclass
 class DocTermRepresentation:
-    """Sparse nonnegative n x m document representation; no zero is
-    stored."""
+    """Sparse nonnegative n x m document representation, rows in document
+    order; no zero is stored."""
 
     values: CsrArrays
-    doc_ids: list[str]
 
 
 @dataclass
@@ -316,15 +306,15 @@ def token_arrays(corpus: Corpus):
     return np.repeat(np.arange(n, dtype=np.int64), lengths), terms
 
 
-def build_tf(corpus: Corpus) -> TermFrequencyMatrix:
-    """Raw occurrence counts as a sparse matrix, one row per document."""
+def build_tf(corpus: Corpus) -> CsrArrays:
+    """Raw occurrence counts (int64) as a sparse n x m matrix, one row per
+    document in document order; no zero is stored."""
     import numpy as np
     from .sparse_io import csr_from_triplets
 
     docs, terms = token_arrays(corpus)
     ones = np.broadcast_to(np.int64(1), terms.shape)
-    counts = csr_from_triplets(ones, docs, terms, (corpus.n_docs, len(corpus.vocabulary)))
-    return TermFrequencyMatrix(counts=counts, doc_ids=[d.id for d in corpus.documents])
+    return csr_from_triplets(ones, docs, terms, (corpus.n_docs, len(corpus.vocabulary)))
 
 
 def _row_blocks(work: np.ndarray):
@@ -377,7 +367,7 @@ def _product_blocks(left: CsrArrays, right: CsrArrays, pattern: bool = False):
         yield start, stop, cells, values
 
 
-def compute_idf(tf: TermFrequencyMatrix, ms: CsrArrays) -> np.ndarray:
+def compute_idf(counts: CsrArrays, ms: CsrArrays) -> np.ndarray:
     """Similarity-aware inverse document frequency.
 
     For term i, each document contributes the mean similarity between i and
@@ -388,12 +378,11 @@ def compute_idf(tf: TermFrequencyMatrix, ms: CsrArrays) -> np.ndarray:
     The sum for term i runs over the documents in ascending order, through
     `np.add.reduceat` as scipy's `csr_matrix.sum(axis=1)` does, and each
     document's similarity sum adds in row i's stored order. `ms` is the
-    similarity matrix's CSR arrays, which store no zero.
+    similarity matrix's CSR arrays, which store no zero; `counts` is TF.
     """
     import numpy as np
     from .sparse_io import csr_from_triplets
 
-    counts = tf.counts
     n, m = counts.shape
     if ms.shape != (m, m):
         raise ShapeError(f"similarity matrix is {ms.shape}, expected {(m, m)}")
@@ -428,9 +417,10 @@ def compute_idf(tf: TermFrequencyMatrix, ms: CsrArrays) -> np.ndarray:
 
 
 def build_document_representation(
-    tf: TermFrequencyMatrix, ms: CsrArrays, idf: np.ndarray
+    counts: CsrArrays, ms: CsrArrays, idf: np.ndarray
 ) -> DocTermRepresentation:
-    """Enriched representation: (TF x similarity) scaled columnwise by IDF.
+    """Enriched representation: (TF `counts` x similarity) scaled
+    columnwise by IDF.
 
     Cells whose product sums to exactly zero, or whose scaled value is
     zero, are not stored.
@@ -438,7 +428,6 @@ def build_document_representation(
     import numpy as np
     from .sparse_io import CsrArrays, index_dtype
 
-    counts = tf.counts
     n, m = counts.shape
     if ms.shape != (m, m):
         raise ShapeError(f"similarity matrix is {ms.shape}, expected {(m, m)}")
@@ -468,8 +457,7 @@ def build_document_representation(
     data.resize(indptr[-1], refcheck=False)
     if data.size and data.min() < 0:
         raise InvariantError("document representation has a negative entry")
-    values = CsrArrays(indptr=indptr, indices=indices, data=data, shape=(n, m))
-    return DocTermRepresentation(values=values, doc_ids=list(tf.doc_ids))
+    return DocTermRepresentation(CsrArrays(indptr, indices, data, (n, m)))
 
 
 def read_jsonl_documents(path) -> list[tuple[str, str]]:

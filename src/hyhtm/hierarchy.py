@@ -13,7 +13,8 @@ children are built, so at most A0 and one node matrix are alive at once;
 an instrumented gauge follows every node matrix until it is freed and
 records the peak, which the max_depth + 1 bound is checked against. A0
 and the hierarchy matrix are `sparse_io.CsrArrays`, so only a sparse node
-needs scipy.
+needs scipy. A node's documents are named by the ids of A0's rows, which
+the caller takes from the corpus.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .corpus import DocTermRepresentation
 from .errors import ConfigurationError, ContractError, ShapeError
 from .nmf import NmfConfig, factorize
 from .settings import TopicNode, TopicTree, TrainConfig
@@ -111,7 +111,9 @@ def top_words(h: np.ndarray, i: int, n: int) -> list[tuple[int, float]]:
     return [(int(j), float(row[j])) for j in order]
 
 
-def build_hierarchy(a0: DocTermRepresentation, mh: CsrArrays, config: TrainConfig) -> TopicTree:
+def build_hierarchy(
+    a0: CsrArrays, doc_ids: list[str], mh: CsrArrays, config: TrainConfig
+) -> TopicTree:
     """Depth-first recursive factorization into a topic tree.
 
     Level 1 factorizes the root representation directly (empty documents
@@ -123,17 +125,20 @@ def build_hierarchy(a0: DocTermRepresentation, mh: CsrArrays, config: TrainConfi
 
     Every node matrix, the root's included, is factorized as a dense
     array gathered from A0's CSR arrays when at least DENSE_MIN_DENSITY of
-    its cells are stored, else as a scipy CSR matrix. `a0.values` and `mh`
-    are the CSR arrays that the builders and the cache return.
+    its cells are stored, else as a scipy CSR matrix. `a0` and `mh` are
+    the CSR arrays that the builders and the cache return; `doc_ids[r]`
+    names row r of A0, and a count of ids other than A0's row count raises
+    ShapeError.
     """
     config.validate()
-    values = a0.values
-    n, m = values.shape
+    n, m = a0.shape
+    if len(doc_ids) != n:
+        raise ShapeError(f"{len(doc_ids)} document ids for the {n} rows of A0")
     if mh.shape != (m, m):
         raise ShapeError(f"hierarchy matrix is {mh.shape}, expected {(m, m)}")
     gauge = LiveMatrixGauge()
-    gauge.track(values)  # the root representation itself
-    sparse_values = None  # A0 as a scipy matrix, made for the first sparse node
+    gauge.track(a0)  # the root representation itself
+    sparse_a0 = None  # A0 as a scipy matrix, made for the first sparse node
     counters = {"unassigned_docs": 0}
     nmf_levels: dict[int, dict] = {}
     nmf_config = NmfConfig(n_topics=config.n_topics, max_iter=config.nmf_max_iter,
@@ -142,13 +147,13 @@ def build_hierarchy(a0: DocTermRepresentation, mh: CsrArrays, config: TrainConfi
     def node_matrix(rows: np.ndarray, scale):
         """Rows `rows` of A0 with columns scaled by `scale`, dense or sparse
         by the share of stored cells."""
-        nonlocal sparse_values
-        stored = values.indptr[rows + 1] - values.indptr[rows]
+        nonlocal sparse_a0
+        stored = a0.indptr[rows + 1] - a0.indptr[rows]
         if stored.sum() >= DENSE_MIN_DENSITY * rows.size * m:
-            return dense_rows(values, rows, scale)
-        if sparse_values is None:
-            sparse_values = values.tocsr()
-        matrix = sparse_values[rows]
+            return dense_rows(a0, rows, scale)
+        if sparse_a0 is None:
+            sparse_a0 = a0.tocsr()
+        matrix = sparse_a0[rows]
         return matrix if scale is None else matrix.multiply(scale[None, :]).tocsr()
 
     def expand(row_map: np.ndarray, scale, level: int, prefix: str) -> list[TopicNode]:
@@ -174,7 +179,7 @@ def build_hierarchy(a0: DocTermRepresentation, mh: CsrArrays, config: TrainConfi
                 term_weights=pair.H[i].copy(),
                 # zero-weight terms say nothing about the topic; keep them out
                 top_terms=[(j, w) for j, w in top_words(pair.H, i, config.top_terms) if w > 0],
-                doc_ids=[a0.doc_ids[r] for r in global_rows],
+                doc_ids=[doc_ids[r] for r in global_rows],
             )
             if level + 1 <= config.max_depth and len(global_rows) >= config.min_docs:
                 m_ti = parent_child_reweight(pair.H, i, mh)
@@ -191,7 +196,7 @@ def build_hierarchy(a0: DocTermRepresentation, mh: CsrArrays, config: TrainConfi
         "n_documents": n,
         "vocab_size": m,
     }
-    root_rows = np.flatnonzero(np.diff(values.indptr) > 0)
+    root_rows = np.flatnonzero(np.diff(a0.indptr) > 0)
     provenance["excluded_empty_rows"] = int(n - root_rows.size)
     if root_rows.size >= config.min_docs:
         roots = expand(root_rows, None, 1, "")

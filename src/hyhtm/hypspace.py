@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import Vocabulary, utf8_lines
 from .errors import ConfigurationError, ContractError, EmbeddingParseError
-from .settings import EUCLIDEAN, HYPERBOLIC, SPACES  # noqa: F401 (EUCLIDEAN re-exported)
+from .settings import EUCLIDEAN, HYPERBOLIC, SPACES
 from .sparse_io import CsrArrays, index_dtype, row_positions
 
 log = logging.getLogger(__name__)
@@ -192,7 +192,9 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
     radially projected back inside the ball. Coverage below 10% of the
     vocabulary logs a warning but is not an error. A vocabulary term's
     vector with a nan or infinite component, or whose squared norm
-    overflows float64, is a parse error naming its line.
+    overflows float64, is a parse error naming its line; so is, in
+    Euclidean space, a nonzero vector whose squared norm underflows to 0,
+    which would read as the zero vector although cosine ignores scale.
     """
     if space not in SPACES:
         raise ConfigurationError(f"unknown space {space!r}; expected one of {SPACES}")
@@ -234,10 +236,13 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
     matrix = np.vstack(rows) if rows else np.zeros((0, dim or 1))
     with np.errstate(over="ignore"):
         sq_norms = _sq_norms(matrix)
-    overflow = np.isinf(sq_norms)
-    if overflow.any():
-        lineno = min(vectors[i][0] for i in indices[overflow])
-        raise EmbeddingParseError(f"{path}: vector norm overflows float64", lineno)
+    for what, bad in (
+        ("overflows", np.isinf(sq_norms)),
+        ("underflows", (sq_norms == 0) & matrix.any(axis=1) & (space == EUCLIDEAN)),
+    ):
+        if bad.any():
+            lineno = min(vectors[i][0] for i in indices[bad])
+            raise EmbeddingParseError(f"{path}: vector norm {what} float64", lineno)
     if space == HYPERBOLIC:
         norms = np.sqrt(sq_norms)
         outside = norms >= 1.0

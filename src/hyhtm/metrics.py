@@ -78,7 +78,7 @@ class CooccurrenceStats:
         return term in self._local
 
     def doc_freq(self, term: int) -> int:
-        return int(self._doc_freq[self._local[term]])
+        return int(self._doc_freq[self._local_indices([term])[0]])
 
     def joint_doc_freq(self, wi: int, wj: int) -> int:
         # Presence counts are symmetric; (w, w) degenerates to doc_freq(w).

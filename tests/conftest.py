@@ -86,9 +86,11 @@ def planted_matrices(planted_table, planted_corpus):
     mh = build_hierarchy_matrix(planted_table, k_h=PLANTED_K).entries
     tf = build_tf(planted_corpus)
     idf = compute_idf(tf, ms)
-    a0 = build_document_representation(tf, ms, idf)
+    a0 = build_document_representation(tf, ms, idf).values
+    doc_ids = [d.id for d in planted_corpus.documents]
     mh_identity = csr_of(sparse.identity(len(planted_corpus.vocabulary)))
-    return {"ms": ms, "mh": mh, "mh_identity": mh_identity, "tf": tf, "idf": idf, "a0": a0}
+    return {"ms": ms, "mh": mh, "mh_identity": mh_identity, "tf": tf, "idf": idf, "a0": a0,
+            "doc_ids": doc_ids}
 
 
 def write_embedding_file(path, rows, header=True):

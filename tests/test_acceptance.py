@@ -127,7 +127,7 @@ def test_criterion_2_identity_reduction():
     idf = compute_idf(tf, eye)
     rep = build_document_representation(tf, eye, idf)
 
-    counts = tf.counts.toarray().astype(float)
+    counts = tf.toarray().astype(float)
     df = (counts > 0).sum(axis=0)
     classic_idf = np.where(df > 0, np.log(100.0 / np.maximum(df, 1)), 0.0)
     classic = counts * classic_idf[None, :]
@@ -254,10 +254,9 @@ def planted_runs(planted, planted_corpus, planted_matrices):
             k_h=PLANTED_K,
             seed=seed,
         )
-        tree_full = build_hierarchy(planted_matrices["a0"], planted_matrices["mh"], cfg)
-        tree_identity = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh_identity"], cfg
-        )
+        a0, doc_ids = planted_matrices["a0"], planted_matrices["doc_ids"]
+        tree_full = build_hierarchy(a0, doc_ids, planted_matrices["mh"], cfg)
+        tree_identity = build_hierarchy(a0, doc_ids, planted_matrices["mh_identity"], cfg)
         report_full = evaluate(tree_full, planted_corpus)
         report_identity = evaluate(tree_identity, planted_corpus)
         runs[seed] = {

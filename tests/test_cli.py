@@ -501,6 +501,32 @@ class TestTrainCommand:
                 assert f"line {lineno}" in err and str(path) in err and "norm" in err
             assert (out / "tree.json").exists() == (code == 0)
 
+    @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
+    def test_underflowing_embedding_norm_exits_2_in_euclidean_space(
+        self, planted_cli, tmp_path, capsys, space
+    ):
+        # Below a norm of about 1.5e-162 the squared norm underflows to 0,
+        # so a Euclidean vector would read as the zero vector, although
+        # cosine ignores scale; in the ball it is at the origin either way.
+        corpus_bin, emb = planted_cli
+        lines = emb.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("core0item00 "))
+        term, x, y = lines[lineno - 1].split()
+        x, y = float(x), float(y)
+        r = (x * x + y * y) ** 0.5
+        for norm in (1.0, 1e-100, 1e-160, 1e-200, 1e-300):
+            code = 2 if space == "euclidean" and norm < 1e-162 else 0
+            lines[lineno - 1] = f"{term} {x / r * norm!r} {y / r * norm!r}"
+            path = tmp_path / "emb.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out = tmp_path / f"model-{norm:g}"
+            args = train_args(corpus_bin, path, out, space=space) + ["--no-cache"]
+            assert main(args) == code, norm
+            err = capsys.readouterr().err
+            if code:
+                assert f"line {lineno}" in err and str(path) in err and "underflows" in err
+            assert (out / "tree.json").exists() == (code == 0)
+
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(
             [

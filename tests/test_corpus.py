@@ -238,23 +238,22 @@ class TestTermFrequency:
     def test_direct_count(self):
         corpus = make_corpus([["a", "a", "b"]], terms=["a", "b"])
         tf = build_tf(corpus)
-        assert tf.counts.toarray().tolist() == [[2, 1]]
+        assert tf.toarray().tolist() == [[2, 1]]
 
     def test_empty_document_row(self):
         corpus = make_corpus([["a"], []], terms=["a"])
         tf = build_tf(corpus)
-        assert tf.counts.toarray().tolist() == [[1], [0]]
+        assert tf.toarray().tolist() == [[1], [0]]
 
     def test_identity_pattern(self):
         corpus = make_corpus([["a"], ["b"]], terms=["a", "b"])
         tf = build_tf(corpus)
-        assert tf.counts.toarray().tolist() == [[1, 0], [0, 1]]
+        assert tf.toarray().tolist() == [[1, 0], [0, 1]]
 
     def test_row_order_follows_ingestion(self):
         corpus = make_corpus([["b"], ["a"]], terms=["a", "b"])
         tf = build_tf(corpus)
-        assert tf.doc_ids == ["d0", "d1"]
-        assert tf.counts.toarray().tolist() == [[0, 1], [1, 0]]
+        assert tf.toarray().tolist() == [[0, 1], [1, 0]]
 
 
 class TestIdf:
@@ -322,7 +321,7 @@ class TestDocumentRepresentation:
         idf = compute_idf(tf, eye)
         rep = build_document_representation(tf, eye, idf)
 
-        counts = tf.counts.toarray()
+        counts = tf.toarray()
         df = (counts > 0).sum(axis=0)
         classic_idf = np.where(df > 0, np.log(corpus.n_docs / np.maximum(df, 1)), 0.0)
         classic = counts * classic_idf[None, :]
@@ -750,7 +749,7 @@ def assert_matches_reference(corpus, ms):
     """`ms` is a scipy similarity matrix; the pipeline takes its CSR arrays."""
     tf = build_tf(corpus)
     counts = reference_tf(corpus)
-    assert_bitwise_csr(tf.counts, counts)
+    assert_bitwise_csr(tf, counts)
     idf = compute_idf(tf, csr_of(ms))
     want_idf = reference_idf(counts, ms)
     assert idf.tobytes() == want_idf.tobytes()

@@ -3,7 +3,6 @@ import pytest
 from scipy import sparse
 
 from hyhtm import (
-    DocTermRepresentation,
     TrainConfig,
     assign_documents,
     build_document_representation,
@@ -150,22 +149,34 @@ class TestTopWords:
 
 class TestBuildHierarchy:
     def test_too_few_documents_gives_empty_tree(self):
-        values = csr_of(np.abs(np.random.default_rng(0).random((10, 6))))
-        rep = DocTermRepresentation(values=values, doc_ids=[f"d{i}" for i in range(10)])
-        tree = build_hierarchy(rep, csr_of(sparse.identity(6)), planted_config(min_docs=50, n_topics=2))
+        a0 = csr_of(np.abs(np.random.default_rng(0).random((10, 6))))
+        doc_ids = [f"d{i}" for i in range(10)]
+        tree = build_hierarchy(
+            a0, doc_ids, csr_of(sparse.identity(6)), planted_config(min_docs=50, n_topics=2)
+        )
         assert tree.roots == []
         assert "diagnostic" in tree.provenance
 
+    @pytest.mark.parametrize("n_ids", [9, 11])
+    def test_id_count_other_than_a0_rows_rejected(self, n_ids):
+        a0 = csr_of(np.abs(np.random.default_rng(0).random((10, 6))))
+        with pytest.raises(ShapeError, match=f"{n_ids} document ids for the 10 rows"):
+            build_hierarchy(
+                a0, [f"d{i}" for i in range(n_ids)], csr_of(sparse.identity(6)), planted_config()
+            )
+
     def test_depth_cap_one_level(self, planted_matrices):
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(max_depth=1)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(max_depth=1)
         )
         assert len(tree.roots) == PLANTED_N_TOPICS
         assert all(not node.children for node in tree.roots)
 
     def test_planted_partition_purity(self, planted_matrices, planted):
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=0)
         )
         cells = [node.doc_ids for node in tree.roots]
         assert purity(cells, planted.root_labels, 900) >= 0.8
@@ -178,8 +189,10 @@ class TestBuildHierarchy:
         # also scores 1.0; here it scored 0.89-0.96 at 4 topics and
         # 0.77-0.78 at 5, where MU scores 1.0.
         for seed in PLANTED_SEEDS:
-            tree = build_hierarchy(planted_matrices["a0"], planted_matrices["mh"],
-                                   planted_config(seed=seed, n_topics=n_topics))
+            tree = build_hierarchy(
+                planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+                planted_config(seed=seed, n_topics=n_topics),
+            )
             cells = [node.doc_ids for node in tree.nodes_at_level(2)]
             assert purity(cells, planted.sub_labels, 900) >= 0.98, seed
 
@@ -198,16 +211,17 @@ class TestBuildHierarchy:
         S fails here, one with a Euclidean H does not.
         """
         tf = build_tf(planted_corpus)
+        doc_ids = [d.id for d in planted_corpus.documents]
         scores = {}
         for space in ("hyperbolic", "euclidean"):
             table = load_embeddings(planted_inputs[1], planted_corpus.vocabulary, space)
             ms = build_similarity_matrix(table, k_s=PLANTED_K, alpha=PLANTED_ALPHA).entries
             mh = build_hierarchy_matrix(table, k_h=PLANTED_K).entries
-            a0 = build_document_representation(tf, ms, compute_idf(tf, ms))
+            a0 = build_document_representation(tf, ms, compute_idf(tf, ms)).values
             for n_topics in (3, 4, 5):
                 for seed in PLANTED_SEEDS:
                     config = planted_config(seed=seed, n_topics=n_topics, space=space)
-                    tree = build_hierarchy(a0, mh, config)
+                    tree = build_hierarchy(a0, doc_ids, mh, config)
                     cells = [node.doc_ids for node in tree.nodes_at_level(2)]
                     summary = evaluate(tree, planted_corpus).summary
                     scores[n_topics, seed, space] = (
@@ -222,7 +236,8 @@ class TestBuildHierarchy:
 
     def test_tree_structure_invariants(self, planted_matrices):
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=1)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=1)
         )
         assert tree.depth <= PLANTED_MAX_DEPTH
         for node in tree.nodes():
@@ -238,7 +253,10 @@ class TestBuildHierarchy:
         # A term outside a node's expanded term vector cannot enter its
         # children: their input columns and factor weights stay zero there.
         mh = planted_matrices["mh"].tocsr()
-        tree = build_hierarchy(planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=2))
+        tree = build_hierarchy(
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=2),
+        )
         checked = 0
         for node in tree.nodes():
             if not node.children:
@@ -252,14 +270,18 @@ class TestBuildHierarchy:
 
     def test_identity_hierarchy_reduction_runs(self, planted_matrices):
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh_identity"], planted_config(seed=0)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh_identity"],
+            planted_config(seed=0)
         )
         assert tree.depth == PLANTED_MAX_DEPTH
 
     def test_deterministic_given_seed(self, planted_matrices, planted_corpus):
         vocabulary = planted_corpus.vocabulary
         trees = [
-            build_hierarchy(planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=3))
+            build_hierarchy(
+                planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+                planted_config(seed=3),
+            )
             for _ in range(2)
         ]
         payloads = [tree_to_payload(t, vocabulary) for t in trees]
@@ -287,10 +309,9 @@ class TestBuildHierarchy:
             return read_csr(tmp_path / "m.bin", matrix.shape)
 
         config = planted_config(seed=4)
-        built = build_hierarchy(a0, mh, config)
-        from_cache = build_hierarchy(
-            DocTermRepresentation(values=cached(a0.values), doc_ids=a0.doc_ids), cached(mh), config
-        )
+        doc_ids = planted_matrices["doc_ids"]
+        built = build_hierarchy(a0, doc_ids, mh, config)
+        from_cache = build_hierarchy(cached(a0), doc_ids, cached(mh), config)
         vocabulary = planted_corpus.vocabulary
         assert tree_to_payload(from_cache, vocabulary) == tree_to_payload(built, vocabulary)
         assert from_cache.provenance == built.provenance
@@ -299,7 +320,8 @@ class TestBuildHierarchy:
 
     def test_live_matrix_gauge_bound(self, planted_matrices):
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=0)
         )
         assert tree.provenance["peak_live_matrices"] <= PLANTED_MAX_DEPTH + 1
 
@@ -307,7 +329,8 @@ class TestBuildHierarchy:
         # A0 and the node matrix being factorized: a parent's matrix kept
         # alive while its children are factorized would raise the peak.
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=0)
         )
         assert tree.depth == PLANTED_MAX_DEPTH
         assert tree.provenance["peak_live_matrices"] == 2
@@ -322,7 +345,8 @@ class TestBuildHierarchy:
 
         monkeypatch.setattr(hierarchy, "factorize", keeping)
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=0)
         )
         assert len(kept) > 2
         assert tree.provenance["peak_live_matrices"] == 1 + len(kept)
@@ -346,13 +370,13 @@ class TestBuildHierarchy:
         # factorized dense; with the threshold above that they are
         # factorized sparse, and the tree is the same up to rounding.
         layouts = self.record_layouts(monkeypatch)
-        a0, mh = planted_matrices["a0"], planted_matrices["mh"]
+        a0, doc_ids, mh = planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"]
         config = planted_config(seed=4)
-        dense_tree = build_hierarchy(a0, mh, config)
+        dense_tree = build_hierarchy(a0, doc_ids, mh, config)
         assert layouts and not any(layouts)
         layouts.clear()
         monkeypatch.setattr(hierarchy, "DENSE_MIN_DENSITY", 1.0)
-        sparse_tree = build_hierarchy(a0, mh, config)
+        sparse_tree = build_hierarchy(a0, doc_ids, mh, config)
         assert layouts and all(layouts)
 
         def shape(tree):
@@ -371,12 +395,13 @@ class TestBuildHierarchy:
         rng = np.random.default_rng(8)
         n, m = 80, 50
         cols = np.concatenate([rng.choice(m, 3, replace=False) for _ in range(n)])
-        values = csr_of(
+        a0 = csr_of(
             sparse.csr_matrix((rng.random(3 * n) + 0.1, cols, np.arange(n + 1) * 3), shape=(n, m))
         )
         layouts = self.record_layouts(monkeypatch)
         tree = build_hierarchy(
-            DocTermRepresentation(values=values, doc_ids=[f"d{i}" for i in range(n)]),
+            a0,
+            [f"d{i}" for i in range(n)],
             csr_of(sparse.identity(m)),
             planted_config(n_topics=2, max_depth=2, min_docs=10),
         )
@@ -415,7 +440,8 @@ class TestBuildHierarchy:
 class TestTreePayload:
     def test_round_trip_preserves_structure(self, planted_matrices, planted_corpus):
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=0)
         )
         payload = tree_to_payload(tree, planted_corpus.vocabulary)
         rebuilt = tree_from_payload(payload, planted_corpus.vocabulary)
@@ -459,7 +485,8 @@ class TestTreePayload:
 
         vocabulary = planted_corpus.vocabulary
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=0)
         )
         payload = tree_to_payload(tree, vocabulary)
         assert payload["config"]["vocab_size"] == len(vocabulary)
@@ -471,7 +498,8 @@ class TestTreePayload:
         from hyhtm import Vocabulary
 
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"], planted_config(seed=0)
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
+            planted_config(seed=0)
         )
         payload = tree_to_payload(tree, planted_corpus.vocabulary)
         tiny_vocab = Vocabulary(terms=["unrelated"])

@@ -105,6 +105,12 @@ class TestBuildStats:
     def test_out_of_vocabulary_rejected(self, four_doc_corpus):
         with pytest.raises(ContractError):
             build_stats(four_doc_corpus, [99])
+        # A vocabulary term outside the statistics' terms of interest.
+        stats = build_stats(four_doc_corpus, [0])
+        with pytest.raises(ContractError, match="term 1 is not in the statistics"):
+            stats.doc_freq(1)
+        with pytest.raises(ContractError, match="term 1 is not in the statistics"):
+            stats.joint_doc_freq(0, 1)
 
     def test_joint_grid_matches_dense_presence_counts(self):
         # Sparse co-occurrence with absent pairs, a term in no document and
@@ -380,6 +386,7 @@ class TestEvaluate:
 
         tree = build_hierarchy(
             planted_matrices["a0"],
+            planted_matrices["doc_ids"],
             planted_matrices["mh"],
             TrainConfig(
                 n_topics=PLANTED_N_TOPICS, max_depth=PLANTED_MAX_DEPTH,
@@ -633,7 +640,7 @@ class TestMatchesPerPairReference:
         from conftest import PLANTED_ALPHA, PLANTED_K, PLANTED_N_TOPICS
 
         tree = build_hierarchy(
-            planted_matrices["a0"], planted_matrices["mh"],
+            planted_matrices["a0"], planted_matrices["doc_ids"], planted_matrices["mh"],
             TrainConfig(n_topics=PLANTED_N_TOPICS, max_depth=max_depth, min_docs=20,
                         alpha=PLANTED_ALPHA, k_s=PLANTED_K, k_h=PLANTED_K, seed=0),
         )
