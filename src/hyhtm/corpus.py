@@ -160,9 +160,9 @@ def bundled_stopword_paths() -> tuple[str, str]:
 
 def utf8_lines(path, error: type[Exception]):
     """(line number, line) for each line of a UTF-8 text file, numbered
-    from 1. A file that is not UTF-8 raises `error` naming the file and its
-    first line that does not decode."""
-    with open(path, encoding="utf-8") as fh:
+    from 1, without a leading byte-order mark. A file that is not UTF-8
+    raises `error` naming the file and its first line that does not decode."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, start=1)
             return
@@ -171,7 +171,7 @@ def utf8_lines(path, error: type[Exception]):
     # Read again with each undecodable byte as a lone surrogate, which
     # UTF-8 text never holds, so the first line that fails to encode is the
     # first bad one; the lines are split exactly as above.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")

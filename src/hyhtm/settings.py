@@ -1,7 +1,7 @@
 """Training settings and the model directory, without numpy.
 
 The command line parses flags and config files with these, and reads and
-writes a model directory (tree.json and factors/) only here, so
+writes a model directory (tree.json and factors.bin) only here, so
 `preprocess` and `export` start without numpy and `evaluate` without the
 tree builder. `hierarchy`, `hypspace`, `metrics` and `nmf` import from it.
 """
@@ -24,10 +24,7 @@ if TYPE_CHECKING:
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
 SPACES = (HYPERBOLIC, EUCLIDEAN)
-# Deepest tree `train` builds. At this depth the longest factor file name,
-# level32-node<32 topic numbers joined by dots>.bin, stays under the usual
-# 255-byte limit for any n_topics below 10**6, and the recursion stays far
-# from Python's limit.
+# Deepest tree `train` builds; the recursion stays far from Python's limit.
 MAX_DEPTH = 32
 
 
@@ -219,7 +216,7 @@ def tree_from_payload(payload: dict, vocabulary: Vocabulary, corpus="the corpus"
         raise ContractError(f"vocab_sha256 is not the digest of the vocabulary of {corpus}; "
                             "the model was trained on another vocabulary")
     for entry in payload["nodes"]:
-        # The id names the node's factor file, so it must not leave factors/.
+        # Ids are outside input, named in reports: hold them to train's form.
         numbers, level = entry["id"].split("."), entry["level"]
         if not (len(numbers) == level and all(n.isascii() and n.isdigit() for n in numbers)):
             raise ContractError(f"node {entry['id']!r}: a level-{level} id must be "
@@ -231,7 +228,7 @@ def tree_from_payload(payload: dict, vocabulary: Vocabulary, corpus="the corpus"
 
 def read_json(path: Path, error: type[HyhtmError]):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno} column {exc.colno}"
         raise error(f"{path}: invalid JSON at {where} ({exc.msg})") from None
@@ -246,31 +243,28 @@ def dump_json(payload: dict, path: Path):
     path.write_text(text + "\n", encoding="utf-8")
 
 
-_FACTOR_NAME = "level{level}-node{node_id}.bin"
-
-
-def _factor_path(model_dir: Path, node: TopicNode) -> Path:
-    return model_dir / "factors" / _FACTOR_NAME.format(level=node.level, node_id=node.node_id)
+# The per-node factor files of models written before factors.bin.
+_OLD_FACTORS = "factors/level*-node*.bin"
 
 
 def write_model(model_dir: Path, tree: TopicTree, vocabulary: Vocabulary,
                 write_factors: bool) -> Path:
-    """Write tree.json and, with `write_factors`, a factor file per node into
-    `model_dir`; return the tree.json path. Every factor file and report of
-    an earlier model goes first (other files in factors/ stay), so not even
-    a run cut short leaves an earlier model's weights or scores beside the
-    new tree."""
+    """Write tree.json and, with `write_factors`, factors.bin into
+    `model_dir`: each node's m term weights as little-endian float64, nodes
+    in tree.json's order, nothing else. Return the tree.json path. The
+    factors and reports of an earlier model go first (other files in
+    factors/ stay), so not even a run cut short leaves an earlier model's
+    weights or scores beside the new tree."""
     model_dir.mkdir(parents=True, exist_ok=True)
-    for path in list(model_dir.glob("factors/" + _FACTOR_NAME.format(level="*", node_id="*"))):
-        path.unlink()
-    for name in ("report.json", "report.csv"):  # what `evaluate` writes here by default
-        (model_dir / name).unlink(missing_ok=True)
+    # report.* is what `evaluate` writes here by default.
+    old = [model_dir / name for name in ("factors.bin", "report.json", "report.csv")]
+    for path in [*old, *model_dir.glob(_OLD_FACTORS)]:
+        path.unlink(missing_ok=True)
     dump_json(tree_to_payload(tree, vocabulary), model_dir / "tree.json")
     if write_factors:
-        (model_dir / "factors").mkdir(exist_ok=True)
-        for node in tree.nodes():
-            if node.term_weights is not None:
-                node.term_weights.astype("<f8").tofile(_factor_path(model_dir, node))
+        with open(model_dir / "factors.bin", "wb") as fh:
+            for node in tree.nodes():
+                node.term_weights.astype("<f8").tofile(fh)
     return model_dir / "tree.json"
 
 
@@ -289,31 +283,36 @@ def read_payload(model_dir: Path, read=check_tree_payload):
 
 def read_model(model_dir: Path, vocabulary: Vocabulary, corpus: str) -> TopicTree:
     """The tree of a model directory over `vocabulary`, that of the corpus
-    file `corpus`, with the term weights of its factor files. Each must be
-    m little-endian float64 weights, finite, nonnegative and with a finite
-    sum of squares; otherwise a ContractError names it."""
+    file `corpus`, with the term weights of its factors.bin, if any: m
+    little-endian float64 weights per node in tree.json's node order, each
+    finite and nonnegative, with a finite sum of squares per node; otherwise
+    a ContractError names the file. A directory with only the per-node
+    factor files of an earlier version is a ContractError too."""
     import numpy as np
 
-    tree = read_payload(model_dir, lambda payload: tree_from_payload(payload, vocabulary, corpus))
-    m = len(vocabulary)
-    for node in tree.nodes():
-        path = _factor_path(model_dir, node)
-        if path.exists():
-            size = path.stat().st_size
-            if size != 8 * m:
-                raise ContractError(
-                    f"{path}: {size} bytes; a vocabulary of {m} takes {8 * m}, 8 per weight"
-                )
-            weights = np.fromfile(path, dtype="<f8")
-            bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
-            if bad.size:
-                raise ContractError(
-                    f"{path}: weight {bad[0]} is {weights[bad[0]]}; "
-                    "weights must be finite and nonnegative"
-                )
-            with np.errstate(over="ignore"):
-                overflows = not np.isfinite(weights @ weights)
-            if overflows:
-                raise ContractError(f"{path}: weights too large, their sum of squares overflows")
-            node.term_weights = weights
+    tree, ids = read_payload(model_dir, lambda payload: (
+        tree_from_payload(payload, vocabulary, corpus), [entry["id"] for entry in payload["nodes"]]
+    ))
+    path = model_dir / "factors.bin"
+    if not path.exists():
+        if any(model_dir.glob(_OLD_FACTORS)):
+            raise ContractError(f"{model_dir}: per-node factor files and no factors.bin; the "
+                                "model was written by an earlier version and must be retrained")
+        return tree
+    m, size = len(vocabulary), path.stat().st_size
+    if size != 8 * len(ids) * m:
+        raise ContractError(f"{path}: {size} bytes; {len(ids)} nodes x {m} terms take "
+                            f"{8 * len(ids) * m}, 8 per weight")
+    nodes = {node.node_id: node for node in tree.nodes()}
+    for node_id, row in zip(ids, np.fromfile(path, dtype="<f8").reshape(len(ids), m)):
+        bad = np.flatnonzero(~(np.isfinite(row) & (row >= 0)))
+        if bad.size:
+            raise ContractError(f"{path}: node {node_id!r}: weight {bad[0]} is {row[bad[0]]}; "
+                                "weights must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(row @ row)  # as metrics._specialization computes it
+        if overflows:
+            raise ContractError(f"{path}: node {node_id!r}: weights too large, "
+                                "their sum of squares overflows")
+        nodes[node_id].term_weights = row
     return tree

@@ -11,7 +11,7 @@ import pytest
 
 import hyhtm
 
-from hyhtm import Corpus, Document, PreprocessConfig, TrainConfig, Vocabulary, hypspace
+from hyhtm import Corpus, Document, PreprocessConfig, TrainConfig, Vocabulary, hypspace, settings
 from hyhtm.cli import (
     _SETTING_TYPES,
     RunConfig,
@@ -209,6 +209,42 @@ class TestUndecodableText:
         assert f"{bad}:3: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "model" / "tree.json").exists()
         assert reader == "embeddings" or not out.exists()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before the first line of a text input is
+    skipped: the run gives the bytes of a run without it."""
+
+    DOCS = ["apple banana cherry apple", "banana cherry grape", "grape apple cherry"] * 20
+    INPUTS = {
+        "jsonl": "".join(json.dumps({"id": f"d{i}", "text": d}) + "\n" for i, d in enumerate(DOCS)),
+        "text": "".join(d + "\n" for d in DOCS),
+        "config": json.dumps({"min_doc_freq": 1}),
+        "embeddings": "4 2\napple 0.1 0.0\nbanana 0.0 0.1\ncherry 0.1 0.1\ngrape 0.2 0.1\n",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_runs_with_and_without_a_bom_agree(self, tmp_path, kind):
+        docs = tmp_path / "docs.txt"
+        docs.write_text(self.INPUTS["text"], encoding="utf-8")
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            run_dir = tmp_path / f"bom{len(bom)}"
+            run_dir.mkdir()
+            path = run_dir / ("docs.jsonl" if kind == "jsonl" else f"{kind}.txt")
+            path.write_bytes(bom + self.INPUTS[kind].encode("utf-8"))
+            pre = run_dir / "pre"
+            argv = ["preprocess", "--input", str(path if kind in ("jsonl", "text") else docs),
+                    "--output-dir", str(pre)]
+            assert main(argv + (["--config", str(path)] if kind == "config" else [])) == 0
+            if kind != "embeddings":
+                outputs.append((pre / "corpus.bin").read_bytes())
+                continue
+            assert main(["train", "--corpus", str(pre / "corpus.bin"), "--embeddings", str(path),
+                         "--output-dir", str(run_dir / "model"), "--no-cache", "--n-topics", "2",
+                         "--min-docs", "2", "--k-s", "3", "--k-h", "3", "--max-depth", "1"]) == 0
+            outputs.append((run_dir / "model" / "tree.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestTrainCommand:
@@ -647,7 +683,7 @@ class TestTrainCommand:
 
     def test_identical_documents_train_to_the_depth_bound(self, tmp_path, capsys):
         # Every level hands all 40 documents to one topic, so the tree is
-        # as deep as max_depth allows and its factor file names are longest.
+        # as deep as max_depth allows.
         docs = tmp_path / "docs.txt"
         docs.write_text("apple banana cherry\n" * 40, encoding="utf-8")
         pre = tmp_path / "pre"
@@ -659,8 +695,9 @@ class TestTrainCommand:
                      "--output-dir", str(model), "--no-cache", "--n-topics", "2",
                      "--min-docs", "2", "--k-s", "3", "--k-h", "3", "--max-depth", "32"]) == 0
         assert "depth=32" in capsys.readouterr().out
-        factors = [p.name for p in (model / "factors").iterdir()]
-        assert max(len(name) for name in factors) == len("level32-node" + "0." * 31 + "0.bin")
+        n_nodes = len(json.loads((model / "tree.json").read_text(encoding="utf-8"))["nodes"])
+        assert n_nodes >= 32
+        assert (model / "factors.bin").stat().st_size == 8 * n_nodes * 3
 
     def test_one_neighbor_table_for_both_widths(self, planted_cli, tmp_path, monkeypatch):
         # k_h > k_s: the hierarchy table is built once at k_h and the
@@ -810,8 +847,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("node_id", ["a/b", "../0", "0.0", "", "0.", "٣"])
     def test_id_that_is_no_topic_path_exits_3_naming_node(self, metric_model, capsys, node_id):
-        # A level-1 id is one topic number; any other could name a factor
-        # file outside factors/.
+        # A level-1 id is one topic number, as `train` writes it.
         corpus_bin, model = metric_model
         payload = json.loads((model / "tree.json").read_text(encoding="utf-8"))
         payload["nodes"][0]["id"] = node_id
@@ -841,12 +877,11 @@ class TestEvaluateCommand:
     ])
     def test_damaged_factor_weights_exit_3_naming_file(self, metric_model, capsys, value, named):
         corpus_bin, model = metric_model
-        path = model / "factors" / "level1-node0.bin"
-        path.parent.mkdir()
+        path = model / "factors.bin"
         np.array([0.5, value, 0.25], dtype="<f8").tofile(path)
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
         err = capsys.readouterr().err
-        assert str(path) in err and named in err
+        assert f"{path}: node '0': " in err and named in err
         assert not (model / "report.json").exists()
 
     @pytest.mark.parametrize("cut, extra", [(16, b""), (24, b"\0\0\0"), (24, bytes(8))],
@@ -855,13 +890,38 @@ class TestEvaluateCommand:
         self, metric_model, capsys, cut, extra
     ):
         corpus_bin, model = metric_model
-        path = model / "factors" / "level1-node0.bin"
-        path.parent.mkdir()
+        path = model / "factors.bin"
         weights = np.array([0.5, 0.25, 0.125], dtype="<f8").tobytes()
         path.write_bytes(weights[:cut] + extra)
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
         err = capsys.readouterr().err
-        assert f"{path}: {path.stat().st_size} bytes" in err and "takes 24" in err
+        assert f"{path}: {path.stat().st_size} bytes" in err and "take 24" in err
+        assert not (model / "report.json").exists()
+
+    def test_factor_rows_follow_the_node_list_order(self, metric_model):
+        # Row i of factors.bin is the weights of tree.json's node i, also
+        # where the list is not in depth-first order.
+        corpus_bin, model = metric_model
+        payload = json.loads((model / "tree.json").read_text(encoding="utf-8"))
+        root = payload["nodes"][0]
+        payload["nodes"] = [dict(root, children=["0.0"]), dict(root, id="1"),
+                            dict(root, id="0.0", level=2)]
+        (model / "tree.json").write_text(json.dumps(payload), encoding="utf-8")
+        np.arange(9, dtype="<f8").tofile(model / "factors.bin")
+        tree = settings.read_model(model, read_corpus(corpus_bin).vocabulary, str(corpus_bin))
+        assert {node.node_id: node.term_weights.tolist() for node in tree.nodes()} == {
+            "0": [0, 1, 2], "1": [3, 4, 5], "0.0": [6, 7, 8]}
+
+    def test_per_node_factor_files_of_an_earlier_version_exit_3_naming_model(
+        self, metric_model, capsys
+    ):
+        # Read as a model without factors, it would report null scores.
+        corpus_bin, model = metric_model
+        (model / "factors").mkdir()
+        np.array([0.5, 0.25, 0.125], dtype="<f8").tofile(model / "factors" / "level1-node0.bin")
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
+        err = capsys.readouterr().err
+        assert f"{model}: per-node factor files and no factors.bin" in err and "retrain" in err
         assert not (model / "report.json").exists()
 
     @pytest.mark.parametrize("how", ["flag", "config"])
@@ -883,18 +943,22 @@ class TestEvaluateCommand:
         assert not (model / "report.json").exists() and not (model / "report.csv").exists()
 
     def test_retrain_leaves_only_the_new_trees_factor_files(self, planted_cli, tmp_path):
-        # An earlier model's factor files would be attached to the new tree's
-        # nodes of the same ids; files that are not factor files stay.
+        # An earlier model's factors would be read as the new tree's, and its
+        # per-node files would make `evaluate` refuse the model; other files
+        # in factors/ stay.
         corpus_bin, emb = planted_cli
         model = tmp_path / "model"
         assert main(train_args(corpus_bin, emb, model)) == 0
-        (model / "factors" / "notes.txt").write_text("kept", encoding="utf-8")
+        (model / "factors").mkdir()
+        for name in ("level1-node0.bin", "level2-node0.1.bin", "notes.txt"):
+            (model / "factors" / name).write_bytes(b"old")
         assert main(train_args(corpus_bin, emb, model, max_depth=1)) == 0
         nodes = json.loads((model / "tree.json").read_text(encoding="utf-8"))["nodes"]
-        assert sorted(p.name for p in (model / "factors").iterdir()) == sorted(
-            [f"level1-node{n['id']}.bin" for n in nodes] + ["notes.txt"]
-        )
+        m = len((corpus_bin.parent / "vocab.txt").read_text(encoding="utf-8").split())
+        assert (model / "factors.bin").stat().st_size == 8 * len(nodes) * m
+        assert [p.name for p in (model / "factors").iterdir()] == ["notes.txt"]
         assert main(train_args(corpus_bin, emb, model, seed=1) + ["--no-write-factors"]) == 0
+        assert not (model / "factors.bin").exists()
         assert [p.name for p in (model / "factors").iterdir()] == ["notes.txt"]
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 0
         report = json.loads((model / "report.json").read_text(encoding="utf-8"))

@@ -2,7 +2,7 @@
 
 Truncated and bit-flipped `corpus.bin` files go through `train` and
 `evaluate`; mutated `tree.json` files go through `evaluate` and both
-`export` formats; truncated and bit-flipped factor files go through
+`export` formats; a truncated or bit-flipped `factors.bin` goes through
 `evaluate`; the four text inputs (JSONL and plain-text documents, a
 stopword list, the embedding file) with bytes that are not ASCII go through
 `preprocess` and `train`; embedding files with mangled lines (wrong
@@ -282,8 +282,7 @@ def test_damaged_factor_file_exits_with_a_documented_code(fuzz_model, data):
     shutil.rmtree(model, ignore_errors=True)
     shutil.rmtree(report, ignore_errors=True)
     shutil.copytree(fuzz_model["model"], model)
-    names = sorted(p.name for p in (model / "factors").iterdir())
-    path = model / "factors" / data.draw(st.sampled_from(names))
+    path = model / "factors.bin"
     path.write_bytes(data.draw(damaged_bytes(path.read_bytes())))
     corpus = root / "corpus.bin"
     corpus.write_bytes(fuzz_model["corpus"])
