@@ -26,7 +26,7 @@ _EXPORTS = {
         "CooccurrenceStats", "EvalReport", "build_stats", "coherence", "evaluate",
         "hierarchical_affinity", "hierarchical_coherence", "pmi", "topic_specialization",
     ),
-    "nmf": ("FactorPair", "NmfConfig", "factorize", "reconstruction_error"),
+    "nmf": ("FactorPair", "factorize", "reconstruction_error"),
     "settings": ("TopicNode", "TopicTree", "TrainConfig"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -140,9 +140,6 @@ def cmd_preprocess(config: RunConfig) -> int:
         raw = corpus_mod.read_text_documents(path)
     else:
         raise ConfigurationError(f"input_format must be auto, jsonl or text, got {fmt!r}")
-    if not raw:
-        raise CorpusError(f"{path}: no documents")
-
     try:
         built = corpus_mod.preprocess(raw, config.preprocess)
     except CorpusError as exc:
@@ -266,7 +263,6 @@ def cmd_train(config: RunConfig) -> int:
 
     provenance = dict(tree.provenance)
     provenance.update(matrix_provenance)
-    provenance["space"] = config.train.space
     provenance["tree_sha256"] = sparse_io.file_sha256(tree_path)
     provenance["timings"] = {
         "matrices_s": t_matrices - t_start,
@@ -326,13 +322,11 @@ def cmd_export(config: RunConfig, model_dir: str, fmt: str, output: str | None, 
         text = "\n".join(lines) + "\n"
         out_path = Path(output) if output else model / "tree.dot"
         out_path.write_text(text, encoding="utf-8")
-    elif fmt == "json":
+    else:
         for node in payload["nodes"]:
             node["top_terms"] = node["top_terms"][:top_k]
         out_path = Path(output) if output else model / "tree.export.json"
         settings.dump_json(payload, out_path)
-    else:
-        raise ConfigurationError(f"unknown export format {fmt!r}")
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -391,9 +385,7 @@ def main(argv=None) -> int:
             return cmd_train(config)
         if args.command == "evaluate":
             return cmd_evaluate(config, args.model)
-        if args.command == "export":
-            return cmd_export(config, args.model, args.format, args.output, args.top_k)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return cmd_export(config, args.model, args.format, args.output, args.top_k)
     except (HyhtmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DegenerateCorpusError):

@@ -463,9 +463,9 @@ def build_document_representation(
 def read_jsonl_documents(path) -> list[tuple[str, str]]:
     """Read {"id":…, "text":…} records, one JSON object per line.
 
-    `text` must be a JSON string and `id` a string or an integer (read as
-    its decimal digits). A record that breaks this, or repeats an id, is
-    rejected with its line.
+    `text` must be a JSON string and `id` an integer (read as its decimal
+    digits) or a string without a lone surrogate escape. A record that
+    breaks this, or repeats an id, is rejected with its line.
     """
     docs = []
     first_line = {}
@@ -474,7 +474,7 @@ def read_jsonl_documents(path) -> list[tuple[str, str]]:
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        except (ValueError, RecursionError) as exc:  # also past the digit or recursion limit
             detail = getattr(exc, "msg", exc)
             raise CorpusError(f"{path}:{lineno}: invalid JSON ({detail})") from None
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
@@ -485,6 +485,10 @@ def read_jsonl_documents(path) -> list[tuple[str, str]]:
         if not (isinstance(doc_id, str) or _is_int(doc_id)):
             raise CorpusError(f"{path}:{lineno}: 'id' must be a JSON string or integer")
         doc_id = str(doc_id)
+        try:
+            doc_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusError(f"{path}:{lineno}: 'id' holds a lone surrogate escape") from None
         if doc_id in first_line:
             raise CorpusError(
                 f"{path}:{lineno}: duplicate document id {doc_id!r} "

@@ -14,13 +14,7 @@ class CorpusError(HyhtmError):
 
 
 class EmbeddingParseError(HyhtmError):
-    """Malformed embedding file; carries the offending line number."""
-
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"{message} (line {line_number})"
-        super().__init__(message)
-        self.line_number = line_number
+    """Malformed embedding file; the message names the file and line."""
 
 
 class ShapeError(HyhtmError):

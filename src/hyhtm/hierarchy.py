@@ -26,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, ShapeError
-from .nmf import NmfConfig, factorize
+from .nmf import factorize
 from .settings import TopicNode, TopicTree, TrainConfig
 from .sparse_io import CsrArrays, dense_rows
 
@@ -141,8 +141,6 @@ def build_hierarchy(
     sparse_a0 = None  # A0 as a scipy matrix, made for the first sparse node
     counters = {"unassigned_docs": 0}
     nmf_levels: dict[int, dict] = {}
-    nmf_config = NmfConfig(n_topics=config.n_topics, max_iter=config.nmf_max_iter,
-                           tol=config.nmf_tol, seed=config.seed)
 
     def node_matrix(rows: np.ndarray, scale):
         """Rows `rows` of A0 with columns scaled by `scale`, dense or sparse
@@ -158,7 +156,7 @@ def build_hierarchy(
 
     def expand(row_map: np.ndarray, scale, level: int, prefix: str) -> list[TopicNode]:
         matrix = gauge.track(node_matrix(row_map, scale))
-        pair = factorize(matrix, nmf_config)
+        pair = factorize(matrix, config.n_topics, config.nmf_max_iter, config.nmf_tol, config.seed)
         del matrix  # freed before the children take their own rows of A0
         level_stats = nmf_levels.setdefault(
             level, {"level": level, "factorizations": 0, "iterations": 0, "unconverged": 0}
@@ -191,7 +189,6 @@ def build_hierarchy(
         return nodes
 
     provenance = {
-        "seed": config.seed,
         "hyperparameters": asdict(config),
         "n_documents": n,
         "vocab_size": m,

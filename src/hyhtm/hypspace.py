@@ -214,10 +214,10 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
         if dim is None:
             dim = len(parts) - 1
             if dim < 1:
-                raise EmbeddingParseError(f"{path}: line has no vector components", lineno)
+                raise EmbeddingParseError(f"{path}:{lineno}: line has no vector components")
         if len(parts) != dim + 1:
             raise EmbeddingParseError(
-                f"{path}: expected {dim} components, found {len(parts) - 1}", lineno
+                f"{path}:{lineno}: expected {dim} components, found {len(parts) - 1}"
             )
         term = parts[0]
         idx = vocab.index.get(term)
@@ -226,9 +226,9 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
         try:
             vec = np.array([float(p) for p in parts[1:]], dtype=float)
         except ValueError as exc:
-            raise EmbeddingParseError(f"{path}: bad vector component: {exc}", lineno) from None
+            raise EmbeddingParseError(f"{path}:{lineno}: bad vector component: {exc}") from None
         if not np.isfinite(vec).all():
-            raise EmbeddingParseError(f"{path}: non-finite vector component", lineno)
+            raise EmbeddingParseError(f"{path}:{lineno}: non-finite vector component")
         vectors[idx] = (lineno, vec)
 
     indices = np.array(sorted(vectors), dtype=np.int64)
@@ -242,7 +242,7 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
     ):
         if bad.any():
             lineno = min(vectors[i][0] for i in indices[bad])
-            raise EmbeddingParseError(f"{path}: vector norm {what} float64", lineno)
+            raise EmbeddingParseError(f"{path}:{lineno}: vector norm {what} float64")
     if space == HYPERBOLIC:
         norms = np.sqrt(sq_norms)
         outside = norms >= 1.0

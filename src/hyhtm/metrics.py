@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -243,7 +243,7 @@ def _specialization(term_weights, cv: np.ndarray, sq_c: float) -> float | None:
         raise ContractError(
             f"vector lengths differ: {tw.shape[0]} vs {cv.shape[0]}"
         )
-    if tw.min() < 0:
+    if tw.size and tw.min() < 0:
         raise ContractError("specialization expects nonnegative vectors")
     sq_t = float(tw @ tw)
     if sq_t == 0.0 or sq_c == 0.0:
@@ -293,13 +293,7 @@ class EvalReport:
     summary: dict
 
     def to_dict(self) -> dict:
-        return {
-            "summary": self.summary,
-            "affinity": self.affinity,
-            "levels": self.levels,
-            "topics": self.topics,
-            "edges": self.edges,
-        }
+        return asdict(self)
 
     def write_csv(self, path):
         columns = [

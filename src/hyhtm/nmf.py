@@ -55,24 +55,6 @@ _EPS = 1e-12
 
 
 @dataclass
-class NmfConfig:
-    """One factorization's settings; the defaults are `TrainConfig`'s."""
-
-    n_topics: int
-    max_iter: int = TrainConfig.nmf_max_iter
-    tol: float = TrainConfig.nmf_tol
-    seed: int = TrainConfig.seed
-
-    def validate(self):
-        if self.n_topics < 1:
-            raise ConfigurationError("n_topics must be >= 1")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
-        if not 0 < self.tol < float("inf"):
-            raise ConfigurationError(f"tol must be finite and > 0, got {self.tol}")
-
-
-@dataclass
 class FactorPair:
     """Document-topic and topic-term factors plus the fitting trace."""
 
@@ -122,14 +104,20 @@ def _init_random(a, k: int, rng: np.random.Generator):
     return w, h
 
 
-def factorize(a, config: NmfConfig) -> FactorPair:
+def factorize(a, n_topics: int, max_iter: int = TrainConfig.nmf_max_iter,
+              tol: float = TrainConfig.nmf_tol, seed: int = TrainConfig.seed) -> FactorPair:
     """Factor a nonnegative matrix into W (docs x topics) and H (topics x terms).
 
-    Deterministic for a fixed config: the seeded initialization plus the
-    update rules involve no other randomness. An all-zero input short
-    circuits to zero factors with a warning instead of failing.
+    Stops after `max_iter` iterations or once the objective's relative fall
+    is below `tol`. Seeded by `seed`, it involves no other randomness. An
+    all-zero input short circuits to zero factors with a warning.
     """
-    config.validate()
+    if n_topics < 1:
+        raise ConfigurationError("n_topics must be >= 1")
+    if max_iter < 1:
+        raise ConfigurationError("max_iter must be >= 1")
+    if not 0 < tol < float("inf"):
+        raise ConfigurationError(f"tol must be finite and > 0, got {tol}")
     if _is_sparse(a):  # the checks and ||A||² read the stored values
         values, stored = a, a.data
     else:
@@ -140,13 +128,13 @@ def factorize(a, config: NmfConfig) -> FactorPair:
 
     if not stored.any():
         log.warning("factorization input is all zeros; returning zero factors")
-        pair = FactorPair(W=np.zeros((n, config.n_topics)), H=np.zeros((config.n_topics, m)))
+        pair = FactorPair(W=np.zeros((n, n_topics)), H=np.zeros((n_topics, m)))
         pair.objective_history = [0.0]
         pair.converged = True
         return pair
 
-    k = config.n_topics
-    w, h = _init_random(values, k, np.random.default_rng(config.seed))
+    k = n_topics
+    w, h = _init_random(values, k, np.random.default_rng(seed))
     wt, ht = w.T, h.T  # views, so they follow the in-place updates
 
     norm_a_sq = _sq_frobenius(stored)
@@ -161,7 +149,7 @@ def factorize(a, config: NmfConfig) -> FactorPair:
     history = [0.5 * _sq_error(norm_a_sq, w, aht, wtw, hht)]
     converged = False
     it = 0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, max_iter + 1):
         np.maximum(np.dot(w, hht, out=w_step), _EPS, out=w_step)
         w *= np.divide(aht, w_step, out=w_step)
         np.dot(wt, w, out=wtw)
@@ -172,7 +160,7 @@ def factorize(a, config: NmfConfig) -> FactorPair:
         obj = 0.5 * _sq_error(norm_a_sq, w, aht, wtw, hht)
         history.append(obj)
         prev = history[-2]
-        if prev > 0 and abs(prev - obj) / prev < config.tol:
+        if prev > 0 and abs(prev - obj) / prev < tol:
             converged = True
             break
         if obj == 0.0:

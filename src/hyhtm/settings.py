@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -227,15 +228,25 @@ def tree_from_payload(payload: dict, vocabulary: Vocabulary, corpus="the corpus"
 
 
 def read_json(path: Path, error: type[HyhtmError]):
+    """The JSON document in `path`. Text that is not UTF-8 JSON, nests past
+    the parser's recursion limit, or holds a lone surrogate escape,
+    which no UTF-8 output or file name can hold, raises `error`."""
     try:
-        return json.loads(path.read_text(encoding="utf-8-sig"))
+        text = path.read_text(encoding="utf-8-sig")
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno} column {exc.colno}"
         raise error(f"{path}: invalid JSON at {where} ({exc.msg})") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
-    except ValueError as exc:  # an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # past Python's digit or recursion limit
         raise error(f"{path}: invalid JSON ({exc})") from None
+    if re.search(r"\\u[dD][89a-fA-F]", text):  # \ud800-\udfff; encoding costs more than parsing
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise error(f"{path}: a JSON string holds a lone surrogate escape") from None
+    return value
 
 
 def dump_json(payload: dict, path: Path):

@@ -34,7 +34,6 @@ from hyhtm import (
 from hyhtm.cli import main
 from hyhtm.hypspace import EmbeddingTable
 from hyhtm.metrics import build_stats
-from hyhtm.nmf import NmfConfig
 from hyhtm.sparse_io import file_sha256
 
 from conftest import (
@@ -201,7 +200,7 @@ def test_criterion_4_nmf_monotonicity_and_rank1():
         a = a.tocsr()
         if a.nnz == 0:
             continue
-        pair = factorize(a, NmfConfig(n_topics=4, max_iter=30, seed=trial))
+        pair = factorize(a, n_topics=4, max_iter=30, seed=trial)
         hist = pair.objective_history
         rises = [cur - prev for prev, cur in zip(hist, hist[1:])]
         worst_rise = max(worst_rise, max(rises))
@@ -211,7 +210,7 @@ def test_criterion_4_nmf_monotonicity_and_rank1():
     rank1_ok = True
     rels = []
     for seed in (0, 1, 2):
-        pair = factorize(a, NmfConfig(n_topics=1, max_iter=500, tol=1e-12, seed=seed))
+        pair = factorize(a, n_topics=1, max_iter=500, tol=1e-12, seed=seed)
         rel = reconstruction_error(a, pair.W, pair.H) / math.sqrt(float((a.data**2).sum()))
         rels.append(rel)
         rank1_ok = rank1_ok and rel < 1e-4

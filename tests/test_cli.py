@@ -247,6 +247,94 @@ class TestByteOrderMark:
         assert outputs[0] == outputs[1]
 
 
+class TestUnusableJson:
+    """JSON that parses to nothing the pipeline can use exits with its
+    input's code, naming the file (and the line, in a JSONL corpus), and
+    writes nothing: a config file or a JSONL corpus exits 2, a tree.json 3."""
+
+    DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+    DEEP = {"jsonl": DEEP_ARRAY, "config": '{"a": ' * 100_000 + "1" + "}" * 100_000,
+            "export": DEEP_ARRAY, "evaluate": DEEP_ARRAY}
+    # By case: the input kind, its text and what the message says of it.
+    LONE = {
+        "jsonl-id": ("jsonl", '{"id": "d\\ud800", "text": "alpha"}',
+                     "'id' holds a lone surrogate escape"),
+        "config-output-dir": ("config", '{"min_doc_freq": 1, "output_dir": "o\\ud800"}',
+                              "a JSON string holds a lone surrogate escape"),
+        "config-stopwords": ("config", '{"min_doc_freq": 1, "stopwords": ["s\\uDFFF"]}',
+                             "a JSON string holds a lone surrogate escape"),
+        "tree-node-id": ("export", '{"config": {}, "nodes": [{"id": "\\ud800", "level": 1, '
+                                   '"top_terms": [], "doc_ids": [], "children": []}]}',
+                         "a JSON string holds a lone surrogate escape"),
+    }
+
+    @staticmethod
+    def run(kind, text, metric_model, tmp_path, monkeypatch):
+        """Run the command that reads `text` as a `kind` input. Return its
+        exit code, the file its message must name, and whether tmp_path,
+        the working directory, is left as it was."""
+        corpus_bin, model = metric_model
+        monkeypatch.chdir(tmp_path)
+        docs = tmp_path / "docs.jsonl"  # metric_model's corpus
+        if kind == "jsonl":
+            path = tmp_path / "bad.jsonl"
+            path.write_text('{"id": "a", "text": "alpha"}\n' + text + "\n", encoding="utf-8")
+            argv = ["preprocess", "--input", str(path), "--output-dir", str(tmp_path / "out")]
+            named = f"{path}:2: "
+        elif kind == "config":
+            path = tmp_path / "run.json"
+            path.write_text(text, encoding="utf-8")
+            argv = ["preprocess", "--input", str(docs), "--config", str(path)]
+            named = f"{path}: "
+        else:
+            path = model / "tree.json"
+            path.write_text(text, encoding="utf-8")
+            argv = (["export", "--model", str(model), "--format", "dot"] if kind == "export"
+                    else ["evaluate", "--model", str(model), "--corpus", str(corpus_bin)])
+            named = f"{path}: "
+        before = sorted(tmp_path.rglob("*"))
+        code = main(argv)
+        return code, named, sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", sorted(DEEP))
+    def test_nesting_past_the_recursion_limit(self, metric_model, tmp_path, monkeypatch, capsys,
+                                              kind):
+        code, named, untouched = self.run(kind, self.DEEP[kind], metric_model, tmp_path,
+                                          monkeypatch)
+        assert code == (2 if kind in ("jsonl", "config") else 3)
+        err = capsys.readouterr().err
+        assert f"error: {named}invalid JSON (maximum recursion depth exceeded" in err
+        assert untouched
+
+    @pytest.mark.parametrize("case", sorted(LONE))
+    def test_lone_surrogate_escape(self, metric_model, tmp_path, monkeypatch, capsys, case):
+        kind, text, what = self.LONE[case]
+        code, named, untouched = self.run(kind, text, metric_model, tmp_path, monkeypatch)
+        assert code == (3 if kind == "export" else 2)
+        assert f"error: {named}{what}" in capsys.readouterr().err
+        assert untouched
+
+    def test_paired_surrogate_escapes_read_as_their_character(
+        self, metric_model, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text('{"output_dir": "o\\ud83d\\ude00", "min_doc_freq": 1}', encoding="utf-8")
+        assert main(["preprocess", "--input", "docs.jsonl", "--config", str(config)]) == 0
+        assert (tmp_path / "o\U0001F600" / "corpus.bin").exists()
+
+    def test_lone_surrogate_in_a_text_is_a_dropped_token(self, tmp_path):
+        corpora = []
+        for word in ("", " b\\ud800d"):
+            docs = tmp_path / f"docs{len(word)}.jsonl"
+            docs.write_text('{"id": "a", "text": "alpha' + word + ' beta"}\n', encoding="utf-8")
+            out = tmp_path / f"out{len(word)}"
+            assert main(["preprocess", "--input", str(docs), "--output-dir", str(out),
+                         "--min-doc-freq", "1"]) == 0
+            corpora.append((out / "corpus.bin").read_bytes())
+        assert corpora[0] == corpora[1]
+
+
 class TestTrainCommand:
     def test_planted_shape_and_rerun_identical(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -471,8 +559,8 @@ class TestTrainCommand:
         out = tmp_path / "euc"
         assert main(train_args(corpus_bin, emb, out, space="euclidean")) == 0
         provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
-        assert provenance["space"] == "euclidean"
         assert provenance["hyperparameters"]["space"] == "euclidean"
+        assert "space" not in provenance and "seed" not in provenance
 
     def test_small_corpus_exits_4(self, fruit_jsonl, tmp_path, capsys):
         out = tmp_path / "pre"
@@ -510,7 +598,7 @@ class TestTrainCommand:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "line 3" in err and str(emb) in err
+        assert f"{emb}:3: non-finite vector component" in err
         assert not (tmp_path / "model" / "tree.json").exists()
 
     @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
@@ -534,7 +622,7 @@ class TestTrainCommand:
             assert main(args) == code, norm
             err = capsys.readouterr().err
             if code:
-                assert f"line {lineno}" in err and str(path) in err and "norm" in err
+                assert f"{path}:{lineno}: vector norm overflows" in err
             assert (out / "tree.json").exists() == (code == 0)
 
     @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
@@ -560,7 +648,7 @@ class TestTrainCommand:
             assert main(args) == code, norm
             err = capsys.readouterr().err
             if code:
-                assert f"line {lineno}" in err and str(path) in err and "underflows" in err
+                assert f"{path}:{lineno}: vector norm underflows" in err
             assert (out / "tree.json").exists() == (code == 0)
 
     def test_missing_inputs_exit_2(self, tmp_path):
@@ -777,6 +865,21 @@ class TestEvaluateCommand:
         report = json.loads((model / "report.json").read_text(encoding="utf-8"))
         assert report["topics"][0]["coherence"] == pytest.approx(0.2876820724517809, abs=1e-9)
         assert (model / "report.csv").exists()
+
+    def test_empty_vocabulary_reports_null_specialization(self, tmp_path):
+        # preprocess never writes a corpus without terms; write_corpus can.
+        corpus_bin = tmp_path / "corpus.bin"
+        write_corpus(Corpus(documents=[Document(id="d1", tokens=[])],
+                            vocabulary=Vocabulary(terms=[])), corpus_bin)
+        model = tmp_path / "model"
+        model.mkdir()
+        node = {"id": "0", "level": 1, "top_terms": [], "doc_ids": ["d1"], "children": []}
+        (model / "tree.json").write_text(json.dumps({"config": {}, "nodes": [node]}),
+                                         encoding="utf-8")
+        (model / "factors.bin").write_bytes(b"")  # 0 weights for each of 0 terms
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 0
+        report = json.loads((model / "report.json").read_text(encoding="utf-8"))
+        assert report["topics"][0]["specialization"] is None
 
     def test_empty_tree_reports_absent_sections(self, metric_model, tmp_path):
         corpus_bin, _ = metric_model
@@ -1428,6 +1531,23 @@ class TestCommandFlags:
         config = _load_run_config(args)
         section = config.train if key == "seed" else config
         assert getattr(section, key) == value
+
+
+class TestRequiredInputs:
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--config", "{tmp}/nope.json"], "config file not found: {tmp}/nope.json"),
+        (["preprocess"], "preprocess requires --input"),
+        (["train"], "train requires --corpus and --embeddings"),
+        (["evaluate", "--model", "{tmp}"], "evaluate requires --corpus"),
+        (["evaluate", "--model", "{tmp}", "--corpus", "{tmp}/nope.bin"],
+         "input file not found: {tmp}/nope.bin"),
+    ], ids=["config-file", "preprocess-input", "train-inputs", "evaluate-corpus",
+            "evaluate-corpus-file"])
+    def test_missing_input_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        assert f"error: {message.format(tmp=tmp_path)}\n" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 # The RunConfig fields each command takes as flags, and the section whose

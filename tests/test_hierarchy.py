@@ -339,9 +339,9 @@ class TestBuildHierarchy:
         kept = []
         real = hierarchy.factorize
 
-        def keeping(matrix, config):
+        def keeping(matrix, *args):
             kept.append(matrix)
-            return real(matrix, config)
+            return real(matrix, *args)
 
         monkeypatch.setattr(hierarchy, "factorize", keeping)
         tree = build_hierarchy(
@@ -356,9 +356,9 @@ class TestBuildHierarchy:
         layouts = []
         real = hierarchy.factorize
 
-        def recording(matrix, config):
+        def recording(matrix, *args):
             layouts.append(sparse.issparse(matrix))
-            return real(matrix, config)
+            return real(matrix, *args)
 
         monkeypatch.setattr(hierarchy, "factorize", recording)
         return layouts

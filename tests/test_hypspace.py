@@ -143,21 +143,21 @@ class TestLoadEmbeddings:
         vocab = Vocabulary(terms=["cat", "dog"])
         path = tmp_path / "vec.txt"
         path.write_text("cat 0.1 0.2\ndog 0.1\n", encoding="utf-8")
-        with pytest.raises(EmbeddingParseError, match="line 2"):
+        with pytest.raises(EmbeddingParseError, match=r"vec\.txt:2: expected 2 components"):
             load_embeddings(path, vocab)
 
     def test_bad_component_reports_number(self, tmp_path):
         vocab = Vocabulary(terms=["cat"])
         path = tmp_path / "vec.txt"
         path.write_text("cat 0.1 oops\n", encoding="utf-8")
-        with pytest.raises(EmbeddingParseError, match="line 1"):
+        with pytest.raises(EmbeddingParseError, match=r"vec\.txt:1: bad vector component"):
             load_embeddings(path, vocab)
 
     def test_non_finite_component_reports_number(self, tmp_path):
         vocab = Vocabulary(terms=["cat", "dog"])
         path = tmp_path / "vec.txt"
         path.write_text("cat 0.1 0.2\ndog 0.1 nan\n", encoding="utf-8")
-        with pytest.raises(EmbeddingParseError, match="non-finite.*line 2"):
+        with pytest.raises(EmbeddingParseError, match=r"vec\.txt:2: non-finite"):
             load_embeddings(path, vocab)
 
     def test_low_coverage_warns_not_fails(self, tmp_path, caplog):

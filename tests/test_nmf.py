@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from hyhtm import FactorPair, NmfConfig, factorize, reconstruction_error
+from hyhtm import FactorPair, TrainConfig, factorize, reconstruction_error
 from hyhtm import nmf
 from hyhtm.errors import ConfigurationError, ContractError, ShapeError
 
@@ -18,7 +18,7 @@ def random_nonnegative(rng, n, m, density):
 class TestFactorize:
     def test_rank_one_recovery(self):
         a = sparse.csr_matrix(np.outer([1.0, 2.0], [3.0, 0.0, 1.0]))
-        pair = factorize(a, NmfConfig(n_topics=1, max_iter=500, tol=1e-12, seed=42))
+        pair = factorize(a, n_topics=1, max_iter=500, tol=1e-12, seed=42)
         rel = reconstruction_error(a, pair.W, pair.H) / np.sqrt((a.data**2).sum())
         assert rel < 1e-4
 
@@ -29,7 +29,7 @@ class TestFactorize:
         for a in (sparse.csr_matrix((4, 3)), stored_zeros, np.zeros((4, 3))):
             caplog.clear()
             with caplog.at_level("WARNING"):
-                pair = factorize(a, NmfConfig(n_topics=2))
+                pair = factorize(a, n_topics=2)
             assert not pair.W.any() and not pair.H.any()
             assert pair.n_iter == 0 and pair.objective_history == [0.0]
             assert any("zero" in r.message for r in caplog.records)
@@ -37,7 +37,7 @@ class TestFactorize:
     def test_negative_input_rejected(self):
         a = sparse.csr_matrix(np.array([[1.0, -0.5]]))
         with pytest.raises(ContractError):
-            factorize(a, NmfConfig(n_topics=1))
+            factorize(a, n_topics=1)
 
     def test_objective_monotone_small_batch(self):
         rng = np.random.default_rng(21)
@@ -46,7 +46,7 @@ class TestFactorize:
             a = random_nonnegative(rng, n, m, float(rng.uniform(0.05, 1.0)))
             if a.nnz == 0:
                 continue
-            pair = factorize(a, NmfConfig(n_topics=3, max_iter=60, seed=trial))
+            pair = factorize(a, n_topics=3, max_iter=60, seed=trial)
             hist = pair.objective_history
             for prev, cur in zip(hist, hist[1:]):
                 assert cur <= prev + 1e-10
@@ -54,27 +54,27 @@ class TestFactorize:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(22)
         a = random_nonnegative(rng, 20, 30, 0.3)
-        p1 = factorize(a, NmfConfig(n_topics=4, max_iter=40, seed=7))
-        p2 = factorize(a, NmfConfig(n_topics=4, max_iter=40, seed=7))
+        p1 = factorize(a, n_topics=4, max_iter=40, seed=7)
+        p2 = factorize(a, n_topics=4, max_iter=40, seed=7)
         assert np.array_equal(p1.W, p2.W)
         assert np.array_equal(p1.H, p2.H)
         assert p1.objective_history == p2.objective_history
 
     def test_zero_rows_give_zero_w_rows(self):
         dense = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.1, 3.0]])
-        pair = factorize(sparse.csr_matrix(dense), NmfConfig(n_topics=2, max_iter=30))
+        pair = factorize(sparse.csr_matrix(dense), n_topics=2, max_iter=30)
         assert not pair.W[1].any()
 
     def test_nonnegativity_preserved(self):
         rng = np.random.default_rng(23)
         a = random_nonnegative(rng, 25, 35, 0.4)
-        pair = factorize(a, NmfConfig(n_topics=5, max_iter=50, seed=1))
+        pair = factorize(a, n_topics=5, max_iter=50, seed=1)
         assert pair.W.min() >= 0 and pair.H.min() >= 0
 
     def test_dense_input_accepted(self):
         rng = np.random.default_rng(24)
         a = rng.random((10, 12))
-        pair = factorize(a, NmfConfig(n_topics=2, max_iter=30, seed=0))
+        pair = factorize(a, n_topics=2, max_iter=30, seed=0)
         assert pair.W.shape == (10, 2) and pair.H.shape == (2, 12)
 
     def test_dense_input_makes_no_input_sized_temporary(self):
@@ -82,7 +82,7 @@ class TestFactorize:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            factorize(a, NmfConfig(n_topics=4, max_iter=5, seed=0))
+            factorize(a, n_topics=4, max_iter=5, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -90,20 +90,21 @@ class TestFactorize:
 
     def test_convergence_flag_and_history_length(self):
         a = sparse.csr_matrix(np.outer([1.0, 2.0, 3.0], [1.0, 0.5]))
-        pair = factorize(a, NmfConfig(n_topics=1, max_iter=500, tol=1e-9, seed=0))
+        pair = factorize(a, n_topics=1, max_iter=500, tol=1e-9, seed=0)
         assert pair.converged
         assert len(pair.objective_history) == pair.n_iter + 1
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            NmfConfig(n_topics=0).validate()
-        with pytest.raises(ConfigurationError):
-            NmfConfig(n_topics=2, max_iter=0).validate()
-        with pytest.raises(ConfigurationError):
-            NmfConfig(n_topics=2, tol=0.0).validate()
+        a = np.ones((3, 2))
+        with pytest.raises(ConfigurationError, match="n_topics must be >= 1"):
+            factorize(a, n_topics=0)
+        with pytest.raises(ConfigurationError, match="max_iter must be >= 1"):
+            factorize(a, n_topics=2, max_iter=0)
+        with pytest.raises(ConfigurationError, match="tol must be finite and > 0"):
+            factorize(a, n_topics=2, tol=0.0)
         for tol in (float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError):
-                NmfConfig(n_topics=2, tol=tol).validate()
+            with pytest.raises(ConfigurationError, match="tol must be finite and > 0"):
+                factorize(a, n_topics=2, tol=tol)
 
 
 class TestReconstructionError:
@@ -131,12 +132,13 @@ class TestReconstructionError:
             reconstruction_error(a, np.ones((3, 2)), np.ones((2, 3)))
 
 
-def reference_factorize(a, config: NmfConfig) -> FactorPair:
+def reference_factorize(a, n_topics, max_iter=TrainConfig.nmf_max_iter, tol=TrainConfig.nmf_tol,
+                        seed=TrainConfig.seed) -> FactorPair:
     """The textbook loop: three sparse products per iteration (A·Hᵀ for the
     W update, WᵀA for the H update, A·Hᵀ again for the objective), with
     H·Hᵀ and WᵀW rebuilt wherever they are used, and ||A||² computed here
     rather than by the module under test."""
-    w, h = nmf._init_random(a, config.n_topics, np.random.default_rng(config.seed))
+    w, h = nmf._init_random(a, n_topics, np.random.default_rng(seed))
     norm_a_sq = float(a.data @ a.data) if sparse.issparse(a) else float(np.vdot(a, a))
 
     def objective(w, h):
@@ -147,13 +149,13 @@ def reference_factorize(a, config: NmfConfig) -> FactorPair:
     history = [objective(w, h)]
     converged = False
     it = 0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, max_iter + 1):
         w *= (a @ h.T) / np.maximum(w @ (h @ h.T), nmf._EPS)
         h *= (w.T @ a) / np.maximum((w.T @ w) @ h, nmf._EPS)
         obj = objective(w, h)
         history.append(obj)
         prev = history[-2]
-        if prev > 0 and abs(prev - obj) / prev < config.tol:
+        if prev > 0 and abs(prev - obj) / prev < tol:
             converged = True
             break
         if obj == 0.0:
@@ -176,9 +178,9 @@ _BLOCK = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
 class TestMatchesTextbookLoop:
     """factorize reuses products across iterations; every bit must match."""
 
-    def assert_same(self, a, config, expect_converged=None):
-        ref = reference_factorize(a, config)
-        got = factorize(a, config)
+    def assert_same(self, a, expect_converged=None, **args):
+        ref = reference_factorize(a, **args)
+        got = factorize(a, **args)
         assert got.objective_history == ref.objective_history
         assert np.array_equal(got.W, ref.W)
         assert np.array_equal(got.H, ref.H)
@@ -194,30 +196,30 @@ class TestMatchesTextbookLoop:
             n, m = int(rng.integers(4, 50)), int(rng.integers(4, 70))
             a = _seeded_input(trial, n, m, float(rng.uniform(0.05, 0.9)), dense)
             k = int(rng.integers(2, 7))
-            self.assert_same(a, NmfConfig(n_topics=k, max_iter=80, tol=1e-7, seed=trial))
+            self.assert_same(a, n_topics=k, max_iter=80, tol=1e-7, seed=trial)
 
     def test_single_topic(self, dense):
         a = _seeded_input(1, 30, 40, 0.3, dense)
-        self.assert_same(a, NmfConfig(n_topics=1, max_iter=120, tol=1e-9, seed=5))
+        self.assert_same(a, n_topics=1, max_iter=120, tol=1e-9, seed=5)
 
     def test_early_convergence(self, dense):
         a = _seeded_input(2, 25, 35, 0.4, dense)
         pair = self.assert_same(
-            a, NmfConfig(n_topics=3, max_iter=300, tol=1e-3, seed=2), expect_converged=True
+            a, n_topics=3, max_iter=300, tol=1e-3, seed=2, expect_converged=True
         )
         assert pair.n_iter < 300
 
     def test_zero_objective_exit(self, dense):
         a = _BLOCK if dense else sparse.csr_matrix(_BLOCK)
         pair = self.assert_same(
-            a, NmfConfig(n_topics=2, max_iter=300, tol=1e-12, seed=0), expect_converged=True
+            a, n_topics=2, max_iter=300, tol=1e-12, seed=0, expect_converged=True
         )
         assert pair.objective_history[-1] == 0.0 and pair.objective_history[-2] > 0.0
         assert pair.n_iter < 300
 
     def test_single_iteration(self, dense):
         a = _seeded_input(3, 20, 30, 0.5, dense)
-        pair = self.assert_same(a, NmfConfig(n_topics=4, max_iter=1, seed=3))
+        pair = self.assert_same(a, n_topics=4, max_iter=1, seed=3)
         assert pair.n_iter == 1 and len(pair.objective_history) == 2
 
     def test_reconstruction_error_matches_expansion(self, dense):
