@@ -60,7 +60,6 @@ class RunConfig:
     output_dir: str | None = None
     cache_dir: str | None = None
     cache: bool = True
-    write_factors: bool = True
     preprocess: corpus_mod.PreprocessConfig = field(default_factory=corpus_mod.PreprocessConfig)
     train: settings.TrainConfig = field(default_factory=settings.TrainConfig)
 
@@ -259,7 +258,7 @@ def cmd_train(config: RunConfig) -> int:
         raise DegenerateCorpusError(diagnostic)
 
     out_dir = Path(config.output_dir or ".")
-    tree_path = settings.write_model(out_dir, tree, built.vocabulary, config.write_factors)
+    tree_path = settings.write_model(out_dir, tree, built.vocabulary)
 
     provenance = dict(tree.provenance)
     provenance.update(matrix_provenance)
@@ -337,8 +336,7 @@ _COMMANDS = {
     "preprocess": ("tokenize a corpus and build its vocabulary",
                    ("input", "input_format", "output_dir"), "preprocess"),
     "train": ("build a topic tree from a corpus and embeddings",
-              ("corpus", "embeddings", "output_dir", "cache_dir", "cache", "write_factors"),
-              "train"),
+              ("corpus", "embeddings", "output_dir", "cache_dir", "cache"), "train"),
     "evaluate": ("score a trained tree against its corpus", ("corpus", "output_dir"), None),
     "export": ("emit a tree as DOT or truncated JSON", (), None),
 }

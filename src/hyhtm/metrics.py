@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -261,11 +261,10 @@ def hierarchical_affinity(tree: TopicTree) -> tuple[float | None, float | None]:
     Parents are the level-2 topics and the comparison set the level-3
     topics: child affinity averages each parent against its own children,
     non-child affinity against every level-3 topic outside its subtree.
-    Either value is absent when its pair set is empty or term weights are
-    unavailable. A pair with a zero-norm vector has cosine 0.
+    Either value is absent when its pair set is empty. A pair with a
+    zero-norm vector has cosine 0.
     """
-    parents = [n for n in tree.nodes_at_level(2) if n.term_weights is not None]
-    level3 = [n for n in tree.nodes_at_level(3) if n.term_weights is not None]
+    parents, level3 = tree.nodes_at_level(2), tree.nodes_at_level(3)
     if not parents or not level3:
         return None, None
     others = [(n.node_id, n.term_weights, float(np.linalg.norm(n.term_weights))) for n in level3]
@@ -293,7 +292,7 @@ class EvalReport:
     summary: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def write_csv(self, path):
         columns = [
@@ -338,10 +337,10 @@ def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
         )
     nodes = list(tree.nodes())
     for node in nodes:
-        if node.term_weights is not None and node.term_weights.shape[0] != m:
+        if np.shape(node.term_weights) != (m,):
             raise ContractError(
-                f"node {node.node_id} has {node.term_weights.shape[0]} term weights, "
-                f"vocabulary has {m}"
+                f"node {node.node_id} has term weights of shape {np.shape(node.term_weights)}, "
+                f"vocabulary has {m} terms"
             )
         for j, _ in node.top_terms:
             if not 0 <= j < m:
@@ -368,11 +367,6 @@ def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
     for node, node_terms, grid in zip(nodes, terms, grids):
         k = len(node_terms)
         c5, c10 = (_upper_mean(grid, min(k, n)) if k >= 2 else None for n in _TOP_NS)
-        spec = (
-            _specialization(node.term_weights, corpus_vector, sq_c)
-            if node.term_weights is not None
-            else None
-        )
         topics.append(
             {
                 "id": node.node_id,
@@ -381,7 +375,7 @@ def evaluate(tree: TopicTree, corpus: Corpus) -> EvalReport:
                 "coherence_top5": c5,
                 "coherence_top10": c10,
                 "coherence": _mean_or_none([c5, c10]),
-                "specialization": spec,
+                "specialization": _specialization(node.term_weights, corpus_vector, sq_c),
             }
         )
 

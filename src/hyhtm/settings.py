@@ -254,28 +254,20 @@ def dump_json(payload: dict, path: Path):
     path.write_text(text + "\n", encoding="utf-8")
 
 
-# The per-node factor files of models written before factors.bin.
-_OLD_FACTORS = "factors/level*-node*.bin"
-
-
-def write_model(model_dir: Path, tree: TopicTree, vocabulary: Vocabulary,
-                write_factors: bool) -> Path:
-    """Write tree.json and, with `write_factors`, factors.bin into
-    `model_dir`: each node's m term weights as little-endian float64, nodes
-    in tree.json's order, nothing else. Return the tree.json path. The
-    factors and reports of an earlier model go first (other files in
-    factors/ stay), so not even a run cut short leaves an earlier model's
-    weights or scores beside the new tree."""
+def write_model(model_dir: Path, tree: TopicTree, vocabulary: Vocabulary) -> Path:
+    """Write tree.json and factors.bin into `model_dir`: each node's m term
+    weights as little-endian float64, nodes in tree.json's order, nothing
+    else. Return the tree.json path. The factors, provenance and reports of
+    an earlier model go first, so a run cut short leaves none of them beside
+    the new tree, and `read_model` rejects the tree until factors.bin is whole."""
     model_dir.mkdir(parents=True, exist_ok=True)
-    # report.* is what `evaluate` writes here by default.
-    old = [model_dir / name for name in ("factors.bin", "report.json", "report.csv")]
-    for path in [*old, *model_dir.glob(_OLD_FACTORS)]:
-        path.unlink(missing_ok=True)
+    # provenance.json is train's last write; report.* evaluate's default output.
+    for name in ("factors.bin", "provenance.json", "report.json", "report.csv"):
+        (model_dir / name).unlink(missing_ok=True)
     dump_json(tree_to_payload(tree, vocabulary), model_dir / "tree.json")
-    if write_factors:
-        with open(model_dir / "factors.bin", "wb") as fh:
-            for node in tree.nodes():
-                node.term_weights.astype("<f8").tofile(fh)
+    with open(model_dir / "factors.bin", "wb") as fh:
+        for node in tree.nodes():
+            node.term_weights.astype("<f8").tofile(fh)
     return model_dir / "tree.json"
 
 
@@ -294,11 +286,10 @@ def read_payload(model_dir: Path, read=check_tree_payload):
 
 def read_model(model_dir: Path, vocabulary: Vocabulary, corpus: str) -> TopicTree:
     """The tree of a model directory over `vocabulary`, that of the corpus
-    file `corpus`, with the term weights of its factors.bin, if any: m
-    little-endian float64 weights per node in tree.json's node order, each
-    finite and nonnegative, with a finite sum of squares per node; otherwise
-    a ContractError names the file. A directory with only the per-node
-    factor files of an earlier version is a ContractError too."""
+    file `corpus`, with the term weights of its factors.bin: m little-endian
+    float64 weights per node in tree.json's node order, each finite and
+    nonnegative, with a finite sum of squares per node; otherwise, or when
+    factors.bin is missing, a ContractError names the file."""
     import numpy as np
 
     tree, ids = read_payload(model_dir, lambda payload: (
@@ -306,10 +297,7 @@ def read_model(model_dir: Path, vocabulary: Vocabulary, corpus: str) -> TopicTre
     ))
     path = model_dir / "factors.bin"
     if not path.exists():
-        if any(model_dir.glob(_OLD_FACTORS)):
-            raise ContractError(f"{model_dir}: per-node factor files and no factors.bin; the "
-                                "model was written by an earlier version and must be retrained")
-        return tree
+        raise ContractError(f"{path}: missing; retrain the model to write it with tree.json")
     m, size = len(vocabulary), path.stat().st_size
     if size != 8 * len(ids) * m:
         raise ContractError(f"{path}: {size} bytes; {len(ids)} nodes x {m} terms take "

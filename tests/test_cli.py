@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -752,7 +753,7 @@ class TestTrainCommand:
         keys = _config_keys(RunConfig())
         declared = [f.name for cls in (RunConfig, PreprocessConfig, TrainConfig)
                     for f in fields(cls) if f.name not in ("preprocess", "train")]
-        assert len(keys) == len(declared) == 25  # no key is declared twice
+        assert len(keys) == len(declared) == 24  # no key is declared twice
         for name, (_, f) in keys.items():
             assert f.type.partition(" | ")[0] in _SETTING_TYPES, name
 
@@ -821,9 +822,14 @@ class TestTrainCommand:
         assert trees[0] == trees[1]
 
 
+class RunCut(Exception):
+    """A run stopped part-way; no handler of `main` catches it."""
+
+
 @pytest.fixture()
 def metric_model(tmp_path):
-    """Corpus.bin for the 4-document PMI fixture plus a hand-built one-topic tree."""
+    """Corpus.bin for the 4-document PMI fixture plus a hand-built one-topic
+    tree and its factors.bin."""
     docs = tmp_path / "docs.jsonl"
     rows = [
         {"id": "d1", "text": "alpha beta"},
@@ -854,6 +860,7 @@ def metric_model(tmp_path):
         ],
     }
     (model / "tree.json").write_text(json.dumps(payload), encoding="utf-8")
+    np.array([1.0, 0.5, 0.0], dtype="<f8").tofile(model / "factors.bin")
     return out / "corpus.bin", model
 
 
@@ -886,6 +893,7 @@ class TestEvaluateCommand:
         model = tmp_path / "empty-model"
         model.mkdir()
         (model / "tree.json").write_text('{"config": {}, "nodes": []}', encoding="utf-8")
+        (model / "factors.bin").write_bytes(b"")  # no node, no weights
         code = main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)])
         assert code == 0
         report = json.loads((model / "report.json").read_text(encoding="utf-8"))
@@ -1018,13 +1026,14 @@ class TestEvaluateCommand:
     def test_per_node_factor_files_of_an_earlier_version_exit_3_naming_model(
         self, metric_model, capsys
     ):
-        # Read as a model without factors, it would report null scores.
+        # They are not read: the model has no factors.bin.
         corpus_bin, model = metric_model
+        (model / "factors.bin").unlink()
         (model / "factors").mkdir()
-        np.array([0.5, 0.25, 0.125], dtype="<f8").tofile(model / "factors" / "level1-node0.bin")
+        np.array([1.0, 0.5, 0.0], dtype="<f8").tofile(model / "factors" / "level1-node0.bin")
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 3
         err = capsys.readouterr().err
-        assert f"{model}: per-node factor files and no factors.bin" in err and "retrain" in err
+        assert f"{model / 'factors.bin'}: missing" in err and "retrain" in err
         assert not (model / "report.json").exists()
 
     @pytest.mark.parametrize("how", ["flag", "config"])
@@ -1046,26 +1055,18 @@ class TestEvaluateCommand:
         assert not (model / "report.json").exists() and not (model / "report.csv").exists()
 
     def test_retrain_leaves_only_the_new_trees_factor_files(self, planted_cli, tmp_path):
-        # An earlier model's factors would be read as the new tree's, and its
-        # per-node files would make `evaluate` refuse the model; other files
-        # in factors/ stay.
+        # An earlier model's factors would be read as the new tree's.
         corpus_bin, emb = planted_cli
         model = tmp_path / "model"
         assert main(train_args(corpus_bin, emb, model)) == 0
-        (model / "factors").mkdir()
-        for name in ("level1-node0.bin", "level2-node0.1.bin", "notes.txt"):
-            (model / "factors" / name).write_bytes(b"old")
         assert main(train_args(corpus_bin, emb, model, max_depth=1)) == 0
         nodes = json.loads((model / "tree.json").read_text(encoding="utf-8"))["nodes"]
         m = len((corpus_bin.parent / "vocab.txt").read_text(encoding="utf-8").split())
         assert (model / "factors.bin").stat().st_size == 8 * len(nodes) * m
-        assert [p.name for p in (model / "factors").iterdir()] == ["notes.txt"]
-        assert main(train_args(corpus_bin, emb, model, seed=1) + ["--no-write-factors"]) == 0
-        assert not (model / "factors.bin").exists()
-        assert [p.name for p in (model / "factors").iterdir()] == ["notes.txt"]
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]) == 0
         report = json.loads((model / "report.json").read_text(encoding="utf-8"))
-        assert [row["specialization"] for row in report["levels"]] == [None, None]
+        assert [row["level"] for row in report["levels"]] == [1]
+        assert report["levels"][0]["specialization"] is not None
 
     def test_retrain_removes_the_earlier_models_report(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -1075,6 +1076,49 @@ class TestEvaluateCommand:
         assert (model / "report.json").exists() and (model / "report.csv").exists()
         assert main(train_args(corpus_bin, emb, model, seed=2, max_depth=1)) == 0
         assert not (model / "report.json").exists() and not (model / "report.csv").exists()
+
+    @pytest.mark.parametrize("cut", ["in-tree.json", "between-files", "in-factors.bin"])
+    def test_cut_retrain_is_never_evaluated(self, planted_cli, tmp_path, monkeypatch, cut):
+        # A retrain over a model stops part-way through writing tree.json,
+        # after it, or part-way through factors.bin. `evaluate` refuses what
+        # is left, and no provenance.json names a tree that is not on disk.
+        corpus_bin, emb = planted_cli
+        model = tmp_path / "model"
+        evaluate = ["evaluate", "--model", str(model), "--corpus", str(corpus_bin)]
+        assert main(train_args(corpus_bin, emb, model)) == 0
+        assert main(evaluate) == 0
+        dump_json, write_model = settings.dump_json, settings.write_model
+
+        def cut_dump_json(payload, path):
+            if path.name != "tree.json":
+                return dump_json(payload, path)
+            if cut == "in-tree.json":
+                text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                path.write_text(text[: len(text) // 2], encoding="utf-8")
+            else:
+                dump_json(payload, path)
+            raise RunCut
+
+        def cut_write_model(*args):
+            tree_path = write_model(*args)
+            factors = tree_path.parent / "factors.bin"
+            factors.write_bytes(factors.read_bytes()[: factors.stat().st_size // 2])
+            raise RunCut
+
+        if cut == "in-factors.bin":
+            monkeypatch.setattr(settings, "write_model", cut_write_model)
+        else:
+            monkeypatch.setattr(settings, "dump_json", cut_dump_json)
+        with pytest.raises(RunCut):
+            main(train_args(corpus_bin, emb, model, max_depth=1))
+        monkeypatch.undo()
+        assert not (model / "report.json").exists()
+        assert main(evaluate) in (2, 3)
+        assert not (model / "report.json").exists()
+        provenance = model / "provenance.json"
+        if provenance.exists():
+            recorded = json.loads(provenance.read_text(encoding="utf-8"))["tree_sha256"]
+            assert recorded == file_sha256(model / "tree.json")
 
     def test_planted_end_to_end_evaluate(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
@@ -1439,6 +1483,7 @@ def contract_model(metric_model):
         ],
     }
     (model / "tree.json").write_text(json.dumps(payload), encoding="utf-8")
+    np.ones((4, 3), dtype="<f8").tofile(model / "factors.bin")
     return corpus_bin, model, payload
 
 
@@ -1554,8 +1599,7 @@ class TestRequiredInputs:
 # every field it takes too; then each command's flags that are no setting.
 COMMAND_SETTINGS = {
     "preprocess": (("input", "input_format", "output_dir"), PreprocessConfig),
-    "train": (("corpus", "embeddings", "output_dir", "cache_dir", "cache", "write_factors"),
-              TrainConfig),
+    "train": (("corpus", "embeddings", "output_dir", "cache_dir", "cache"), TrainConfig),
     "evaluate": (("corpus", "output_dir"), None),
     "export": ((), None),
 }
@@ -1596,8 +1640,6 @@ FLAG_SPELLINGS = [
     ("train", ["--top-terms", "5"], "top_terms", 5),
     ("train", ["--cache-dir", "c"], "cache_dir", "c"),
     ("train", ["--no-cache"], "cache", False),
-    ("train", ["--write-factors"], "write_factors", True),
-    ("train", ["--no-write-factors"], "write_factors", False),
     ("train", ["--nmf-max-iter", "100"], "nmf_max_iter", 100),
     ("train", ["--nmf-tol", "1e-4"], "nmf_tol", 1e-4),
     ("evaluate", ["--corpus", "c.bin"], "corpus", "c.bin"),
@@ -1630,6 +1672,9 @@ BENCH_ARGV = [
 ]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def subparser(command):
     action = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction))
@@ -1655,6 +1700,17 @@ class TestDerivedFlags:
         flags = {s: a.dest for a in actions for s in a.option_strings}
         assert flags.keys() == expected.keys()
         assert all(flags[s] == dest for s, dest in expected.items() if dest)
+
+    def test_readme_lists_the_fields_of_each_settings_class(self):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        match = re.search(r"The fields are those of the run's own `cli\.RunConfig` \(([^)]*)\), "
+                          r"the library's `PreprocessConfig` \(([^)]*)\) "
+                          r"or its `TrainConfig` \(([^)]*)\)", text)
+        assert match, "README lost the sentence that lists the setting fields"
+        for listed, cls in zip(match.groups(), (RunConfig, PreprocessConfig, TrainConfig)):
+            assert re.fullmatch(r"`\w+`(, `\w+`)*", listed), listed
+            names = [f.name for f in fields(cls) if f.name not in ("preprocess", "train")]
+            assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(names), cls.__name__
 
     @pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
     def test_help_exits_0(self, command):

@@ -39,19 +39,14 @@ def hand_tree(levels):
         node = TopicNode(
             node_id=f"{prefix}{index}",
             level=level,
-            term_weights=None if weights is None else np.asarray(weights, dtype=float),
-            top_terms=(
-                []
-                if weights is None
-                else [
-                    (int(j), float(w))
-                    for j, w in sorted(
-                        enumerate(np.asarray(weights, dtype=float)),
-                        key=lambda kv: (-kv[1], kv[0]),
-                    )
-                    if w > 0
-                ]
-            ),
+            term_weights=np.asarray(weights, dtype=float),
+            top_terms=[
+                (int(j), float(w))
+                for j, w in sorted(
+                    enumerate(np.asarray(weights, dtype=float)), key=lambda kv: (-kv[1], kv[0])
+                )
+                if w > 0
+            ],
             doc_ids=[],
         )
         node.children = [
@@ -363,13 +358,19 @@ class TestEvaluate:
         a, b = ids(four_doc_corpus, "a", "b")
         tree = hand_tree([([0.0, 0.0, 0.0], [])])
         tree.roots[0].top_terms = [(a, 1.0), (b, 0.5)]
-        tree.roots[0].term_weights = None
         report = evaluate(tree, four_doc_corpus)
         assert report.topics[0]["coherence"] == pytest.approx(LN_4_3, abs=1e-12)
 
     def test_vocabulary_size_mismatch_rejected(self, four_doc_corpus):
         tree = hand_tree([([1.0, 0.0], [])])
         with pytest.raises(ContractError):
+            evaluate(tree, four_doc_corpus)
+
+    def test_node_without_term_weights_rejected(self, four_doc_corpus):
+        # `settings.tree_from_payload` leaves them to `read_model`.
+        tree = hand_tree([([1.0, 0.0, 0.0], [])])
+        tree.roots[0].term_weights = None
+        with pytest.raises(ContractError, match=r"node 0 has term weights of shape \(\)"):
             evaluate(tree, four_doc_corpus)
 
     def test_recorded_vocab_size_mismatch_rejected(self, four_doc_corpus):
@@ -491,8 +492,7 @@ def reference_cosine(u, v):
 
 
 def reference_affinity(tree):
-    parents = [n for n in tree.nodes_at_level(2) if n.term_weights is not None]
-    level3 = [n for n in tree.nodes_at_level(3) if n.term_weights is not None]
+    parents, level3 = tree.nodes_at_level(2), tree.nodes_at_level(3)
     if not parents or not level3:
         return None, None
     child_sims, non_child_sims = [], []
@@ -527,8 +527,7 @@ def reference_report(tree, corpus):
         terms = [j for j, _ in node.top_terms]
         c5 = reference_coherence(terms, counts, 5) if len(terms) >= 2 else None
         c10 = reference_coherence(terms, counts, 10) if len(terms) >= 2 else None
-        spec = (topic_specialization(node.term_weights, corpus_vector)
-                if node.term_weights is not None else None)
+        spec = topic_specialization(node.term_weights, corpus_vector)
         topics.append({"id": node.node_id, "level": node.level, "n_docs": len(node.doc_ids),
                        "coherence_top5": c5, "coherence_top10": c10,
                        "coherence": reference_mean([c5, c10]), "specialization": spec})
@@ -588,13 +587,10 @@ TERM_LIST_LENGTHS = (0, 1, 2, 5, 7, 12)
 def random_tree(rng, m, branching, lengths=TERM_LIST_LENGTHS):
     """A tree with branching[0] roots and branching[d] children per node at
     depth d. Each node ranks a length drawn from `lengths` of distinct terms
-    (ghost terms included), and has random sparse, all-zero or no term weights."""
+    (ghost terms included), and has random sparse or all-zero term weights."""
 
     def weights():
-        kind = rng.integers(0, 5)
-        if kind == 0:
-            return None
-        if kind == 1:
+        if rng.integers(0, 5) < 2:
             return np.zeros(m)
         return rng.random(m) * (rng.random(m) < 0.6)
 
