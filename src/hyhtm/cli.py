@@ -116,12 +116,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _resolve_cache_dir(config: RunConfig) -> Path | None:
-    if not config.cache:
-        return None
-    return Path(config.cache_dir or Path(config.output_dir or ".") / "cache")
-
-
 def cmd_preprocess(config: RunConfig) -> int:
     if not config.input:
         raise ConfigurationError("preprocess requires --input")
@@ -176,32 +170,35 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     m = len(built.vocabulary)
     corpus_sha = sparse_io.file_sha256(config.corpus)
     emb_sha = sparse_io.file_sha256(config.embeddings)
-    cache_dir = _resolve_cache_dir(config)
-    cache = sparse_io.MatrixCache(cache_dir) if cache_dir else None
-    status = {}
-
-    def load(kind, key, shape):
-        if cache is None:
-            status[kind] = "off"
-            return None
-        existed = cache.has(key)
-        matrix = cache.load(key, shape)
-        status[kind] = "hit" if matrix is not None else "rebuilt" if existed else "miss"
-        return matrix
+    cache_dir = config.cache_dir or Path(config.output_dir or ".") / "cache"
+    cache = sparse_io.MatrixCache(cache_dir) if config.cache else None
 
     shared = {"corpus": corpus_sha, "embeddings": emb_sha, "space": train.space}
     sim_inputs = {**shared, "alpha": train.alpha, "k_s": train.k_s}
-    sim_key = sparse_io.cache_key("similarity", **sim_inputs)
-    hier_key = sparse_io.cache_key("hierarchy", **shared, k_h=train.k_h)
-    # A0 is a function of TF and S, so S's inputs key it too.
-    repr_key = sparse_io.cache_key("representation", **sim_inputs)
+    # Each artifact's cache key and shape, in load order. A0 is a function
+    # of TF and S, so S's inputs key it too.
+    artifacts = {
+        "similarity": (sparse_io.cache_key("similarity", **sim_inputs), (m, m)),
+        "hierarchy": (sparse_io.cache_key("hierarchy", **shared, k_h=train.k_h), (m, m)),
+        "representation": (sparse_io.cache_key("representation", **sim_inputs), (built.n_docs, m)),
+    }
+    status, matrices = {}, {}
+    for kind, (key, shape) in artifacts.items():
+        if cache is None:
+            status[kind], matrices[kind] = "off", None
+            continue
+        existed = cache.has(key)
+        matrices[kind] = cache.load(key, shape)
+        status[kind] = "hit" if matrices[kind] is not None else "rebuilt" if existed else "miss"
 
-    sim = load("similarity", sim_key, (m, m))
-    hier = load("hierarchy", hier_key, (m, m))
-    a0 = load("representation", repr_key, (built.n_docs, m))
+    def keep(kind, matrix):
+        matrices[kind] = matrix
+        if cache:
+            cache.save(artifacts[kind][0], matrix)
 
     coverage = None
-    if sim is None or hier is None:
+    build_sim, build_hier = matrices["similarity"] is None, matrices["hierarchy"] is None
+    if build_sim or build_hier:
         from . import hypspace  # only a build needs it; a warm train never loads it
 
         table = hypspace.load_embeddings(config.embeddings, built.vocabulary, train.space)
@@ -210,31 +207,25 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
             raise ContractError(
                 f"{config.embeddings}: no vocabulary term has an embedding vector"
             )
-        if sim is None and hier is None:  # one kNN pass: the narrower build slices it
+        if build_sim and build_hier:  # one kNN pass: the narrower build slices it
             hypspace._neighbor_table(table, max(train.k_s, train.k_h))
-        if sim is None:
-            sim = hypspace.build_similarity_matrix(table, train.k_s, train.alpha).entries
-            if cache:
-                cache.save(sim_key, sim)
-        if hier is None:
-            hier = hypspace.build_hierarchy_matrix(table, train.k_h).entries
-            if cache:
-                cache.save(hier_key, hier)
+        if build_sim:
+            keep("similarity",
+                 hypspace.build_similarity_matrix(table, train.k_s, train.alpha).entries)
+        if build_hier:
+            keep("hierarchy", hypspace.build_hierarchy_matrix(table, train.k_h).entries)
         del table  # and its neighbor table, before A0 is built
-    if a0 is None:
+    if matrices["representation"] is None:
+        sim = matrices["similarity"]
         tf = corpus_mod.build_tf(built)
         idf = corpus_mod.compute_idf(tf, sim)
-        a0 = corpus_mod.build_document_representation(tf, sim, idf).values
-        if cache:
-            cache.save(repr_key, a0)
-    matrices = {
-        kind: {"shape": list(matrix.shape), "nnz": matrix.nnz,
-               "density": matrix.nnz / (matrix.shape[0] * matrix.shape[1])}
-        for kind, matrix in (("similarity", sim), ("hierarchy", hier), ("representation", a0))
-    }
+        keep("representation", corpus_mod.build_document_representation(tf, sim, idf).values)
     provenance = {"corpus_sha256": corpus_sha, "embeddings_sha256": emb_sha,
-                  "embedding_coverage": coverage, "cache": status, "matrices": matrices}
-    return a0, hier, provenance
+                  "embedding_coverage": coverage, "cache": status,
+                  "matrices": {kind: {"shape": list(matrix.shape), "nnz": matrix.nnz,
+                                      "density": matrix.nnz / (matrix.shape[0] * matrix.shape[1])}
+                               for kind, matrix in matrices.items()}}
+    return matrices["representation"], matrices["hierarchy"], provenance
 
 
 def cmd_train(config: RunConfig) -> int:

@@ -74,8 +74,10 @@ class Vocabulary:
         self.index = {t: i for i, t in enumerate(self.terms)}
         if len(self.index) != len(self.terms):
             raise ContractError("vocabulary terms are not unique")
-        if any(not t for t in self.terms):
-            raise ContractError("vocabulary contains an empty term")
+        for t in self.terms:  # vocab.txt and vocab_sha256 hold one term a line
+            if t.split() != [t]:
+                raise ContractError(f"vocabulary term {t!r} holds whitespace" if t
+                                    else "vocabulary contains an empty term")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -525,8 +527,8 @@ def write_corpus(corpus: Corpus, path):
 def read_corpus(path) -> Corpus:
     """Inverse of write_corpus. A file that is cut short, has bytes past its
     last document, a term index outside the vocabulary, a vocabulary term
-    that is empty or repeated, or a repeated document id raises CorpusError
-    naming the file."""
+    that is empty, repeated or holds whitespace, or a repeated document id
+    raises CorpusError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CORPUS_MAGIC:

@@ -188,11 +188,7 @@ def build_hierarchy(
             nodes.append(node)
         return nodes
 
-    provenance = {
-        "hyperparameters": asdict(config),
-        "n_documents": n,
-        "vocab_size": m,
-    }
+    provenance = {"hyperparameters": asdict(config)}
     root_rows = np.flatnonzero(np.diff(a0.indptr) > 0)
     provenance["excluded_empty_rows"] = int(n - root_rows.size)
     if root_rows.size >= config.min_docs:

@@ -506,7 +506,8 @@ class TestTrainCommand:
         cold, warm = read(tmp_path / "cold"), read(tmp_path / "warm")
         assert cold["matrices"] == warm["matrices"]
         assert set(cold["matrices"]) == {"similarity", "hierarchy", "representation"}
-        m, n = cold["vocab_size"], cold["n_documents"]
+        built = read_corpus(corpus_bin)
+        m, n = len(built.vocabulary), built.n_docs
         shapes = {"similarity": [m, m], "hierarchy": [m, m], "representation": [n, m]}
         for kind, entry in cold["matrices"].items():
             assert set(entry) == {"shape", "nnz", "density"}
@@ -515,6 +516,31 @@ class TestTrainCommand:
             assert entry["density"] == entry["nnz"] / (entry["shape"][0] * entry["shape"][1])
         assert cold["matrices"]["hierarchy"]["nnz"] == m * PLANTED_K
         assert "matrices" not in json.loads((tmp_path / "cold" / "tree.json").read_text())
+
+    def test_provenance_schema(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        out = tmp_path / "m"
+        assert main(train_args(corpus_bin, emb, out)) == 0
+        provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
+        top = {"hyperparameters", "corpus_sha256", "embeddings_sha256", "embedding_coverage",
+               "cache", "matrices", "excluded_empty_rows", "unassigned_docs",
+               "peak_live_matrices", "nmf_by_level", "tree_sha256", "timings"}
+        assert set(provenance) == top
+        kinds = {"similarity", "hierarchy", "representation"}
+        assert provenance["cache"] == dict.fromkeys(kinds, "miss")
+        assert set(provenance["matrices"]) == kinds
+        for entry in provenance["matrices"].values():
+            assert set(entry) == {"shape", "nnz", "density"}
+        assert provenance["nmf_by_level"]
+        for row in provenance["nmf_by_level"]:
+            assert set(row) == {"level", "factorizations", "iterations", "unconverged"}
+        assert set(provenance["timings"]) == {"matrices_s", "hierarchy_s", "total_s"}
+        assert set(provenance["hyperparameters"]) == {f.name for f in fields(TrainConfig)}
+        # README's model directory block names each key.
+        block = re.search(r"## Model directory\n.*?```\n(.*?)```",
+                          README.read_text(encoding="utf-8"), re.S).group(1)
+        for key in top:
+            assert re.search(rf"\b{key}\b", block), key
 
     def test_provenance_records_nmf_per_level(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli

@@ -33,7 +33,7 @@ from hyhtm.corpus import (
     read_text_documents,
     write_corpus,
 )
-from hyhtm.errors import ConfigurationError, CorpusError, InvariantError, ShapeError
+from hyhtm.errors import ConfigurationError, ContractError, CorpusError, InvariantError, ShapeError
 
 from conftest import csr_of, make_corpus, write_embedding_file
 
@@ -399,6 +399,12 @@ class TestSerialization:
         with pytest.raises(CorpusError, match="'d1' has term index 2 outside"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("term", ["apple\nberry", "two words", "tab\t", " lead", "nb\u00a0sp"])
+    def test_vocabulary_term_holding_whitespace_is_rejected(self, term):
+        with pytest.raises(ContractError) as info:
+            Vocabulary(terms=["aaa", term])
+        assert str(info.value) == f"vocabulary term {term!r} holds whitespace"
+
     def test_jsonl_reader(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(
@@ -628,7 +634,8 @@ class TestCorpusFileMatchesNumpyReference:
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
 
-    @pytest.mark.parametrize("damage", ["repeated-term", "empty-term", "repeated-id"])
+    @pytest.mark.parametrize("damage", ["repeated-term", "empty-term", "whitespace-term",
+                                        "repeated-id"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_corpus_breaking_its_contract_exits_2(self, damage, command, tmp_path, capsys):
         corpus = make_corpus([["a", "b"], ["b"]], terms=["a", "b"])
@@ -638,6 +645,11 @@ class TestCorpusFileMatchesNumpyReference:
         elif damage == "empty-term":
             corpus.vocabulary.terms[1] = ""
             expected = "vocabulary contains an empty term"
+        elif damage == "whitespace-term":
+            # "a\nb" and "c" would hash as "a" and "b\nc": vocab.txt and
+            # vocab_sha256 hold one term a line.
+            corpus.vocabulary.terms[:] = ["a\nb", "c"]
+            expected = "vocabulary term 'a\\nb' holds whitespace"
         else:
             corpus.documents[1].id = "d0"
             expected = "document id 'd0' is repeated"

@@ -2,6 +2,8 @@
 numpy-free settings module that `hierarchy` and `hypspace` import back."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +66,16 @@ def test_settings_are_imported_back_by_their_old_modules():
     assert hypspace.SPACES is settings.SPACES
     assert hypspace.HYPERBOLIC is settings.HYPERBOLIC
     assert hypspace.EUCLIDEAN is settings.EUCLIDEAN
+
+
+def test_readme_library_example_runs(planted, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library usage\n+```python\n(.*?)```", readme, re.S).group(1)
+    _, emb_path = planted.write_inputs(tmp_path)
+    emb_path.rename(tmp_path / "vectors.txt")
+    monkeypatch.chdir(tmp_path)
+    scope = {"raw_docs": planted.raw_documents}
+    exec(compile(example, "README.md", "exec"), scope)
+    assert scope["tree"].n_nodes > 0
+    assert isinstance(scope["report"], hyhtm.EvalReport)
+    assert scope["report"].summary["n_topics"] == scope["tree"].n_nodes
