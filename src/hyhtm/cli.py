@@ -26,7 +26,6 @@ from . import corpus as corpus_mod
 from . import settings
 from .errors import (
     ConfigurationError,
-    ContractError,
     CorpusError,
     DegenerateCorpusError,
     EmbeddingParseError,
@@ -155,14 +154,14 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
     documents in order, so their ids are read from `built`, not the cache.
 
     Built or read from the cache, each is a `sparse_io.CsrArrays`; neither
-    path loads scipy. The embedding file is read only when the similarity
-    or the hierarchy matrix is built; A0 needs only the similarity matrix
-    and TF. Also returns the run's provenance of the matrices: input hashes,
-    embedding coverage (None when the embedding file was not read, which
-    includes a train that rebuilds only A0 from cached S and H), the
+    path loads scipy. The embedding file is read only when S or H is built
+    (`load_embeddings` raises if it covers no vocabulary term); A0 needs
+    only S and TF. Also returns the run's provenance of the matrices: input
+    hashes, embedding coverage (None when the embedding file was not read,
+    which includes a train that rebuilds only A0 from cached S and H), the
     cache status of each artifact, which is `hit`, `miss` (no file),
     `rebuilt` (a damaged file, logged and replaced) or `off` (no cache),
-    and the shape, stored entries and density of each matrix.
+    and the shape, stored entries and density (0 with no cells) of each.
     """
     from . import sparse_io
 
@@ -203,10 +202,6 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
 
         table = hypspace.load_embeddings(config.embeddings, built.vocabulary, train.space)
         coverage = table.coverage
-        if not table.term_indices.size:
-            raise ContractError(
-                f"{config.embeddings}: no vocabulary term has an embedding vector"
-            )
         if build_sim and build_hier:  # one kNN pass: the narrower build slices it
             hypspace._neighbor_table(table, max(train.k_s, train.k_h))
         if build_sim:
@@ -222,8 +217,8 @@ def _load_or_build_matrices(config: RunConfig, built: corpus_mod.Corpus):
         keep("representation", corpus_mod.build_document_representation(tf, sim, idf).values)
     provenance = {"corpus_sha256": corpus_sha, "embeddings_sha256": emb_sha,
                   "embedding_coverage": coverage, "cache": status,
-                  "matrices": {kind: {"shape": list(matrix.shape), "nnz": matrix.nnz,
-                                      "density": matrix.nnz / (matrix.shape[0] * matrix.shape[1])}
+                  "matrices": {kind: {"shape": list(matrix.shape), "nnz": matrix.nnz, "density":
+                                      matrix.nnz / max(matrix.shape[0] * matrix.shape[1], 1)}
                                for kind, matrix in matrices.items()}}
     return matrices["representation"], matrices["hierarchy"], provenance
 
@@ -244,9 +239,6 @@ def cmd_train(config: RunConfig) -> int:
 
     tree = hierarchy_mod.build_hierarchy(a0, [d.id for d in built.documents], hier, config.train)
     t_tree = time.perf_counter()
-    if not tree.roots:
-        diagnostic = tree.provenance.get("diagnostic", "no topics were produced")
-        raise DegenerateCorpusError(diagnostic)
 
     out_dir = Path(config.output_dir or ".")
     tree_path = settings.write_model(out_dir, tree, built.vocabulary)

@@ -162,9 +162,10 @@ def bundled_stopword_paths() -> tuple[str, str]:
 
 def utf8_lines(path, error: type[Exception]):
     """(line number, line) for each line of a UTF-8 text file, numbered
-    from 1, without a leading byte-order mark. A file that is not UTF-8
+    from 1, without a leading byte-order mark. Only a line feed ends a line,
+    and the line keeps it and any carriage return. A file that is not UTF-8
     raises `error` naming the file and its first line that does not decode."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
         try:
             yield from enumerate(fh, start=1)
             return
@@ -173,7 +174,7 @@ def utf8_lines(path, error: type[Exception]):
     # Read again with each undecodable byte as a lone surrogate, which
     # UTF-8 text never holds, so the first line that fails to encode is the
     # first bad one; the lines are split exactly as above.
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
@@ -502,10 +503,10 @@ def read_jsonl_documents(path) -> list[tuple[str, str]]:
 
 
 def read_text_documents(path) -> list[tuple[str, str]]:
-    """Read one document per line; ids are assigned doc-<line#>."""
-    return [
-        (f"doc-{lineno}", line.rstrip("\n")) for lineno, line in utf8_lines(path, CorpusError)
-    ]
+    """Read one document per `utf8_lines` line, less its line feed and one
+    carriage return before it; ids are assigned doc-<line#>."""
+    return [(f"doc-{lineno}", line.removesuffix("\n").removesuffix("\r"))
+            for lineno, line in utf8_lines(path, CorpusError)]
 
 
 def write_corpus(corpus: Corpus, path):

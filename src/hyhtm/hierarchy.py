@@ -14,7 +14,8 @@ an instrumented gauge follows every node matrix until it is freed and
 records the peak, which the max_depth + 1 bound is checked against. A0
 and the hierarchy matrix are `sparse_io.CsrArrays`, so only a sparse node
 needs scipy. A node's documents are named by the ids of A0's rows, which
-the caller takes from the corpus.
+the caller takes from the corpus. An A0 of fewer than min_docs nonzero
+rows raises DegenerateCorpusError: no tree is ever empty.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, ShapeError
+from .errors import ConfigurationError, ContractError, DegenerateCorpusError, ShapeError
 from .nmf import factorize
 from .settings import TopicNode, TopicTree, TrainConfig
 from .sparse_io import CsrArrays, dense_rows
@@ -121,7 +122,8 @@ def build_hierarchy(
     strongest association, the matching rows are taken from the root
     representation, scaled by the topic's hierarchy-expanded term vector,
     and recursed on. Recursion stops beyond max_depth or below min_docs
-    documents; topics whose reweight vector vanishes become leaves.
+    documents; topics whose reweight vector vanishes become leaves. A root
+    of fewer than min_docs nonzero rows raises DegenerateCorpusError.
 
     Every node matrix, the root's included, is factorized as a dense
     array gathered from A0's CSR arrays when at least DENSE_MIN_DENSITY of
@@ -136,6 +138,11 @@ def build_hierarchy(
         raise ShapeError(f"{len(doc_ids)} document ids for the {n} rows of A0")
     if mh.shape != (m, m):
         raise ShapeError(f"hierarchy matrix is {mh.shape}, expected {(m, m)}")
+    root_rows = np.flatnonzero(np.diff(a0.indptr) > 0)
+    if root_rows.size < config.min_docs:
+        raise DegenerateCorpusError(
+            f"root has {root_rows.size} nonzero rows, fewer than min_docs={config.min_docs}"
+        )
     gauge = LiveMatrixGauge()
     gauge.track(a0)  # the root representation itself
     sparse_a0 = None  # A0 as a scipy matrix, made for the first sparse node
@@ -188,21 +195,9 @@ def build_hierarchy(
             nodes.append(node)
         return nodes
 
-    provenance = {"hyperparameters": asdict(config)}
-    root_rows = np.flatnonzero(np.diff(a0.indptr) > 0)
-    provenance["excluded_empty_rows"] = int(n - root_rows.size)
-    if root_rows.size >= config.min_docs:
-        roots = expand(root_rows, None, 1, "")
-    else:
-        log.warning(
-            "only %d nonzero document rows (< min_docs=%d); empty tree",
-            root_rows.size, config.min_docs,
-        )
-        provenance["diagnostic"] = (
-            f"root has {root_rows.size} nonzero rows, fewer than min_docs={config.min_docs}"
-        )
-        roots = []
-    provenance["peak_live_matrices"] = gauge.peak
-    provenance["unassigned_docs"] = counters["unassigned_docs"]
-    provenance["nmf_by_level"] = [nmf_levels[level] for level in sorted(nmf_levels)]
+    roots = expand(root_rows, None, 1, "")
+    provenance = {"hyperparameters": asdict(config), "peak_live_matrices": gauge.peak,
+                  "excluded_empty_rows": int(n - root_rows.size),
+                  "unassigned_docs": counters["unassigned_docs"],
+                  "nmf_by_level": [nmf_levels[level] for level in sorted(nmf_levels)]}
     return TopicTree(roots=roots, config=asdict(config), provenance=provenance)

@@ -56,8 +56,9 @@ def _sq_norms(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
 def poincare_distance(u, v) -> float:
     """Ball distance arcosh(1 + 2|u-v|^2 / ((1-|u|^2)(1-|v|^2))).
 
-    Requires |u| < 1 and |v| < 1. Rounding can push the arcosh argument
-    slightly below 1; it is clamped there, giving distance 0.
+    Requires |u| < 1 and |v| < 1, which keeps the arcosh argument at 1 or
+    more even after rounding. A point outside the ball, with the other
+    inside, gives an argument below 1; it is clamped there, to distance 0.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -194,7 +195,8 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
     vector with a nan or infinite component, or whose squared norm
     overflows float64, is a parse error naming its line; so is, in
     Euclidean space, a nonzero vector whose squared norm underflows to 0,
-    which would read as the zero vector although cosine ignores scale.
+    which would read as the zero vector although cosine ignores scale. A
+    file covering no vocabulary term raises ContractError naming the file.
     """
     if space not in SPACES:
         raise ConfigurationError(f"unknown space {space!r}; expected one of {SPACES}")
@@ -231,9 +233,10 @@ def load_embeddings(path, vocab: Vocabulary, space: str = HYPERBOLIC) -> Embeddi
             raise EmbeddingParseError(f"{path}:{lineno}: non-finite vector component")
         vectors[idx] = (lineno, vec)
 
+    if not vectors:
+        raise ContractError(f"{path}: no vocabulary term has an embedding vector")
     indices = np.array(sorted(vectors), dtype=np.int64)
-    rows = [vectors[i][1] for i in indices]
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim or 1))
+    matrix = np.vstack([vectors[i][1] for i in indices])
     with np.errstate(over="ignore"):
         sq_norms = _sq_norms(matrix)
     for what, bad in (

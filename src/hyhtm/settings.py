@@ -257,12 +257,14 @@ def dump_json(payload: dict, path: Path):
 def write_model(model_dir: Path, tree: TopicTree, vocabulary: Vocabulary) -> Path:
     """Write tree.json and factors.bin into `model_dir`: each node's m term
     weights as little-endian float64, nodes in tree.json's order, nothing
-    else. Return the tree.json path. The factors, provenance and reports of
-    an earlier model go first, so a run cut short leaves none of them beside
-    the new tree, and `read_model` rejects the tree until factors.bin is whole."""
+    else. Return the tree.json path. An earlier model's factors, provenance,
+    reports and exports go first, so a run cut short leaves none of them
+    beside the new tree, and `read_model` rejects it until factors.bin is whole."""
     model_dir.mkdir(parents=True, exist_ok=True)
-    # provenance.json is train's last write; report.* evaluate's default output.
-    for name in ("factors.bin", "provenance.json", "report.json", "report.csv"):
+    # provenance.json is train's last write; report.* evaluate's default
+    # output, tree.dot and tree.export.json export's.
+    for name in ("factors.bin", "provenance.json", "report.json", "report.csv",
+                 "tree.dot", "tree.export.json"):
         (model_dir / name).unlink(missing_ok=True)
     dump_json(tree_to_payload(tree, vocabulary), model_dir / "tree.json")
     with open(model_dir / "factors.bin", "wb") as fh:

@@ -605,6 +605,41 @@ class TestTrainCommand:
         )
         assert code == 4
 
+    def test_too_small_corpus_names_its_row_count(self, fruit_jsonl, tmp_path, capsys):
+        out = tmp_path / "pre"
+        main(["preprocess", "--input", str(fruit_jsonl), "--output-dir", str(out), "--min-doc-freq", "1"])
+        emb = tmp_path / "emb.txt"
+        emb.write_text("apple 0.1 0.0\nbanana 0.0 0.1\ncherry 0.1 0.1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(train_args(out / "corpus.bin", emb, tmp_path / "model")) == 4
+        err = capsys.readouterr().err
+        assert "error: root has 4 nonzero rows, fewer than min_docs=50" in err.splitlines()
+        assert not (tmp_path / "model" / "tree.json").exists()
+
+    def test_corpus_without_documents_exits_4(self, tmp_path, capsys):
+        # read_corpus accepts it; train stops where any too-small corpus stops
+        corpus_bin = tmp_path / "corpus.bin"
+        vocabulary = Vocabulary(terms=["apple", "banana", "cherry"])
+        write_corpus(Corpus(documents=[], vocabulary=vocabulary), corpus_bin)
+        emb = tmp_path / "emb.txt"
+        emb.write_text("apple 0.1 0.0\nbanana 0.0 0.1\ncherry 0.1 0.1\n", encoding="utf-8")
+        args = train_args(corpus_bin, emb, tmp_path / "model", n_topics=2, min_docs=2)
+        for cache in ("--cache", "--cache", "--no-cache"):  # cold, from the cache, without one
+            assert main(args + [cache]) == 4
+            err = capsys.readouterr().err
+            assert "error: root has 0 nonzero rows, fewer than min_docs=2" in err.splitlines()
+        assert not (tmp_path / "model" / "tree.json").exists()
+
+    def test_uncovered_vocabulary_exits_3_naming_the_file(self, planted_cli, tmp_path, capsys):
+        corpus_bin, _ = planted_cli
+        emb = tmp_path / "emb.txt"
+        emb.write_text("2 2\nnotaterm 0.1 0.0\nnorthis 0.0 0.1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(train_args(corpus_bin, emb, tmp_path / "model")) == 3
+        err = capsys.readouterr().err
+        assert f"error: {emb}: no vocabulary term has an embedding vector" in err.splitlines()
+        assert not (tmp_path / "model" / "tree.json").exists()
+
     @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
     def test_non_finite_embedding_exits_2_naming_line(
         self, fruit_jsonl, tmp_path, capsys, component
@@ -1102,6 +1137,19 @@ class TestEvaluateCommand:
         assert (model / "report.json").exists() and (model / "report.csv").exists()
         assert main(train_args(corpus_bin, emb, model, seed=2, max_depth=1)) == 0
         assert not (model / "report.json").exists() and not (model / "report.csv").exists()
+
+    def test_retrain_removes_the_earlier_models_default_exports(self, planted_cli, tmp_path):
+        corpus_bin, emb = planted_cli
+        model, elsewhere = tmp_path / "model", tmp_path / "elsewhere.dot"
+        assert main(train_args(corpus_bin, emb, model, seed=1)) == 0
+        for fmt in ("json", "dot"):
+            assert main(["export", "--model", str(model), "--format", fmt]) == 0
+        assert main(["export", "--model", str(model), "--format", "dot",
+                     "--output", str(elsewhere)]) == 0
+        assert (model / "tree.export.json").exists() and (model / "tree.dot").exists()
+        assert main(train_args(corpus_bin, emb, model, seed=2, max_depth=1)) == 0
+        assert not (model / "tree.export.json").exists() and not (model / "tree.dot").exists()
+        assert elsewhere.exists()
 
     @pytest.mark.parametrize("cut", ["in-tree.json", "between-files", "in-factors.bin"])
     def test_cut_retrain_is_never_evaluated(self, planted_cli, tmp_path, monkeypatch, cut):

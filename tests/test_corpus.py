@@ -256,6 +256,24 @@ class TestTermFrequency:
         assert tf.toarray().tolist() == [[0, 1], [1, 0]]
 
 
+class TestTokenArrays:
+    def test_corpus_without_vocabulary_is_rejected(self):
+        corpus = Corpus(documents=[Document(id="d0", tokens=[0])], vocabulary=None)
+        with pytest.raises(ContractError, match="^corpus has no vocabulary$"):
+            corpus_mod.token_arrays(corpus)
+
+    def test_term_index_outside_the_vocabulary_is_rejected(self):
+        corpus = Corpus(documents=[Document(id="d0", tokens=[0, 2])],
+                        vocabulary=Vocabulary(terms=["a", "b"]))
+        with pytest.raises(ContractError, match="^a document has a term index outside "
+                                                "the vocabulary of 2 terms$"):
+            corpus_mod.token_arrays(corpus)
+
+    def test_mean_length_of_no_documents_is_zero(self):
+        corpus = Corpus(documents=[], vocabulary=Vocabulary(terms=["a"]))
+        assert corpus.mean_doc_length() == 0.0
+
+
 class TestIdf:
     def test_identity_similarity_recovers_classic_idf(self):
         corpus = make_corpus([["w"], ["w"], ["x"], ["x"]], terms=["w", "x"])
@@ -444,6 +462,24 @@ class TestSerialization:
         path = tmp_path / "docs.jsonl"
         path.write_bytes(b'{"id": "x", "text": "alpha"}\r\n\r\n{"id": "y", "text": "beta"}\r\n')
         assert read_jsonl_documents(path) == [("x", "alpha"), ("y", "beta")]
+
+    def test_bare_carriage_return_does_not_end_a_line(self, tmp_path):
+        path = tmp_path / "docs.txt"
+        path.write_bytes(b"apple banana\rcherry apple\nbanana cherry\n")
+        assert read_text_documents(path) == [
+            ("doc-1", "apple banana\rcherry apple"), ("doc-2", "banana cherry"),
+        ]
+
+    def test_carriage_return_inside_a_jsonl_record_is_json_whitespace(self, tmp_path):
+        records = [{"id": f"d{i}", "text": f"apple banana {i}"} for i in range(6)]
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(text.replace(', "text"', ',\r"text"').encode("utf-8"))
+        assert read_jsonl_documents(path) == [(r["id"], r["text"]) for r in records]
+        # line numbers count line feeds only
+        path.write_bytes(b'{"id": "x",\r"text": "alpha"}\r\n{broken\n')
+        with pytest.raises(CorpusError, match=r"docs\.jsonl:2: invalid JSON"):
+            read_jsonl_documents(path)
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
     def test_undecodable_line_is_named_past_the_first_read_block(self, tmp_path, newline):

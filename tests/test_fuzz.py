@@ -12,10 +12,13 @@ through `train` in both spaces. Every run must return 0, 2, 3 or 4 from
 `cli.main`; any other exception fails the test. A report that `evaluate`
 writes must be strict JSON, without NaN or infinity. Matrix cache files
 cut short, extended or with bits flipped must each be rebuilt, so `train`
-gives the tree of a run without the cache.
+gives the tree of a run without the cache. JSONL, text and stopword inputs
+with CRLF line ends, and with carriage returns where whitespace may stand
+inside a line, must preprocess to the `corpus.bin` of their LF form.
 """
 
 import json
+import re
 import shutil
 import signal
 
@@ -396,3 +399,62 @@ def test_mangled_embedding_lines_exit_with_a_documented_code(fuzz_model, data, c
     capsys.readouterr()
     if run(train_args(corpus, emb, root / "mangled-lines-train") + ["--space", space]) == 2:
         assert str(emb) in capsys.readouterr().err
+
+
+def with_carriage_returns(text: str, gaps: str | None = None):
+    """Strategy: LF-ended `text` with each line feed drawn to stay or to
+    become CRLF and, where the pattern `gaps` matches inside a line (places
+    whitespace may stand), a carriage return drawn in or not."""
+    lines = text.splitlines()
+
+    @st.composite
+    def rewrite(draw):
+        out = []
+        for line in lines:
+            if gaps:
+                pieces = re.split(gaps, line)
+                line = pieces[0] + "".join(draw(st.sampled_from(["", "\r"])) + piece
+                                           for piece in pieces[1:])
+            out.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        return "".join(out)
+
+    return rewrite()
+
+
+@pytest.fixture(scope="module")
+def line_end_inputs(fuzz_model):
+    """For the JSONL, text and stopword inputs: the LF text, where a
+    carriage return may go inside a line, the preprocess command that
+    reads a rewritten copy, and the corpus.bin that the LF text gives."""
+    root = fuzz_model["root"] / "line-ends"
+    root.mkdir()
+    docs = fuzz_model["root"] / "docs.jsonl"
+    jsonl = docs.read_text(encoding="utf-8")
+    inputs = {
+        # JSON whitespace: the start and end of a record, after each separator
+        "docs.jsonl": (jsonl, r"^|(?=}$)|(?<=[,:] )", lambda path: ["--input", str(path)]),
+        "docs.txt": ("".join(json.loads(line)["text"] + "\n" for line in jsonl.splitlines()),
+                     r"(?<= )", lambda path: ["--input", str(path), "--input-format", "text"]),
+        "stopwords.txt": ("# fruit we drop\nmango\nolive\n", None,
+                          lambda path: ["--input", str(docs), "--stopwords", str(path)]),
+    }
+    cases = {}
+    for name, (text, gaps, argv) in inputs.items():
+        path, out = root / f"lf-{name}", root / f"lf-{name}-prep"
+        path.write_text(text, encoding="utf-8")
+        assert main(["preprocess", *argv(path), "--output-dir", str(out),
+                     "--min-doc-freq", "1"]) == 0
+        cases[name] = (text, gaps, argv, (out / "corpus.bin").read_bytes())
+    return root, cases
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_carriage_returns_preprocess_as_the_lf_form(line_end_inputs, data):
+    root, cases = line_end_inputs
+    for name, (text, gaps, argv, want) in cases.items():
+        path, out = root / f"cr-{name}", root / "cr-prep"
+        path.write_bytes(data.draw(with_carriage_returns(text, gaps)).encode("utf-8"))
+        assert run(["preprocess", *argv(path), "--output-dir", str(out),
+                    "--min-doc-freq", "1"]) == 0, name
+        assert (out / "corpus.bin").read_bytes() == want, name

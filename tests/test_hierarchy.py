@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,7 +18,7 @@ from hyhtm import (
     parent_child_reweight,
     top_words,
 )
-from hyhtm.errors import ConfigurationError, ContractError, ShapeError
+from hyhtm.errors import ConfigurationError, ContractError, DegenerateCorpusError, ShapeError
 from hyhtm import hierarchy
 from hyhtm.settings import tree_from_payload, tree_to_payload
 from hyhtm.sparse_io import read_csr, save_csr
@@ -123,6 +125,15 @@ class TestParentChildReweight:
 
 
 class TestTopWords:
+    @pytest.mark.parametrize("i, n, error, message", [
+        (0, 0, ConfigurationError, "n must be >= 1"),
+        (2, 3, ShapeError, "topic index 2 out of range for 2 topics"),
+        (-1, 3, ShapeError, "topic index -1 out of range for 2 topics"),
+    ])
+    def test_bad_arguments_are_rejected(self, i, n, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            top_words(np.ones((2, 4)), i, n)
+
     def test_direct_sort(self):
         picks = top_words(np.array([[0.1, 0.9, 0.3]]), 0, 2)
         assert [j for j, _ in picks] == [1, 2]
@@ -148,14 +159,28 @@ class TestTopWords:
 
 
 class TestBuildHierarchy:
-    def test_too_few_documents_gives_empty_tree(self):
+    def test_too_few_documents_raise_degenerate_corpus(self):
         a0 = csr_of(np.abs(np.random.default_rng(0).random((10, 6))))
         doc_ids = [f"d{i}" for i in range(10)]
-        tree = build_hierarchy(
-            a0, doc_ids, csr_of(sparse.identity(6)), planted_config(min_docs=50, n_topics=2)
-        )
-        assert tree.roots == []
-        assert "diagnostic" in tree.provenance
+        with pytest.raises(DegenerateCorpusError,
+                           match=r"^root has 10 nonzero rows, fewer than min_docs=50$"):
+            build_hierarchy(
+                a0, doc_ids, csr_of(sparse.identity(6)), planted_config(min_docs=50, n_topics=2)
+            )
+
+    def test_empty_rows_do_not_count_toward_min_docs(self):
+        dense = np.zeros((60, 6))
+        dense[::6] = np.abs(np.random.default_rng(0).random((10, 6))) + 0.1
+        with pytest.raises(DegenerateCorpusError,
+                           match=r"^root has 10 nonzero rows, fewer than min_docs=50$"):
+            build_hierarchy(csr_of(dense), [f"d{i}" for i in range(60)],
+                            csr_of(sparse.identity(6)), planted_config(min_docs=50))
+
+    def test_hierarchy_matrix_of_another_shape_rejected(self):
+        a0 = csr_of(np.abs(np.random.default_rng(0).random((10, 6))))
+        with pytest.raises(ShapeError, match=r"^hierarchy matrix is \(5, 5\), expected \(6, 6\)$"):
+            build_hierarchy(a0, [f"d{i}" for i in range(10)], csr_of(sparse.identity(5)),
+                            planted_config())
 
     @pytest.mark.parametrize("n_ids", [9, 11])
     def test_id_count_other_than_a0_rows_rejected(self, n_ids):
@@ -422,6 +447,10 @@ class TestBuildHierarchy:
                 TrainConfig(nmf_tol=tol).validate()
         with pytest.raises(ConfigurationError, match="seed"):
             TrainConfig(seed=-1).validate()
+
+    def test_top_terms_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="^top_terms must be >= 1$"):
+            TrainConfig(top_terms=0).validate()
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -160,6 +160,27 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingParseError, match=r"vec\.txt:2: non-finite"):
             load_embeddings(path, vocab)
 
+    @pytest.mark.parametrize("text", ["dog 0.1 0.2\n", "1 2\n", ""])
+    def test_no_covered_term_is_rejected_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "vec.txt"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}: no vocabulary term has an embedding vector"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            load_embeddings(path, Vocabulary(terms=["cat"]))
+
+    def test_unknown_space_is_rejected(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 0.1 0.2\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="^unknown space 'poincare'; expected one of "):
+            load_embeddings(path, Vocabulary(terms=["cat"]), "poincare")
+
+    def test_two_field_first_line_that_is_no_header_is_a_vector(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 0.5\ndog 0.25\n", encoding="utf-8")
+        table = load_embeddings(path, Vocabulary(terms=["cat", "dog"]))
+        assert table.term_indices.tolist() == [0, 1]
+        assert table.matrix.tolist() == [[0.5], [0.25]]
+
     def test_low_coverage_warns_not_fails(self, tmp_path, caplog):
         vocab = Vocabulary(terms=[f"t{i:02d}" for i in range(20)])
         path = tmp_path / "vec.txt"
@@ -363,6 +384,16 @@ class TestSimilarityMatrix:
         assert entries[pa, pc] == pytest.approx(
             euclidean_cosine((1.0, 0.0), (1.0, 0.05)), abs=1e-9
         )
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda table: knn(table, 0, 0), "neighborhood size must be >= 1"),
+        (lambda table: build_similarity_matrix(table, k_s=0, alpha=0.1), "k_s must be >= 1"),
+        (lambda table: build_hierarchy_matrix(table, k_h=0), "k_h must be >= 1"),
+    ])
+    def test_neighborhood_size_below_one_is_rejected(self, tmp_path, build, message):
+        table, _ = table_from_points(tmp_path, [(0.0, 0.0), (0.1, 0.0)], terms=["pa", "pb"])
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            build(table)
 
     def test_alpha_validation(self, tmp_path):
         table, _ = table_from_points(tmp_path, [(0.0, 0.0), (0.1, 0.0)], terms=["pa", "pb"])
@@ -634,6 +665,16 @@ class TestSparseIo:
         assert cache.load(key, (10, 10)) is None
         cache.save(key, csr_of(matrix))
         assert_same_csr_arrays(cache.load(key, (10, 10)), matrix)
+
+    def test_save_removes_its_temporary_file_when_the_rename_fails(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        cache = MatrixCache(tmp_path / "cache")
+        monkeypatch.setattr(sparse_io.os, "replace", fail)
+        with pytest.raises(OSError, match="^rename refused$"):
+            cache.save(cache_key("similarity", corpus="abc"), csr_of(np.eye(3)))
+        assert list(cache.directory.iterdir()) == []
 
     def test_save_ignores_stale_temporary_path(self, tmp_path):
         # a leftover at the old fixed temporary name must not block the write

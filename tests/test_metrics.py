@@ -253,6 +253,10 @@ class TestHierarchicalCoherence:
     def test_empty_list_absent(self, four_doc_stats):
         assert hierarchical_coherence([], [0], four_doc_stats, 5) is None
 
+    def test_requires_n_at_least_one(self, four_doc_stats):
+        with pytest.raises(ContractError, match="^hierarchical coherence needs n >= 1$"):
+            hierarchical_coherence([0], [1], four_doc_stats, 0)
+
 
 class TestTopicSpecialization:
     def test_proportional_vectors_score_zero(self):
@@ -280,6 +284,14 @@ class TestTopicSpecialization:
     def test_negative_rejected(self):
         with pytest.raises(ContractError):
             topic_specialization(np.array([-1.0, 1.0]), np.ones(2))
+
+    @pytest.mark.parametrize("topic, corpus_vector, message", [
+        ([1.0, 1.0], [1.0, -1.0], "specialization expects nonnegative vectors"),
+        ([1.0, 1.0, 1.0], [1.0, 1.0], "vector lengths differ: 3 vs 2"),
+    ])
+    def test_bad_corpus_vector_rejected(self, topic, corpus_vector, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            topic_specialization(np.array(topic), np.array(corpus_vector))
 
 
 class TestHierarchicalAffinity:
@@ -371,6 +383,13 @@ class TestEvaluate:
         tree = hand_tree([([1.0, 0.0, 0.0], [])])
         tree.roots[0].term_weights = None
         with pytest.raises(ContractError, match=r"node 0 has term weights of shape \(\)"):
+            evaluate(tree, four_doc_corpus)
+
+    @pytest.mark.parametrize("term", [3, -1])
+    def test_top_term_outside_the_vocabulary_rejected(self, four_doc_corpus, term):
+        tree = hand_tree([([1.0, 0.0, 0.0], [])])
+        tree.roots[0].top_terms = [(0, 1.0), (term, 0.5)]
+        with pytest.raises(ContractError, match=f"^node 0 references term index {term}$"):
             evaluate(tree, four_doc_corpus)
 
     def test_recorded_vocab_size_mismatch_rejected(self, four_doc_corpus):
