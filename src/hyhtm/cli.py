@@ -234,6 +234,10 @@ def cmd_train(config: RunConfig) -> int:
 
     t_start = time.perf_counter()
     built = corpus_mod.read_corpus(config.corpus)
+    # A0 has no more nonzero rows than TF, so too few non-empty documents
+    # stop the run here, before the embeddings are read or a cache is made.
+    hierarchy_mod.check_root_rows(sum(not d.is_empty for d in built.documents),
+                                  config.train.min_docs)
     a0, hier, matrix_provenance = _load_or_build_matrices(config, built)
     t_matrices = time.perf_counter()
 

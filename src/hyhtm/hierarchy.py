@@ -112,6 +112,15 @@ def top_words(h: np.ndarray, i: int, n: int) -> list[tuple[int, float]]:
     return [(int(j), float(row[j])) for j in order]
 
 
+def check_root_rows(n_rows: int, min_docs: int):
+    """Raise DegenerateCorpusError when a root of `n_rows` nonzero rows
+    holds fewer than `min_docs`: its tree would be empty."""
+    if n_rows < min_docs:
+        raise DegenerateCorpusError(
+            f"root has {n_rows} nonzero rows, fewer than min_docs={min_docs}"
+        )
+
+
 def build_hierarchy(
     a0: CsrArrays, doc_ids: list[str], mh: CsrArrays, config: TrainConfig
 ) -> TopicTree:
@@ -139,10 +148,7 @@ def build_hierarchy(
     if mh.shape != (m, m):
         raise ShapeError(f"hierarchy matrix is {mh.shape}, expected {(m, m)}")
     root_rows = np.flatnonzero(np.diff(a0.indptr) > 0)
-    if root_rows.size < config.min_docs:
-        raise DegenerateCorpusError(
-            f"root has {root_rows.size} nonzero rows, fewer than min_docs={config.min_docs}"
-        )
+    check_root_rows(root_rows.size, config.min_docs)
     gauge = LiveMatrixGauge()
     gauge.track(a0)  # the root representation itself
     sparse_a0 = None  # A0 as a scipy matrix, made for the first sparse node

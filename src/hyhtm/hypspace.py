@@ -273,11 +273,13 @@ def _neighbor_table(table: EmbeddingTable, k: int):
     with vocabulary index, so a stable sort breaks ties toward the lower one.
     The widest table built is memoized on `table`; a narrower request slices
     it, which equals building it directly because the ranking is a total order.
+    The rows are `index_dtype(n)`, 32 bits below 2**31 covered terms. They
+    are only indexed with and sorted, so their width changes no result.
     """
     n = len(table.term_indices)
     k = min(k, n)
     if table._neighbors is None or table._neighbors[0].shape[1] < k:
-        order = np.empty((n, k), dtype=np.intp)
+        order = np.empty((n, k), dtype=index_dtype(n))
         near = np.empty((n, k))
         step = max(1, _BLOCK_VALUES // max(n, 1))
         for i in range(0, n, step):

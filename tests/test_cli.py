@@ -199,8 +199,9 @@ class TestUndecodableText:
         if reader == "embeddings":
             assert main(["preprocess", "--input", str(fruit_jsonl), "--output-dir", str(out),
                          "--min-doc-freq", "1"]) == 0
+            # All four documents are usable, or train would stop before the embeddings.
             argv = ["train", "--corpus", str(out / "corpus.bin"), "--embeddings", str(bad),
-                    "--output-dir", str(tmp_path / "model")]
+                    "--output-dir", str(tmp_path / "model"), "--n-topics", "2", "--min-docs", "4"]
         elif reader == "stopwords":
             argv = ["preprocess", "--input", str(fruit_jsonl), "--stopwords", str(bad),
                     "--output-dir", str(out)]
@@ -630,6 +631,23 @@ class TestTrainCommand:
             assert "error: root has 0 nonzero rows, fewer than min_docs=2" in err.splitlines()
         assert not (tmp_path / "model" / "tree.json").exists()
 
+    def test_too_small_corpus_stops_before_the_embeddings(self, tmp_path, capsys):
+        # Two non-empty documents of three, against --min-docs 3: train exits
+        # 4 before it reads the malformed embedding file, which would exit 2,
+        # and before it makes a cache directory.
+        corpus_bin = tmp_path / "corpus.bin"
+        vocabulary = Vocabulary(terms=["apple", "banana"])
+        documents = [Document("d1", [0, 1]), Document("d2", []), Document("d3", [1])]
+        write_corpus(Corpus(documents=documents, vocabulary=vocabulary), corpus_bin)
+        emb = tmp_path / "emb.txt"
+        emb.write_text("apple 0.1 notanumber\n", encoding="utf-8")
+        model = tmp_path / "model"
+        capsys.readouterr()
+        assert main(train_args(corpus_bin, emb, model, n_topics=2, min_docs=3)) == 4
+        err = capsys.readouterr().err
+        assert "error: root has 2 nonzero rows, fewer than min_docs=3" in err.splitlines()
+        assert not (model / "cache").exists()
+
     def test_uncovered_vocabulary_exits_3_naming_the_file(self, planted_cli, tmp_path, capsys):
         corpus_bin, _ = planted_cli
         emb = tmp_path / "emb.txt"
@@ -656,6 +674,8 @@ class TestTrainCommand:
                 "--corpus", str(out / "corpus.bin"),
                 "--embeddings", str(emb),
                 "--output-dir", str(tmp_path / "model"),
+                # all four documents are usable, so the embeddings are read
+                "--n-topics", "2", "--min-docs", "4",
             ]
         )
         assert code == 2

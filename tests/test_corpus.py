@@ -2,6 +2,7 @@ import json
 import math
 import string
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -868,3 +869,60 @@ class TestMatchesScipyReference:
             reference_representation(counts, ms, np.ones(2))
         with pytest.raises(InvariantError):
             build_document_representation(build_tf(corpus), csr_of(ms), np.ones(2))
+
+
+def traced_peak(fn, *args):
+    """The peak bytes that `fn(*args)` allocates on top of what was
+    already allocated."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(csr):
+    return csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes
+
+
+class TestBlockMemory:
+    """IDF and A0 keep their row blocks within the budget the corpus module
+    states: 1 << 15 units of about 40 bytes. On these inputs the traced
+    peaks are 1.5 MB for IDF and 3.5 MB for A0; blocks of 1 << 17 units
+    took them to 5.4 and 7.7 MB, and 1 << 16 already fails both bounds."""
+
+    BLOCK_BYTES = 40 * (1 << 15)
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        # 192 documents of about 60 distinct terms over 1000, and a
+        # similarity matrix of 100 entries a row, the diagonal among them.
+        rng = np.random.default_rng(53)
+        n, m = 192, 1000
+        corpus = Corpus(
+            documents=[Document(id=f"d{i}", tokens=rng.integers(0, m, 62).tolist()) for i in range(n)],
+            vocabulary=Vocabulary(terms=[f"t{j:04d}" for j in range(m)]),
+        )
+        cols = np.concatenate([
+            np.append(rng.choice(np.delete(np.arange(m), j), 99, replace=False), j) for j in range(m)
+        ])
+        ms = sparse.csr_matrix((rng.uniform(0.1, 1.0, cols.size), cols, np.arange(m + 1) * 100),
+                               shape=(m, m))
+        return build_tf(corpus), csr_of(ms)
+
+    def test_idf_peak(self, inputs):
+        tf, ms = inputs
+        peak = traced_peak(compute_idf, tf, ms)
+        # Copies the size of an input, such as TF transposed, come on top.
+        assert peak <= nbytes(tf) + nbytes(ms) + self.BLOCK_BYTES
+
+    def test_representation_peak(self, inputs):
+        tf, ms = inputs
+        n, m = tf.shape
+        idf = compute_idf(tf, ms)
+        # A0's arrays are allocated up front for the most entries it can store.
+        bound = int(np.minimum(corpus_mod._products_per_row(tf, ms), m).sum())
+        preallocated = bound * (np.dtype(np.int32).itemsize + 8) + (n + 1) * 8
+        peak = traced_peak(build_document_representation, tf, ms, idf)
+        assert peak <= nbytes(tf) + nbytes(ms) + preallocated + self.BLOCK_BYTES

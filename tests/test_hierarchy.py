@@ -1,3 +1,4 @@
+import logging
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from hyhtm import (
 )
 from hyhtm.errors import ConfigurationError, ContractError, DegenerateCorpusError, ShapeError
 from hyhtm import hierarchy
+from hyhtm.nmf import FactorPair
 from hyhtm.settings import tree_from_payload, tree_to_payload
 from hyhtm.sparse_io import read_csr, save_csr
 
@@ -432,6 +434,32 @@ class TestBuildHierarchy:
         )
         assert tree.depth == 2
         assert layouts and all(layouts)
+
+    def test_topic_whose_reweight_vector_vanishes_is_a_leaf(self, monkeypatch, caplog):
+        # Topic 0 takes all 12 documents, past min_docs, but its H row is
+        # zero, so its hierarchy-expanded weights are too: it gets no children.
+        n, m = 12, 5
+
+        def zero_topic(matrix, n_topics, *args):
+            w = np.zeros((matrix.shape[0], n_topics))
+            w[:, 0] = 1.0
+            h = np.ones((n_topics, m))
+            h[0] = 0.0
+            return FactorPair(W=w, H=h)
+
+        monkeypatch.setattr(hierarchy, "factorize", zero_topic)
+        with caplog.at_level(logging.DEBUG, logger=hierarchy.__name__):
+            tree = build_hierarchy(
+                csr_of(np.ones((n, m))),
+                [f"d{i}" for i in range(n)],
+                csr_of(sparse.identity(m)),
+                planted_config(n_topics=2, max_depth=2, min_docs=10),
+            )
+        topic = tree.roots[0]
+        assert len(topic.doc_ids) == n
+        assert topic.children == []
+        assert tree.n_nodes == 2
+        assert "topic 0 has an all-zero reweight vector; leaf" in caplog.messages
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

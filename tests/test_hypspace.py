@@ -89,6 +89,17 @@ class TestPoincareDistance:
         for i in range(40):
             assert vec[i] == poincare_distance(center, pts[i])
 
+    def test_point_outside_the_ball_clamps_to_zero(self):
+        # Outside the ball 1 - |u|^2 is negative, so the arcosh argument
+        # falls below 1; both paths clamp it there. A warning, say from
+        # arccosh of a value below 1, would fail the test: pytest makes
+        # every warning an error.
+        outside, inside = (2.0, 0.0), (0.5, 0.0)
+        assert poincare_distance(outside, inside) == 0.0
+        assert poincare_distance(inside, outside) == 0.0
+        dists = poincare_distances(np.array(outside), np.array([inside, (0.0, 0.3)]))
+        assert dists.tolist() == [0.0, 0.0]
+
 
 class TestEuclideanCosine:
     def test_self_similarity(self):
