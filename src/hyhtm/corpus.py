@@ -9,24 +9,13 @@ factorization stages consume.
 All three are built with numpy alone, which the builders import when they
 run: reading, preprocessing and writing a corpus load no numpy, so
 `preprocess` starts without it. The two sparse products run over
-blocks of rows whose work, products plus dense output cells, stays within
-`_BLOCK_WORK`. Within a block every product is expanded in the order of
-scipy's sparse product (Gustavson's row-wise algorithm): by output row,
-then the left row's stored order, then the right row's. `np.bincount`
-adds each cell's products in that order from 0, as scipy does, so the
-results are bitwise those of scipy's products, whatever the budget.
-
-A unit of work keeps about 40 bytes of temporaries alive (36-42 bytes
-under tracemalloc), so a full block of `1 << 15` units holds about 1.3 MB.
-That size was chosen by a sweep from `1 << 11` to `1 << 17`. Blocks of
-`1 << 17` units (5.2 MB) set the peak RSS of a whole train on a
-192-document, 1000-term corpus: 46.5 MB, against 44.3 MB at `1 << 15`,
-and smaller budgets took off under 0.2 MB more. IDF and A0 also ran
-fastest at `1 << 14` and `1 << 15` on small corpora, where a block fits a
-2 MB L2 cache; smaller blocks pay numpy's per-call cost more often. On a
-4980 x 2000 corpus with 500-term neighbourhoods every row is a block of
-its own at `1 << 16` and below, and IDF plus A0 took the same time as at
-`1 << 17`.
+`sparse_io.row_blocks`, whose work is products plus dense output cells;
+`sparse_io` states the one budget and why it has its size. Within a block
+every product is expanded in the order of scipy's sparse product
+(Gustavson's row-wise algorithm): by output row, then the left row's
+stored order, then the right row's. `np.bincount` adds each cell's
+products in that order from 0, as scipy does, so the results are bitwise
+those of scipy's products, whatever the budget.
 """
 
 from __future__ import annotations
@@ -57,10 +46,6 @@ log = logging.getLogger(__name__)
 
 _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
 _CORPUS_MAGIC = b"HYC1"
-# Products plus dense output cells per row block of a sparse product; a
-# block keeps about 40 bytes per unit alive (1.3 MB), the module docstring
-# says why this size. A row over the budget is a block of its own.
-_BLOCK_WORK = 1 << 15
 
 
 @dataclass
@@ -332,18 +317,6 @@ def build_tf(corpus: Corpus) -> CsrArrays:
     return csr_from_triplets(ones, docs, terms, (corpus.n_docs, len(corpus.vocabulary)))
 
 
-def _row_blocks(work: np.ndarray):
-    """Consecutive [start, stop) row ranges whose summed `work` stays within
-    `_BLOCK_WORK`; a row over the budget is a range of its own."""
-    ends = work.cumsum()
-    start = 0
-    while start < work.size:
-        done = ends[start - 1] if start else 0
-        stop = max(start + 1, int(ends.searchsorted(done + _BLOCK_WORK, side="right")))
-        yield start, stop
-        start = stop
-
-
 def _products_per_row(left: CsrArrays, right: CsrArrays) -> np.ndarray:
     """How many products each row of `left @ right` expands to."""
     import numpy as np
@@ -366,10 +339,10 @@ def _product_blocks(left: CsrArrays, right: CsrArrays, pattern: bool = False):
     `pattern`, every stored value of `right` is read as 1.
     """
     import numpy as np
-    from .sparse_io import row_positions
+    from .sparse_io import row_blocks, row_positions
 
     n_cols = right.shape[1]
-    for start, stop in _row_blocks(_products_per_row(left, right) + n_cols):
+    for start, stop in row_blocks(_products_per_row(left, right) + n_cols):
         begin, end = left.indptr[start], left.indptr[stop]
         pos, lengths = row_positions(right.indptr, left.indices[begin:end])
         rows = np.repeat(np.arange(stop - start) * n_cols, np.diff(left.indptr[start : stop + 1]))
@@ -396,16 +369,18 @@ def compute_idf(counts: CsrArrays, ms: CsrArrays) -> np.ndarray:
     similarity matrix's CSR arrays, which store no zero; `counts` is TF.
     """
     import numpy as np
-    from .sparse_io import csr_from_triplets
+    from .sparse_io import CsrArrays, index_dtype
 
     n, m = counts.shape
     if ms.shape != (m, m):
         raise ShapeError(f"similarity matrix is {ms.shape}, expected {(m, m)}")
 
-    # The documents of each term, ascending: TF's pattern transposed.
-    docs = np.repeat(np.arange(n), np.diff(counts.indptr))
-    docs_of = csr_from_triplets(np.broadcast_to(1.0, docs.shape), counts.indices, docs, (m, n))
-    del docs
+    # The documents of each term, ascending: TF's pattern transposed. TF's
+    # entries run in document order, so a stable sort by term keeps it.
+    docs = np.repeat(np.arange(n, dtype=index_dtype(n)), np.diff(counts.indptr))
+    docs = docs[np.argsort(counts.indices, kind="stable")]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(counts.indices, minlength=m))))
+    docs_of = CsrArrays(indptr, docs, np.broadcast_to(1.0, docs.shape), (m, n))
 
     mu_sum = np.zeros(m)
     for start, stop, cells, values in _product_blocks(ms, docs_of, pattern=True):

@@ -10,9 +10,9 @@ downstream unchanged.
 An `EmbeddingTable` holds the covered terms' ascending vocabulary indices
 and one vector row per index; a term's row is found by binary search over
 the indices. Both matrices and `knn` slice one sorted neighbor table per
-table; the similarity normalizer is an exact broadcast over blocks of
-neighborhoods, with the arithmetic of `poincare_distance`. Both matrices
-are numpy CSR arrays filled row by row from that table.
+table; the similarity normalizer is read off the rows of the distance
+matrix that the neighborhoods' members hold, each computed once. Both
+matrices are numpy CSR arrays filled row by row from that table.
 """
 
 from __future__ import annotations
@@ -25,22 +25,20 @@ import numpy as np
 from .corpus import Vocabulary, utf8_lines
 from .errors import ConfigurationError, ContractError, EmbeddingParseError
 from .settings import EUCLIDEAN, HYPERBOLIC, SPACES
-from .sparse_io import CsrArrays, index_dtype, row_positions
+from .sparse_io import CsrArrays, index_dtype, row_blocks, row_positions
 
 log = logging.getLogger(__name__)
 
 # Vectors at or outside the unit sphere are pulled back to this norm.
 _BALL_RADIUS = 1.0 - 1e-5
 _LOW_COVERAGE = 0.10
-# Float64 values per temporary array of the geometry kernel (0.5 MB).
-_BLOCK_VALUES = 1 << 16
 
 
 def _sq_norms(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean norms along the last axis of x, or of x - y broadcast.
 
     This is the single definition of the norm. It accumulates dimension by
-    dimension, which keeps every distance path (scalar, row, block, pairwise)
+    dimension, which keeps every distance path (scalar, row, block)
     bitwise equal to a scalar loop; the test oracles rely on that. Taking
     the difference inside the loop avoids materializing it in full.
     """
@@ -71,12 +69,12 @@ def poincare_distance(u, v) -> float:
 
 
 def _ball_distances(a, sq_a, b, sq_b) -> np.ndarray:
-    """Ball distances between the rows of a (..., p, d) and b (..., q, d): (..., p, q).
+    """Ball distances between the rows of a (p, d) and b (q, d): (p, q).
 
     `sq_a` and `sq_b` are the rows' squared norms from `_sq_norms`.
     """
-    diff_sq = _sq_norms(b[..., None, :, :], a[..., :, None, :])
-    denom = (1.0 - sq_a)[..., :, None] * (1.0 - sq_b)[..., None, :]
+    diff_sq = _sq_norms(b[None, :, :], a[:, None, :])
+    denom = (1.0 - sq_a)[:, None] * (1.0 - sq_b)[None, :]
     arg = 1.0 + 2.0 * diff_sq / denom
     np.maximum(arg, 1.0, out=arg)
     return np.arccosh(arg)
@@ -132,20 +130,20 @@ class EmbeddingTable:
         """Vector for one vocabulary index; raises on uncovered terms."""
         return self.matrix[self.row(term_index)]
 
-    def _distances(self, a, b=slice(None)) -> np.ndarray:
-        """Distances between the rows indexed by a (..., p) and by b (..., q): (..., p, q).
+    def _distances(self, rows: np.ndarray) -> np.ndarray:
+        """Distances from the matrix rows `rows` (p,) to every row: (p, n).
 
-        Cosine similarities take one matrix-vector product per row of a, the
-        same BLAS call as `x[b] @ x[a_row]`; a matrix-matrix product rounds
+        Cosine similarities take one matrix-vector product per row, the
+        same BLAS call as `x @ x[row]`; a matrix-matrix product rounds
         differently. A zero vector has cosine similarity 0 to everything.
         """
-        xa, xb = self.matrix[a], self.matrix[b]
+        xa, xb = self.matrix[rows], self.matrix
         sq_a, sq_b = _sq_norms(xa), _sq_norms(xb)
         if self.space == HYPERBOLIC:
             return _ball_distances(xa, sq_a, xb, sq_b)
-        sims = np.matmul(xb[..., None, :, :], xa[..., :, :, None])[..., 0]
-        scale = np.sqrt(sq_b)[..., None, :] * np.sqrt(sq_a)[..., :, None]
-        nonzero = (sq_b[..., None, :] > 0.0) & (sq_a[..., :, None] > 0.0)
+        sims = np.matmul(xb, xa[:, :, None])[:, :, 0]
+        scale = np.sqrt(sq_b)[None, :] * np.sqrt(sq_a)[:, None]
+        nonzero = (sq_b[None, :] > 0.0) & (sq_a[:, None] > 0.0)
         cos = np.zeros(sims.shape)
         np.divide(sims, scale, out=cos, where=nonzero)
         return 1.0 - cos
@@ -281,11 +279,10 @@ def _neighbor_table(table: EmbeddingTable, k: int):
     if table._neighbors is None or table._neighbors[0].shape[1] < k:
         order = np.empty((n, k), dtype=index_dtype(n))
         near = np.empty((n, k))
-        step = max(1, _BLOCK_VALUES // max(n, 1))
-        for i in range(0, n, step):
-            centers = np.arange(i, min(i + step, n))
+        for start, stop in row_blocks(np.full(n, n)):
+            centers = np.arange(start, stop)
             dist = table._distances(centers)
-            dist[centers - i, centers] = -np.inf
+            dist[centers - start, centers] = -np.inf
             order[centers] = np.argsort(dist, axis=1, kind="stable")[:, :k]
             near[centers] = np.take_along_axis(dist, order[centers], axis=1)
         near[:, :1] = 0.0
@@ -298,20 +295,27 @@ def _neighborhood_similarities(table: EmbeddingTable, members: np.ndarray, cente
     """1 - d / spread for neighborhoods given as rows of `members`, center first.
 
     `center_dists` holds each member's distance from its center; spread is
-    the largest distance over all member pairs. Blocks of neighborhoods, or
-    of member rows when k is large, bound the temporaries by `_BLOCK_VALUES`.
+    the largest distance over all member pairs. Each row a of the distance
+    matrix D that a slot (member a of neighborhood i) holds is computed once,
+    by the `_distances` call of `_neighbor_table`; the slot gathers
+    max(D[a, members[i]]), and the spread of i is the max over its slots. A
+    ball spread is so bitwise that of a pairwise broadcast; a cosine table
+    may round differently, but the pipeline never takes a Euclidean spread.
     """
     n, k = members.shape
-    width = max(k, table.matrix.shape[1])  # pairs and gathered vectors per member row
+    slots = np.argsort(members, axis=None)  # slot i * k + j, by member row
+    held = members.ravel()[slots]
+    ends = np.append(np.flatnonzero(np.diff(held, prepend=-1)), held.size)  # a row's slots
+    rows = held[ends[:-1]]
     spread = np.full(n, -np.inf)
-    per_block = max(1, _BLOCK_VALUES // max(k * width, 1))
-    rows = max(1, min(k, _BLOCK_VALUES // width))
-    for i in range(0, n, per_block):
-        block = members[i : i + per_block]
-        for j in range(0, k, rows):
-            pairs = table._distances(block[:, j : j + rows], block)
-            np.maximum(spread[i : i + per_block], pairs.max(axis=(1, 2)),
-                       out=spread[i : i + per_block])
+    for start, stop in row_blocks(np.full(rows.size, table.matrix.shape[0])):
+        dist = table._distances(rows[start:stop])
+        owner = np.repeat(np.arange(stop - start), np.diff(ends[start : stop + 1]))
+        block = slots[ends[start] : ends[stop]]
+        for lo, hi in row_blocks(np.full(block.size, k)):
+            nbhd = block[lo:hi] // k
+            gathered = dist[owner[lo:hi, None], members[nbhd]]
+            np.maximum.at(spread, nbhd, gathered.max(axis=1))
     ratio = np.zeros((n, k))
     np.divide(center_dists, spread[:, None], out=ratio, where=spread[:, None] != 0.0)
     return 1.0 - ratio
@@ -354,8 +358,8 @@ def _term_matrix(table: EmbeddingTable, members: np.ndarray, values: np.ndarray)
 
     Rows of uncovered terms carry a bare unit diagonal; zero values are
     dropped. Member rows ascend with vocabulary index, so sorting a row's
-    members sorts its columns; blocks of `_BLOCK_VALUES` cells are sorted
-    and written in place.
+    members sorts its columns; `row_blocks` of cells are sorted and written
+    in place.
     """
     m = table.vocab_size
     terms = table.term_indices
@@ -372,13 +376,12 @@ def _term_matrix(table: EmbeddingTable, members: np.ndarray, values: np.ndarray)
     data = np.empty(indptr[-1])
     indices[indptr[missing]] = missing
     data[indptr[missing]] = 1.0
-    step = max(1, _BLOCK_VALUES // max(members.shape[1], 1))
-    for i in range(0, terms.size, step):
-        order = np.argsort(members[i : i + step], axis=1)
-        cols = terms[np.take_along_axis(members[i : i + step], order, axis=1)]
-        vals = np.take_along_axis(values[i : i + step], order, axis=1)
+    for start, stop in row_blocks(np.full(terms.size, members.shape[1])):
+        order = np.argsort(members[start:stop], axis=1)
+        cols = terms[np.take_along_axis(members[start:stop], order, axis=1)]
+        vals = np.take_along_axis(values[start:stop], order, axis=1)
         keep = vals != 0
-        pos, _ = row_positions(indptr, terms[i : i + step])
+        pos, _ = row_positions(indptr, terms[start:stop])
         indices[pos] = cols[keep]
         data[pos] = vals[keep]
     return CsrArrays(indptr=indptr, indices=indices, data=data, shape=(m, m))

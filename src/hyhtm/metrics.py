@@ -11,8 +11,8 @@ non-child topics one level down.
 `evaluate` scores a whole tree in one pass. It gathers every term grid the
 report reads, the top-10 x top-10 grid of each topic and of each edge (the
 top-5 scores read sub-blocks of them), counts the joint documents of each
-distinct unordered term pair once, in blocks of at most `_PAIR_BLOCK_WORDS`
-presence words, and takes each distinct pair's PMI once. `pmi`, `coherence`
+distinct unordered term pair once, in `sparse_io.row_blocks` of presence
+words, and takes each distinct pair's PMI once. `pmi`, `coherence`
 and `hierarchical_coherence` go through the same grid helper, so PMI has
 one definition.
 
@@ -46,14 +46,12 @@ import numpy as np
 from .corpus import Corpus, token_arrays
 from .errors import ContractError
 from .settings import TopicTree
+from .sparse_io import row_blocks
 
 log = logging.getLogger(__name__)
 
 _JOINT_EPS = 1e-12
 _TOP_NS = (5, 10)
-# 64-bit presence words per operand in one block of the joint-count pass
-# (1 MB each); a block holds at least one pair.
-_PAIR_BLOCK_WORDS = 1 << 17
 
 
 @dataclass
@@ -98,11 +96,9 @@ class CooccurrenceStats:
 
     def _pair_counts(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Joint document counts of the local term pairs (left[k], right[k]),
-        in blocks of at most `_PAIR_BLOCK_WORDS` words per operand."""
-        block = max(1, _PAIR_BLOCK_WORDS // max(1, self._presence.shape[1]))
+        in `row_blocks` of presence words."""
         counts = np.empty(len(left), dtype=np.int64)
-        for start in range(0, len(left), block):
-            stop = start + block
+        for start, stop in row_blocks(np.full(len(left), self._presence.shape[1])):
             both = self._presence[left[start:stop]] & self._presence[right[start:stop]]
             counts[start:stop] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
         return counts

@@ -24,6 +24,7 @@ from hyhtm import (
     preprocess,
 )
 from hyhtm import corpus as corpus_mod
+from hyhtm import sparse_io
 from hyhtm.cli import main
 from hyhtm.corpus import (
     _light_stem,
@@ -814,7 +815,7 @@ class TestMatchesScipyReference:
 
     @pytest.fixture(params=[1, 40, 1 << 40], ids=["budget-1", "budget-40", "budget-huge"])
     def budget(self, request, monkeypatch):
-        monkeypatch.setattr(corpus_mod, "_BLOCK_WORK", request.param)
+        monkeypatch.setattr(sparse_io, "_BLOCK_WORK", request.param)
         return request.param
 
     def test_random_sparse_inputs(self, budget):
@@ -849,7 +850,7 @@ class TestMatchesScipyReference:
     def test_heavy_row_over_the_budget(self, monkeypatch):
         # With a budget of 40, the long document's row is a block of its own
         # while the short ones share blocks.
-        monkeypatch.setattr(corpus_mod, "_BLOCK_WORK", 40)
+        monkeypatch.setattr(sparse_io, "_BLOCK_WORK", 40)
         rng = np.random.default_rng(47)
         m = 12
         corpus = random_corpus(rng, 20, m, empty=1)
@@ -887,10 +888,11 @@ def nbytes(csr):
 
 
 class TestBlockMemory:
-    """IDF and A0 keep their row blocks within the budget the corpus module
-    states: 1 << 15 units of about 40 bytes. On these inputs the traced
-    peaks are 1.5 MB for IDF and 3.5 MB for A0; blocks of 1 << 17 units
-    took them to 5.4 and 7.7 MB, and 1 << 16 already fails both bounds."""
+    """IDF and A0 keep their row blocks within 1 << 15 units of about 40
+    bytes, twice the budget `sparse_io` states. On these inputs the traced
+    peaks are 0.9 MB for IDF and 2.9 MB for A0. Blocks of 1 << 16 units
+    take them to 2.7 and 5.0 MB, which fails the bound of A0, and 1 << 17
+    units to 5.3 and 7.7 MB, which fails both."""
 
     BLOCK_BYTES = 40 * (1 << 15)
 

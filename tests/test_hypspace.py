@@ -3,8 +3,12 @@ import math
 import re
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from hyhtm import (
@@ -26,6 +30,7 @@ from hyhtm.sparse_io import (
     MatrixCache,
     cache_key,
     read_csr,
+    row_blocks,
     save_csr,
 )
 
@@ -575,10 +580,10 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("space", ["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("k", [12, 25])
     def test_small_blocks_bitwise_equal_reference(self, space, k, monkeypatch):
-        # 64 values per block: member rows are split (5 or 2 rows a chunk),
-        # each block holds one neighborhood, and the neighbor table and the
-        # matrix rows are built over many blocks, as at the default k_s = 500.
-        monkeypatch.setattr(hypspace, "_BLOCK_VALUES", 64)
+        # 64 units per block: two rows of the distance matrix a block,
+        # gathers of 5 or 2 slots, and the neighbor table and the matrix
+        # rows are built over many blocks, as at the default k_s = 500.
+        monkeypatch.setattr(sparse_io, "_BLOCK_WORK", 64)
         table = random_table(40, n=30, dim=3, space=space)
         want_s, want_h = reference_builders(table, k, 0.3, k)
         assert_same_csr(build_similarity_matrix(table, k, 0.3).entries, want_s)
@@ -593,6 +598,80 @@ class TestKernelMatchesReference:
             for got, want in zip(_neighbor_table(wide, k), _neighbor_table(narrow, k)):
                 assert np.array_equal(got, want)
             assert wide._neighbors[0].shape[1] == 25  # sliced, not rebuilt
+
+
+def counted_distances(monkeypatch):
+    """Wrap `EmbeddingTable._distances`; the list it fills with the rows
+    and the output size of each call."""
+    calls = []
+    original = EmbeddingTable._distances
+
+    def wrapper(self, rows):
+        out = original(self, rows)
+        calls.append((np.asarray(rows), out.size))
+        return out
+
+    monkeypatch.setattr(EmbeddingTable, "_distances", wrapper)
+    return calls
+
+
+class TestRowPass:
+    """The spread reads each member row of the distance matrix once and
+    gathers it per slot; S stays bitwise the per-pair reference's."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 30])
+    def test_exact_duplicate_points(self, k):
+        table = random_table(60, n=30, dim=3, space="hyperbolic", duplicates=9)
+        for alpha in (0.0, 0.2, 1.0):
+            want_s, want_h = reference_builders(table, k, alpha, k)
+            assert_same_csr(build_similarity_matrix(table, k, alpha).entries, want_s)
+            assert_same_csr(build_hierarchy_matrix(table, k).entries, want_h)
+
+    def test_all_coincident_neighborhood(self):
+        # Rows 0-5 are one point, so the 4-neighborhood of each of them has
+        # spread 0 and similarity 1 at every member.
+        table = random_table(62, n=20, dim=3, space="hyperbolic", duplicates=5)
+        want_s, _ = reference_builders(table, 4, 0.9, 4)
+        got = build_similarity_matrix(table, 4, 0.9).entries
+        assert_same_csr(got, want_s)
+        w = int(table.term_indices[0])
+        assert got.data[got.indptr[w] : got.indptr[w + 1]].tolist() == [1.0] * 4
+        assert [s for _, s in neighborhood_similarity(knn(table, w, 4), table)] == [1.0] * 4
+
+    def test_hub_row_gather_is_split(self, monkeypatch):
+        # The origin is nearer every point than any other point is, so its
+        # row holds a slot in each of the 20 neighborhoods: 80 gathered
+        # values against a budget of 16.
+        monkeypatch.setattr(sparse_io, "_BLOCK_WORK", 16)
+        rng = np.random.default_rng(63)
+        points = ball_points(rng, 20, 8)
+        points *= 0.6 / np.linalg.norm(points, axis=1, keepdims=True)
+        points[7] = 0.0
+        table = EmbeddingTable(space="hyperbolic", vocab_size=20,
+                               term_indices=np.arange(20), matrix=points)
+        members, _ = _neighbor_table(table, 4)
+        assert (members == 7).any(axis=1).all()
+        assert (members == 7).sum() * 4 > sparse_io._BLOCK_WORK
+        want_s, want_h = reference_builders(table, 4, 0.1, 4)
+        assert_same_csr(build_similarity_matrix(table, 4, 0.1).entries, want_s)
+        assert_same_csr(build_hierarchy_matrix(table, 4).entries, want_h)
+
+    def test_each_member_row_once(self, monkeypatch):
+        # One pass over the neighbor table's m rows, one over the rows that
+        # hold a slot: at most 2 m^2 distances (the broadcast over member
+        # pairs took 2,040,000 here).
+        table = random_table(64, n=200, dim=5, space="hyperbolic", uncovered=0)
+        calls = counted_distances(monkeypatch)
+        build_similarity_matrix(table, 100, 0.1)
+        assert sum(size for _, size in calls) <= 2 * 200**2
+
+    def test_one_neighborhood_reads_its_member_rows(self, monkeypatch):
+        table = random_table(65, n=50, dim=4, space="hyperbolic", duplicates=0)
+        nbhd = knn(table, int(table.term_indices[3]), 12)
+        calls = counted_distances(monkeypatch)
+        neighborhood_similarity(nbhd, table)
+        read = np.sort(np.concatenate([rows for rows, _ in calls]))
+        assert read.tolist() == sorted(table.row(t) for t in nbhd.member_indices())
 
 
 class TestEuclideanMode:
@@ -827,3 +906,19 @@ class TestSparseIo:
         key = cache_key("similarity", corpus="abc", alpha=0.1)
         monkeypatch.setattr(sparse_io, "CACHE_FORMAT_VERSION", sparse_io.CACHE_FORMAT_VERSION + 1)
         assert cache_key("similarity", corpus="abc", alpha=0.1) != key
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        work=st.lists(st.integers(0, 40) | st.just(0), max_size=60),
+        budget=st.integers(1, 120) | st.just(1) | st.just(1 << 62),
+    )
+    def test_row_blocks_cover_the_rows_within_the_budget(self, work, budget):
+        work = np.array(work, dtype=np.int64)
+        with mock.patch.object(sparse_io, "_BLOCK_WORK", budget):
+            ranges = list(row_blocks(work))
+        bounds = [0] + [stop for _, stop in ranges]
+        assert [start for start, _ in ranges] == bounds[:-1]
+        assert bounds[-1] == work.size
+        for start, stop in ranges:
+            assert stop > start
+            assert stop - start == 1 or work[start:stop].sum() <= budget

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hyhtm import metrics
+from hyhtm import sparse_io
 from hyhtm import (
     build_stats,
     coherence,
@@ -633,7 +633,7 @@ class TestMatchesPerPairReference:
     @pytest.mark.parametrize("block", [1, None, 1 << 62])
     def test_random_trees(self, monkeypatch, branching, block):
         if block is not None:
-            monkeypatch.setattr(metrics, "_PAIR_BLOCK_WORDS", block)
+            monkeypatch.setattr(sparse_io, "_BLOCK_WORK", block)
         rng = np.random.default_rng(sum(branching))
         corpus = zipf_corpus(rng, m=60, n_docs=150, max_len=30, ghosts=4)
         tree = random_tree(rng, 60, branching)
