@@ -8,14 +8,15 @@ factorization stages consume.
 
 All three are built with numpy alone, which the builders import when they
 run: reading, preprocessing and writing a corpus load no numpy, so
-`preprocess` starts without it. The two sparse products run over
-`sparse_io.row_blocks`, whose work is products plus dense output cells;
-`sparse_io` states the one budget and why it has its size. Within a block
-every product is expanded in the order of scipy's sparse product
-(Gustavson's row-wise algorithm): by output row, then the left row's
-stored order, then the right row's. `np.bincount` adds each cell's
-products in that order from 0, as scipy does, so the results are bitwise
-those of scipy's products, whatever the budget.
+`preprocess` starts without it. TF and A0 are built as dense row blocks
+that the one CSR writer, `sparse_io.csr_from_blocks`, stores. The two
+sparse products run over `sparse_io.row_blocks`, whose work is products
+plus dense output cells; `sparse_io` states the one budget and why it has
+its size. Within a block every product is expanded in the order of
+scipy's sparse product (Gustavson's row-wise algorithm): by output row,
+then the left row's stored order, then the right row's. `np.bincount`
+adds each cell's products in that order from 0, as scipy does, so the
+results are bitwise those of scipy's products, whatever the budget.
 """
 
 from __future__ import annotations
@@ -310,11 +311,20 @@ def build_tf(corpus: Corpus) -> CsrArrays:
     """Raw occurrence counts (int64) as a sparse n x m matrix, one row per
     document in document order; no zero is stored."""
     import numpy as np
-    from .sparse_io import csr_from_triplets
+    from .sparse_io import csr_from_blocks, row_blocks
 
     docs, terms = token_arrays(corpus)
-    ones = np.broadcast_to(np.int64(1), terms.shape)
-    return csr_from_triplets(ones, docs, terms, (corpus.n_docs, len(corpus.vocabulary)))
+    n, m = corpus.n_docs, len(corpus.vocabulary)
+    firsts = np.searchsorted(docs, np.arange(n + 1))  # where each document's tokens start
+
+    def blocks():
+        for start, stop in row_blocks(np.full(n, m)):
+            lo, hi = firsts[start], firsts[stop]
+            cells = (docs[lo:hi] - start) * m + terms[lo:hi]
+            counts = np.bincount(cells, minlength=(stop - start) * m)
+            yield start, stop, counts.reshape(stop - start, m)
+
+    return csr_from_blocks((n, m), terms.size, blocks(), dtype=np.int64)
 
 
 def _products_per_row(left: CsrArrays, right: CsrArrays) -> np.ndarray:
@@ -329,14 +339,13 @@ def _products_per_row(left: CsrArrays, right: CsrArrays) -> np.ndarray:
     return np.diff(totals)
 
 
-def _product_blocks(left: CsrArrays, right: CsrArrays, pattern: bool = False):
+def _product_blocks(left: CsrArrays, right: CsrArrays):
     """The products of `left @ right`, one row block at a time.
 
     Yields (start, stop, cells, values): for rows start:stop of the product,
     each product's flat index into the dense (stop - start, right.shape[1])
     block and its value `left[i, j] * right[j, k]`, ordered by row i, then
-    by j in left's stored order, then by k in right's stored order. With
-    `pattern`, every stored value of `right` is read as 1.
+    by j in left's stored order, then by k in right's stored order.
     """
     import numpy as np
     from .sparse_io import row_blocks, row_positions
@@ -349,8 +358,7 @@ def _product_blocks(left: CsrArrays, right: CsrArrays, pattern: bool = False):
         cells = np.repeat(rows, lengths)
         cells += right.indices[pos]
         values = np.repeat(left.data[begin:end].astype(np.float64), lengths)
-        if not pattern:
-            values *= right.data[pos]
+        values *= right.data[pos]
         del pos
         yield start, stop, cells, values
 
@@ -383,7 +391,7 @@ def compute_idf(counts: CsrArrays, ms: CsrArrays) -> np.ndarray:
     docs_of = CsrArrays(indptr, docs, np.broadcast_to(1.0, docs.shape), (m, n))
 
     mu_sum = np.zeros(m)
-    for start, stop, cells, values in _product_blocks(ms, docs_of, pattern=True):
+    for start, stop, cells, values in _product_blocks(ms, docs_of):
         size = (stop - start) * n
         weight = np.bincount(cells, weights=values, minlength=size)
         count = np.bincount(cells, minlength=size)
@@ -416,7 +424,7 @@ def build_document_representation(
     zero, are not stored.
     """
     import numpy as np
-    from .sparse_io import CsrArrays, index_dtype
+    from .sparse_io import csr_from_blocks
 
     n, m = counts.shape
     if ms.shape != (m, m):
@@ -424,30 +432,20 @@ def build_document_representation(
     if idf.shape != (m,):
         raise ShapeError(f"idf vector has length {idf.shape}, expected {m}")
     # Room for the most entries A0 can store: a row has at most one per
-    # product and one per column. Pages are touched only as entries are
-    # written, and the unused tail is returned at the end.
+    # product and one per column.
     bound = int(np.minimum(_products_per_row(counts, ms), m).sum())
-    indices = np.empty(bound, dtype=index_dtype(m))
-    data = np.empty(bound)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    columns = np.arange(m)
-    for start, stop, cells, values in _product_blocks(counts, ms):
-        spread = np.bincount(cells, weights=values, minlength=(stop - start) * m)
-        # (bincount returns ints when a block has no products)
-        spread = spread.astype(np.float64, copy=False).reshape(stop - start, m)
-        keep = spread != 0  # the cells the sparse product stores
-        spread *= idf
-        keep &= spread != 0
-        at = indptr[start]
-        np.cumsum(keep.sum(axis=1), out=indptr[start + 1 : stop + 1])
-        indptr[start + 1 : stop + 1] += at
-        indices[at : indptr[stop]] = np.broadcast_to(columns, spread.shape)[keep]
-        data[at : indptr[stop]] = spread[keep]
-    indices.resize(indptr[-1], refcheck=False)
-    data.resize(indptr[-1], refcheck=False)
-    if data.size and data.min() < 0:
+
+    def blocks():
+        # IDF is finite, so a cell the sparse product does not store is
+        # zero once scaled too.
+        for start, stop, cells, values in _product_blocks(counts, ms):
+            spread = np.bincount(cells, weights=values, minlength=(stop - start) * m)
+            yield start, stop, spread.reshape(stop - start, m) * idf
+
+    a0 = csr_from_blocks((n, m), bound, blocks())
+    if a0.data.size and a0.data.min() < 0:
         raise InvariantError("document representation has a negative entry")
-    return DocTermRepresentation(CsrArrays(indptr, indices, data, (n, m)))
+    return DocTermRepresentation(a0)
 
 
 def read_jsonl_documents(path) -> list[tuple[str, str]]:

@@ -12,7 +12,8 @@ and one vector row per index; a term's row is found by binary search over
 the indices. Both matrices and `knn` slice one sorted neighbor table per
 table; the similarity normalizer is read off the rows of the distance
 matrix that the neighborhoods' members hold, each computed once. Both
-matrices are numpy CSR arrays filled row by row from that table.
+matrices are scattered from that table into dense row blocks, which
+`sparse_io.csr_from_blocks` stores as numpy CSR arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .corpus import Vocabulary, utf8_lines
 from .errors import ConfigurationError, ContractError, EmbeddingParseError
 from .settings import EUCLIDEAN, HYPERBOLIC, SPACES
-from .sparse_io import CsrArrays, index_dtype, row_blocks, row_positions
+from .sparse_io import CsrArrays, csr_from_blocks, index_dtype, row_blocks
 
 log = logging.getLogger(__name__)
 
@@ -307,6 +308,7 @@ def _neighborhood_similarities(table: EmbeddingTable, members: np.ndarray, cente
     held = members.ravel()[slots]
     ends = np.append(np.flatnonzero(np.diff(held, prepend=-1)), held.size)  # a row's slots
     rows = held[ends[:-1]]
+    del held
     spread = np.full(n, -np.inf)
     for start, stop in row_blocks(np.full(rows.size, table.matrix.shape[0])):
         dist = table._distances(rows[start:stop])
@@ -357,34 +359,21 @@ def _term_matrix(table: EmbeddingTable, members: np.ndarray, values: np.ndarray)
     """m x m CSR: row of each covered term holds `values` at its members' columns.
 
     Rows of uncovered terms carry a bare unit diagonal; zero values are
-    dropped. Member rows ascend with vocabulary index, so sorting a row's
-    members sorts its columns; `row_blocks` of cells are sorted and written
-    in place.
+    dropped. Each row block is scattered into a dense block for the writer.
     """
     m = table.vocab_size
     terms = table.term_indices
-    # A mask, not np.setdiff1d: that goes through np.unique, which imports
-    # numpy.ma, and nothing else in a train needs it.
-    covered = np.zeros(m, dtype=bool)
-    covered[terms] = True
-    missing = np.flatnonzero(~covered)
-    lengths = np.ones(m, dtype=np.int64)
-    lengths[terms] = np.count_nonzero(values, axis=1)
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=index_dtype(m))
-    data = np.empty(indptr[-1])
-    indices[indptr[missing]] = missing
-    data[indptr[missing]] = 1.0
-    for start, stop in row_blocks(np.full(terms.size, members.shape[1])):
-        order = np.argsort(members[start:stop], axis=1)
-        cols = terms[np.take_along_axis(members[start:stop], order, axis=1)]
-        vals = np.take_along_axis(values[start:stop], order, axis=1)
-        keep = vals != 0
-        pos, _ = row_positions(indptr, terms[start:stop])
-        indices[pos] = cols[keep]
-        data[pos] = vals[keep]
-    return CsrArrays(indptr=indptr, indices=indices, data=data, shape=(m, m))
+
+    def blocks():
+        for start, stop in row_blocks(np.full(m, m)):
+            lo, hi = terms.searchsorted((start, stop))  # the covered rows of the block
+            dense = np.zeros((stop - start, m))
+            # A covered term is its own first member, so its value replaces this 1.
+            np.fill_diagonal(dense[:, start:], 1.0)
+            dense[terms[lo:hi, None] - start, terms[members[lo:hi]]] = values[lo:hi]
+            yield start, stop, dense
+
+    return csr_from_blocks((m, m), m - terms.size + members.size, blocks())
 
 
 def build_similarity_matrix(table: EmbeddingTable, k_s: int, alpha: float) -> TermSimilarityMatrix:

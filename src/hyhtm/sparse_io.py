@@ -4,9 +4,9 @@ content-addressed matrix cache.
 Every matrix a `train` builds or loads is a `CsrArrays`: plain numpy CSR
 arrays with the attribute names of a scipy CSR matrix, canonical and
 storing no zero. It is the one matrix type the pipeline's functions take;
-the builders make it so and `read_csr` checks it, and no consumer converts
-or repairs its input. Only a sparse node matrix needs scipy's arithmetic,
-through `CsrArrays.tocsr`.
+the one writer `csr_from_blocks` makes it so for TF, S, H and A0,
+`read_csr` checks it, and no consumer converts or repairs its input. Only
+a sparse node matrix needs scipy's arithmetic, through `CsrArrays.tocsr`.
 
 A matrix is stored as a header of three little-endian u64 (rows, cols,
 stored entries) and the 32-byte sha256 of the payload, then the payload:
@@ -19,15 +19,16 @@ detected on reading and is a logged miss.
 
 Every blocked loop of the package walks `row_blocks`: ranges of rows
 whose work stays within the one budget `_BLOCK_WORK`. A unit of work is a
-value a block holds: a product or dense cell of IDF and A0, a distance or
-gathered distance, a cell of `dense_rows`, a presence word of the joint
-counts. A unit keeps about 40 bytes alive (36-42 under tracemalloc for
-IDF and A0), 0.65 MB a block at `1 << 14`. In a sweep from `1 << 11` to
-`1 << 17`, IDF and A0 ran fastest at `1 << 14` and `1 << 15`, where a
-block fits a 2 MB L2 cache, and `1 << 17` raised the peak RSS of a train
-on a 192-document, 1000-term corpus from 44.3 to 46.5 MB. Once every
-kernel shared the budget, that train peaked at 44.5-44.6 MB at `1 << 14`
-and 45.3 MB at `1 << 15`, in six alternating runs each.
+value a block holds: a product or dense cell of IDF and A0, a dense cell
+of TF, S and H, a distance or gathered distance, a cell of `dense_rows`, a
+presence word of the joint counts. A unit keeps about 40 bytes alive
+(36-42 under tracemalloc for IDF and A0), 0.65 MB a block at `1 << 14`.
+In a sweep from `1 << 11` to `1 << 17`, IDF and A0 ran fastest at
+`1 << 14` and `1 << 15`, where a block fits a 2 MB L2 cache, and
+`1 << 17` raised the peak RSS of a train on a 192-document, 1000-term
+corpus from 44.3 to 46.5 MB. Once every kernel shared the budget, that
+train peaked at 44.5-44.6 MB at `1 << 14` and 45.3 MB at `1 << 15`, in
+six alternating runs each.
 """
 
 from __future__ import annotations
@@ -91,25 +92,31 @@ class CsrArrays:
         return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
-def csr_from_triplets(vals, rows, cols, shape) -> CsrArrays:
-    """CSR arrays of (value, row, col) triplets, columns sorted within each
-    row; the values of duplicate (row, col) entries are summed."""
+def csr_from_blocks(shape, bound: int, blocks, dtype=np.float64) -> CsrArrays:
+    """CSR arrays of a matrix given as dense row blocks: the one writer of
+    the pipeline's matrices.
+
+    `blocks` yields (start, stop, dense), rows start:stop as a
+    (stop - start, cols) array, block after block over every row. Each
+    row's nonzero cells are stored left to right, so the arrays are
+    canonical and store no zero. They are allocated for `bound` entries,
+    at least what the matrix stores; pages are touched only as entries
+    are written, and the unused tail is returned at the end."""
     n_rows, n_cols = shape
-    keys = np.asarray(rows, dtype=np.int64) * n_cols
-    keys += cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = np.asarray(vals)[order]
-    del order
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    data = np.add.reduceat(vals, first)
-    keys = keys[first]
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n_cols, minlength=n_rows), out=indptr[1:])
-    return CsrArrays(indptr=indptr, indices=(keys % n_cols).astype(index_dtype(n_cols)),
-                     data=data, shape=(int(n_rows), int(n_cols)))
+    indices = np.empty(bound, dtype=index_dtype(n_cols))
+    data = np.empty(bound, dtype=dtype)
+    for start, stop, dense in blocks:
+        keep = dense != 0
+        flat = np.flatnonzero(keep)
+        at = indptr[start]
+        np.cumsum(keep.sum(axis=1), out=indptr[start + 1 : stop + 1])
+        indptr[start + 1 : stop + 1] += at
+        np.remainder(flat, n_cols, out=indices[at : at + flat.size], casting="unsafe")
+        data[at : at + flat.size] = dense.ravel()[flat]
+    indices.resize(indptr[-1], refcheck=False)
+    data.resize(indptr[-1], refcheck=False)
+    return CsrArrays(indptr, indices, data, (int(n_rows), int(n_cols)))
 
 
 def row_blocks(work: np.ndarray):

@@ -24,6 +24,7 @@ from hyhtm import (
     preprocess,
 )
 from hyhtm import corpus as corpus_mod
+from hyhtm import hypspace
 from hyhtm import sparse_io
 from hyhtm.cli import main
 from hyhtm.corpus import (
@@ -832,6 +833,7 @@ class TestMatchesScipyReference:
             ms.data[row][ms.indices[row] != lone] = 0.0
             idf = assert_matches_reference(corpus, ms)
             assert idf[lone] == 0.0
+        assert_matches_reference(Corpus(documents=[], vocabulary=corpus.vocabulary), ms)
 
     def test_similarity_from_embeddings_at_alpha_0_and_1(self, budget, tmp_path):
         rng = np.random.default_rng(43)
@@ -888,16 +890,18 @@ def nbytes(csr):
 
 
 class TestBlockMemory:
-    """IDF and A0 keep their row blocks within 1 << 15 units of about 40
-    bytes, twice the budget `sparse_io` states. On these inputs the traced
-    peaks are 0.9 MB for IDF and 2.9 MB for A0. Blocks of 1 << 16 units
-    take them to 2.7 and 5.0 MB, which fails the bound of A0, and 1 << 17
-    units to 5.3 and 7.7 MB, which fails both."""
+    """TF, S, IDF and A0 keep their row blocks within 1 << 15 units of
+    about 40 bytes, twice the budget `sparse_io` states. On these inputs
+    the traced peaks are 0.9 MB for IDF and 2.9 MB for A0. Blocks of
+    1 << 16 units take them to 2.7 and 5.0 MB, which fails the bound of A0,
+    and 1 << 17 units to 5.3 and 7.7 MB, which fails both. TF peaks at 0.6
+    MB and S at 1.4 MB; 1 << 17 units take them to 2.1 and 3.5 MB, which
+    fails both bounds."""
 
     BLOCK_BYTES = 40 * (1 << 15)
 
     @pytest.fixture(scope="class")
-    def inputs(self):
+    def drawn(self):
         # 192 documents of about 60 distinct terms over 1000, and a
         # similarity matrix of 100 entries a row, the diagonal among them.
         rng = np.random.default_rng(53)
@@ -911,7 +915,12 @@ class TestBlockMemory:
         ])
         ms = sparse.csr_matrix((rng.uniform(0.1, 1.0, cols.size), cols, np.arange(m + 1) * 100),
                                shape=(m, m))
-        return build_tf(corpus), csr_of(ms)
+        return corpus, csr_of(ms)
+
+    @pytest.fixture(scope="class")
+    def inputs(self, drawn):
+        corpus, ms = drawn
+        return build_tf(corpus), ms
 
     def test_idf_peak(self, inputs):
         tf, ms = inputs
@@ -928,3 +937,32 @@ class TestBlockMemory:
         preallocated = bound * (np.dtype(np.int32).itemsize + 8) + (n + 1) * 8
         peak = traced_peak(build_document_representation, tf, ms, idf)
         assert peak <= nbytes(tf) + nbytes(ms) + preallocated + self.BLOCK_BYTES
+
+    def test_tf_peak(self, drawn):
+        corpus, _ = drawn
+        n, tokens = corpus.n_docs, sum(len(d.tokens) for d in corpus.documents)
+        # Each token's document row (i64) and term (i32), and TF's arrays
+        # allocated up front for one entry per token.
+        preallocated = tokens * (8 + 4) + tokens * (4 + 8) + (n + 1) * 8
+        assert traced_peak(build_tf, corpus) <= preallocated + self.BLOCK_BYTES
+
+    def test_similarity_matrix_peak(self, monkeypatch):
+        # 1000 terms, 900 of them covered, and neighborhoods of 100.
+        rng = np.random.default_rng(59)
+        m, k = 1000, 100
+        covered = np.sort(rng.choice(m, 900, replace=False))
+        table = hypspace.EmbeddingTable(space="euclidean", vocab_size=m, term_indices=covered,
+                                        matrix=rng.normal(size=(covered.size, 20)))
+        real, peaks = hypspace._term_matrix, []
+
+        def traced(*args):
+            peaks.append(traced_peak(real, *args))
+            return real(*args)
+
+        monkeypatch.setattr(hypspace, "_term_matrix", traced)
+        build_similarity_matrix(table, k, 0.5)
+        # S's arrays are allocated up front for a unit diagonal on each
+        # uncovered row and an entry per neighborhood member.
+        bound = m - covered.size + covered.size * k
+        preallocated = bound * (np.dtype(np.int32).itemsize + 8) + (m + 1) * 8
+        assert peaks[0] <= preallocated + self.BLOCK_BYTES

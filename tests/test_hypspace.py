@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -29,6 +29,7 @@ from hyhtm.sparse_io import (
     CsrArrays,
     MatrixCache,
     cache_key,
+    csr_from_blocks,
     read_csr,
     row_blocks,
     save_csr,
@@ -922,3 +923,33 @@ class TestSparseIo:
         for start, stop in ranges:
             assert stop > start
             assert stop - start == 1 or work[start:stop].sum() <= budget
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), dtype=st.sampled_from([np.int64, np.float64]),
+           n=st.integers(0, 9), m=st.integers(0, 9), spare=st.integers(0, 4))
+    def test_csr_from_blocks_is_scipys_csr_of_the_dense_matrix(self, data, dtype, n, m, spare,
+                                                                 tmp_path):
+        # Zero-heavy cells, -0.0 among them, cut into random consecutive blocks.
+        if dtype is np.int64:
+            cell = st.just(0) | st.integers(-3, 3)
+        else:
+            cell = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, width=64)
+        flat = np.array(data.draw(st.lists(cell, min_size=n * m, max_size=n * m)), dtype=dtype)
+        dense = flat.reshape(n, m)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        bounds = [0, *cuts, n] if n else [0]
+        blocks = ((start, stop, flat[start * m : stop * m].reshape(stop - start, m))
+                  for start, stop in zip(bounds, bounds[1:]))
+        want = sparse.csr_matrix(dense)
+        got = csr_from_blocks((n, m), want.nnz + spare, blocks, dtype=dtype)
+        assert got.shape == want.shape
+        assert got.indptr.dtype == np.int64 and np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.dtype == want.data.dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        save_csr(tmp_path / "m.bin", got)
+        loaded = read_csr(tmp_path / "m.bin", (n, m))
+        assert np.array_equal(loaded.indptr, got.indptr)
+        assert np.array_equal(loaded.indices, got.indices)
+        assert np.array_equal(loaded.data, got.data.astype(np.float64))
