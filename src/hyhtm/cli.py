@@ -106,6 +106,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
             base, _, optional = annotation.partition(" | ")
             if not (value is None and optional or _SETTING_TYPES[base][0](value)):
                 raise ConfigurationError(f"{path}: config key {name!r} must be {annotation}")
+            values[name] = float(value) if base == "float" else value  # as its flag parses it
     for name in keys:
         value = getattr(args, name, None)
         if value is not None:

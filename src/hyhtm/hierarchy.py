@@ -15,7 +15,10 @@ records the peak, which the max_depth + 1 bound is checked against. A0
 and the hierarchy matrix are `sparse_io.CsrArrays`, so only a sparse node
 needs scipy. A node's documents are named by the ids of A0's rows, which
 the caller takes from the corpus. An A0 of fewer than min_docs nonzero
-rows raises DegenerateCorpusError: no tree is ever empty.
+rows raises DegenerateCorpusError: no tree is ever empty. Provenance holds
+one record per factorization, in the order made (depth first, root first):
+the split topic's id (`""` at the root), its rows and layout, the NMF
+iterations, convergence and final objective, and the unassigned rows.
 """
 
 from __future__ import annotations
@@ -152,8 +155,7 @@ def build_hierarchy(
     gauge = LiveMatrixGauge()
     gauge.track(a0)  # the root representation itself
     sparse_a0 = None  # A0 as a scipy matrix, made for the first sparse node
-    counters = {"unassigned_docs": 0}
-    nmf_levels: dict[int, dict] = {}
+    records = []  # one per factorization, in the order made
 
     def node_matrix(rows: np.ndarray, scale):
         """Rows `rows` of A0 with columns scaled by `scale`, dense or sparse
@@ -169,16 +171,14 @@ def build_hierarchy(
 
     def expand(row_map: np.ndarray, scale, level: int, prefix: str) -> list[TopicNode]:
         matrix = gauge.track(node_matrix(row_map, scale))
+        dense = isinstance(matrix, np.ndarray)
         pair = factorize(matrix, config.n_topics, config.nmf_max_iter, config.nmf_tol, config.seed)
         del matrix  # freed before the children take their own rows of A0
-        level_stats = nmf_levels.setdefault(
-            level, {"level": level, "factorizations": 0, "iterations": 0, "unconverged": 0}
-        )
-        level_stats["factorizations"] += 1
-        level_stats["iterations"] += pair.n_iter
-        level_stats["unconverged"] += int(not pair.converged)
         parts = assign_documents(pair.W)
-        counters["unassigned_docs"] += row_map.size - sum(len(p) for p in parts)
+        records.append({"node": prefix[:-1], "rows": row_map.size, "dense": dense,
+                        "n_iter": pair.n_iter, "converged": pair.converged,
+                        "objective": pair.objective_history[-1],
+                        "unassigned": row_map.size - sum(len(p) for p in parts)})
         nodes = []
         for i in range(config.n_topics):
             node_id = f"{prefix}{i}"
@@ -203,7 +203,5 @@ def build_hierarchy(
 
     roots = expand(root_rows, None, 1, "")
     provenance = {"hyperparameters": asdict(config), "peak_live_matrices": gauge.peak,
-                  "excluded_empty_rows": int(n - root_rows.size),
-                  "unassigned_docs": counters["unassigned_docs"],
-                  "nmf_by_level": [nmf_levels[level] for level in sorted(nmf_levels)]}
+                  "excluded_empty_rows": int(n - root_rows.size), "factorizations": records}
     return TopicTree(roots=roots, config=asdict(config), provenance=provenance)

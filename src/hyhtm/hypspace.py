@@ -305,10 +305,9 @@ def _neighborhood_similarities(table: EmbeddingTable, members: np.ndarray, cente
     """
     n, k = members.shape
     slots = np.argsort(members, axis=None)  # slot i * k + j, by member row
-    held = members.ravel()[slots]
-    ends = np.append(np.flatnonzero(np.diff(held, prepend=-1)), held.size)  # a row's slots
-    rows = held[ends[:-1]]
-    del held
+    held = np.bincount(members.ravel(), minlength=table.matrix.shape[0])  # slots per row
+    rows = np.flatnonzero(held)
+    ends = np.concatenate(([0], np.cumsum(held[rows])))  # slots of rows[r]: ends[r]:ends[r + 1]
     spread = np.full(n, -np.inf)
     for start, stop in row_blocks(np.full(rows.size, table.matrix.shape[0])):
         dist = table._distances(rows[start:stop])
@@ -320,7 +319,7 @@ def _neighborhood_similarities(table: EmbeddingTable, members: np.ndarray, cente
             np.maximum.at(spread, nbhd, gathered.max(axis=1))
     ratio = np.zeros((n, k))
     np.divide(center_dists, spread[:, None], out=ratio, where=spread[:, None] != 0.0)
-    return 1.0 - ratio
+    return np.subtract(1.0, ratio, out=ratio)
 
 
 def knn(table: EmbeddingTable, w: int, k: int) -> Neighborhood:

@@ -460,10 +460,13 @@ class TestTrainCommand:
         }
         assert main(train_args(corpus_bin, emb, tmp_path / "off") + ["--no-cache"]) == 0
         assert status(tmp_path / "off") == dict.fromkeys(kinds, "off")
-        trees = {(tmp_path / run / "tree.json").read_bytes()
-                 for run in ("cold", "warm", "mended", "off")}
+        runs = ("cold", "warm", "mended", "off")
+        trees = {(tmp_path / run / "tree.json").read_bytes() for run in runs}
         assert len(trees) == 1
         assert "cache" not in json.loads(trees.pop())
+        records = [json.loads((tmp_path / run / "provenance.json").read_text(encoding="utf-8"))
+                   ["factorizations"] for run in runs]
+        assert records[0] and all(r == records[0] for r in records)
 
     def test_cached_similarity_and_hierarchy_skip_the_embedding_file(
         self, planted_cli, tmp_path, monkeypatch
@@ -524,51 +527,75 @@ class TestTrainCommand:
         assert main(train_args(corpus_bin, emb, out)) == 0
         provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
         top = {"hyperparameters", "corpus_sha256", "embeddings_sha256", "embedding_coverage",
-               "cache", "matrices", "excluded_empty_rows", "unassigned_docs",
-               "peak_live_matrices", "nmf_by_level", "tree_sha256", "timings"}
+               "cache", "matrices", "excluded_empty_rows", "factorizations",
+               "peak_live_matrices", "tree_sha256", "timings"}
         assert set(provenance) == top
         kinds = {"similarity", "hierarchy", "representation"}
         assert provenance["cache"] == dict.fromkeys(kinds, "miss")
         assert set(provenance["matrices"]) == kinds
         for entry in provenance["matrices"].values():
             assert set(entry) == {"shape", "nnz", "density"}
-        assert provenance["nmf_by_level"]
-        for row in provenance["nmf_by_level"]:
-            assert set(row) == {"level", "factorizations", "iterations", "unconverged"}
+        record_types = {"node": str, "rows": int, "dense": bool, "n_iter": int,
+                        "converged": bool, "objective": float, "unassigned": int}
+        assert provenance["factorizations"]
+        for record in provenance["factorizations"]:
+            assert {key: type(value) for key, value in record.items()} == record_types
         assert set(provenance["timings"]) == {"matrices_s", "hierarchy_s", "total_s"}
         assert set(provenance["hyperparameters"]) == {f.name for f in fields(TrainConfig)}
-        # README's model directory block names each key.
+        # README's model directory block names each key and record field.
         block = re.search(r"## Model directory\n.*?```\n(.*?)```",
                           README.read_text(encoding="utf-8"), re.S).group(1)
-        for key in top:
+        for key in top | set(record_types):
             assert re.search(rf"\b{key}\b", block), key
 
     def test_provenance_records_nmf_per_level(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
         out = tmp_path / "m"
         assert main(train_args(corpus_bin, emb, out)) == 0
-        levels = json.loads((out / "provenance.json").read_text(encoding="utf-8"))["nmf_by_level"]
-        assert [row["level"] for row in levels] == [1, 2]
-        for row in levels:
-            assert set(row) == {"level", "factorizations", "iterations", "unconverged"}
-            assert 0 <= row["unconverged"] <= row["factorizations"]
-            assert row["factorizations"] <= row["iterations"] <= 300 * row["factorizations"]
-        assert levels[0]["factorizations"] == 1
-        n_leaves = sum(
-            1 for n in json.loads((out / "tree.json").read_text(encoding="utf-8"))["nodes"]
-            if n["level"] == 2
-        )
-        assert levels[1]["factorizations"] * 3 == n_leaves
+        provenance = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
+        records = provenance["factorizations"]
+        nodes = json.loads((out / "tree.json").read_text(encoding="utf-8"))["nodes"]
+        root = {"id": "", "level": 0, "children": [n["id"] for n in nodes if n["level"] == 1]}
+        by_id = {n["id"]: n for n in (root, *nodes)}
+        # The root and each node with children, in tree.json's depth-first order.
+        assert [r["node"] for r in records] == [i for i, n in by_id.items() if n["children"]]
+        assert records[0]["rows"] == read_corpus(corpus_bin).n_docs - provenance["excluded_empty_rows"]
+        for record in records[1:]:
+            assert record["rows"] == len(by_id[record["node"]]["doc_ids"])
+        for record in records:
+            kept = sum(len(by_id[c]["doc_ids"]) for c in by_id[record["node"]]["children"])
+            assert record["unassigned"] == record["rows"] - kept
+            assert 1 <= record["n_iter"] <= 300
+        levels = [by_id[r["node"]]["level"] + 1 for r in records]
+        assert levels.count(1) == 1
+        assert levels.count(2) * 3 == sum(n["level"] == 2 for n in nodes)
 
     def test_iteration_cap_is_visible_in_provenance(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli
         out = tmp_path / "capped"
         assert main(train_args(corpus_bin, emb, out, nmf_max_iter=2)) == 0
-        levels = json.loads((out / "provenance.json").read_text(encoding="utf-8"))["nmf_by_level"]
-        assert levels
-        for row in levels:
-            assert row["unconverged"] == row["factorizations"]
-            assert row["iterations"] == 2 * row["factorizations"]
+        records = json.loads((out / "provenance.json").read_text(encoding="utf-8"))["factorizations"]
+        assert records
+        for record in records:
+            assert record["n_iter"] == 2 and not record["converged"]
+
+    def test_integer_in_a_float_setting_reads_as_its_flag(self, planted_cli, tmp_path):
+        # `"alpha": 0` in a config file is the setting `--alpha 0` makes: the
+        # second train hits every cache entry the first wrote, and the trees
+        # are byte-equal.
+        corpus_bin, emb = planted_cli
+        cache = tmp_path / "cache"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"alpha": 0}), encoding="utf-8")
+        argv = train_args(corpus_bin, emb, tmp_path / "file", cache_dir=cache)
+        at = argv.index("--alpha")
+        assert main(argv[:at] + argv[at + 2:] + ["--config", str(cfg_path)]) == 0
+        assert main(train_args(corpus_bin, emb, tmp_path / "flag", cache_dir=cache, alpha=0)) == 0
+        provenance = json.loads((tmp_path / "flag" / "provenance.json").read_text(encoding="utf-8"))
+        assert set(provenance["cache"].values()) == {"hit"}
+        assert len(list(cache.iterdir())) == 3
+        assert (tmp_path / "file" / "tree.json").read_bytes() == (
+            tmp_path / "flag" / "tree.json").read_bytes()
 
     def test_cache_flags_beat_the_config_file(self, planted_cli, tmp_path):
         corpus_bin, emb = planted_cli

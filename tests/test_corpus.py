@@ -896,7 +896,9 @@ class TestBlockMemory:
     1 << 16 units take them to 2.7 and 5.0 MB, which fails the bound of A0,
     and 1 << 17 units to 5.3 and 7.7 MB, which fails both. TF peaks at 0.6
     MB and S at 1.4 MB; 1 << 17 units take them to 2.1 and 3.5 MB, which
-    fails both bounds."""
+    fails both bounds. The spread of 1000 hyperbolic terms at k = 200
+    peaks at 3.4 MB; grouping its slots by a gather of their member rows
+    and forming 1 - d / spread beside the ratios took it to 5.6 MB."""
 
     BLOCK_BYTES = 40 * (1 << 15)
 
@@ -966,3 +968,14 @@ class TestBlockMemory:
         bound = m - covered.size + covered.size * k
         preallocated = bound * (np.dtype(np.int32).itemsize + 8) + (m + 1) * 8
         assert peaks[0] <= preallocated + self.BLOCK_BYTES
+
+    def test_spread_peak(self):
+        # 1000 terms inside the Poincare ball, and neighborhoods of 200.
+        rng = np.random.default_rng(61)
+        m, k = 1000, 200
+        table = hypspace.EmbeddingTable(space="hyperbolic", vocab_size=m, term_indices=np.arange(m),
+                                        matrix=rng.normal(size=(m, 20)) * 0.05)
+        members, near = hypspace._neighbor_table(table, k)
+        peak = traced_peak(hypspace._neighborhood_similarities, table, members, near)
+        # The slots' argsort (i64) and the ratios (f64) over all m * k slots.
+        assert peak <= 16 * m * k + self.BLOCK_BYTES

@@ -401,10 +401,12 @@ class TestBuildHierarchy:
         config = planted_config(seed=4)
         dense_tree = build_hierarchy(a0, doc_ids, mh, config)
         assert layouts and not any(layouts)
+        assert [not r["dense"] for r in dense_tree.provenance["factorizations"]] == layouts
         layouts.clear()
         monkeypatch.setattr(hierarchy, "DENSE_MIN_DENSITY", 1.0)
         sparse_tree = build_hierarchy(a0, doc_ids, mh, config)
         assert layouts and all(layouts)
+        assert [not r["dense"] for r in sparse_tree.provenance["factorizations"]] == layouts
 
         def shape(tree):
             return [
@@ -434,6 +436,7 @@ class TestBuildHierarchy:
         )
         assert tree.depth == 2
         assert layouts and all(layouts)
+        assert [not r["dense"] for r in tree.provenance["factorizations"]] == layouts
 
     def test_topic_whose_reweight_vector_vanishes_is_a_leaf(self, monkeypatch, caplog):
         # Topic 0 takes all 12 documents, past min_docs, but its H row is
@@ -445,7 +448,7 @@ class TestBuildHierarchy:
             w[:, 0] = 1.0
             h = np.ones((n_topics, m))
             h[0] = 0.0
-            return FactorPair(W=w, H=h)
+            return FactorPair(W=w, H=h, objective_history=[0.0])
 
         monkeypatch.setattr(hierarchy, "factorize", zero_topic)
         with caplog.at_level(logging.DEBUG, logger=hierarchy.__name__):
